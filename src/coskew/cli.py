@@ -153,9 +153,14 @@ def stats_cmd(input_path, marginals, event_token, fmt, output, deterministic):
             if line.strip() and not line.startswith("#")]
     if len(rows) < 3:
         raise click.UsageError("need a header row plus at least two data rows")
-    data = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:  # ragged rows or unparsable cells
+        raise click.UsageError(f"malformed CSV input: {exc}")
     if data.shape[1] != 3:
         raise click.UsageError(f"expected 3 columns, got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise click.UsageError("CSV input holds non-finite (nan/inf) cells")
     ts = TriSample(data.T)
     margs = _parse_marginals(marginals) if marginals else None
     try:

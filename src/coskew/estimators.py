@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateColumnError,
@@ -240,9 +239,19 @@ def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if marginal is not None:
         return np.asarray(marginal.cdf(x), dtype=float)
-    if x.size < 2:
+    n = x.size
+    if n < 2:
         raise DomainError("empirical ranks need n >= 2")
-    return (rankdata(x, method="average") - 0.5) / x.size
+    if not np.all(np.isfinite(x)):
+        raise DomainError("empirical ranks need finite values")
+    # midrank of the sorted tie group [start, end) is (start + end + 1)/2
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return (ranks - 0.5) / n
 
 
 def spearman_rho(u, v) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, UnsupportedMarginalError
 
@@ -29,103 +29,16 @@ __all__ = [
     "student_t",
     "exponential",
     "parse_marginal",
-    "norm_ppf",
     "norm_cdf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation to the standard normal quantile,
-# refined below by one Halley step to full double precision.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
 
 
 def norm_cdf(x):
     """Standard normal CDF (vectorized)."""
     return special.ndtr(x)
-
-
-def _acklam(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    x = np.empty_like(p)
-
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    def _tail(pt):
-        q = np.sqrt(-2.0 * np.log(pt))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return num / den
-
-    if np.any(lo):
-        x[lo] = _tail(p[lo])
-    if np.any(hi):
-        x[hi] = -_tail(1.0 - p[hi])
-    return x
-
-
-def norm_ppf(p):
-    """Standard normal quantile: Acklam's approximation plus one Halley step.
-
-    Accurate to ~1e-15 relative over (0, 1); raises DomainError outside.
-    """
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p_arr = np.atleast_1d(p_arr)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise DomainError("normal quantile needs p in (0, 1)")
-    x = _acklam(p_arr)
-    # Halley refinement with e = Phi(x) - p evaluated in whichever tail keeps
-    # full relative accuracy (1 - p is exact for p >= 1/2 by Sterbenz)
-    upper = p_arr > 0.5
-    e = np.where(
-        upper,
-        (1.0 - p_arr) - special.ndtr(-x),
-        special.ndtr(x) - p_arr,
-    )
-    u = e * _SQRT_2PI * np.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return float(x[0]) if scalar else x
 
 
 def _check_prob_open(p, name="p"):
@@ -150,13 +63,14 @@ class Marginal:
         if self.family not in ("normal", "uniform", "laplace", "t", "exp"):
             raise DomainError(f"unknown marginal family {self.family!r}")
         if self.family == "t":
-            if self.df is None or not self.df > 3.0:
+            if self.df is None or not (math.isfinite(self.df) and self.df > 3.0):
                 raise DomainError(
-                    "Student t needs df > 3 so the third absolute moment is finite"
+                    "Student t needs a finite df > 3 so the third absolute "
+                    "moment is finite"
                 )
         if self.family == "exp":
-            if self.rate is None or not self.rate > 0.0:
-                raise DomainError("Exponential needs a positive rate")
+            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0.0):
+                raise DomainError("Exponential needs a finite positive rate")
 
     # -- moments -----------------------------------------------------------
 
@@ -193,15 +107,15 @@ class Marginal:
         _check_prob_open(p)
         p_arr = np.asarray(p, dtype=float)
         if self.family == "normal":
-            return norm_ppf(p)
-        if self.family == "uniform":
+            out = special.ndtri(p_arr)
+        elif self.family == "uniform":
             out = p_arr.copy()
         elif self.family == "laplace":
             out = np.where(
                 p_arr < 0.5, np.log(2.0 * p_arr), -np.log(2.0 * (1.0 - p_arr))
             )
         elif self.family == "t":
-            out = stats.t.ppf(p_arr, self.df)
+            out = special.stdtrit(self.df, p_arr)
         else:  # exp
             out = -np.log1p(-p_arr) / self.rate
         return float(out) if np.ndim(p) == 0 else out
@@ -218,7 +132,7 @@ class Marginal:
                 x_arr < 0.0, 0.5 * np.exp(x_arr), 1.0 - 0.5 * np.exp(-x_arr)
             )
         elif self.family == "t":
-            out = stats.t.cdf(x_arr, self.df)
+            out = special.stdtr(self.df, x_arr)
         else:  # exp
             out = -np.expm1(-self.rate * np.clip(x_arr, 0.0, None))
         return float(out) if np.ndim(x) == 0 else out

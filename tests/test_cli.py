@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import coskew
 from coskew.cli import main
 from coskew.experiments import DEFAULT_SEED
 
@@ -101,6 +105,29 @@ class TestStats:
         assert res.exit_code == 0
         names = [r["statistic"] for r in json.loads(res.stdout)]
         assert any(name.startswith("conditional_corr") for name in names)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_usage_error(self, runner, cell):
+        text = f"x1,x2,x3\n0.1,0.2,0.3\n0.4,{cell},0.6\n0.7,0.8,0.9\n"
+        res = runner.invoke(main, ["stats"], input=text)
+        assert res.exit_code == 2
+        assert "non-finite" in res.output
+
+    def test_ragged_row_is_usage_error(self, runner):
+        text = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n"
+        res = runner.invoke(main, ["stats"], input=text)
+        assert res.exit_code == 2
+        assert "malformed" in res.output
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~0.4 s of import time on every CLI start
+    src = os.path.dirname(os.path.dirname(coskew.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, coskew.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFigureCommands:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from coskew import copulas, estimators
 from coskew.errors import (
@@ -127,10 +128,19 @@ class TestRankTransform:
             rank_transform([10.0, 20.0, 30.0]), [1 / 6, 3 / 6, 5 / 6], atol=1e-15
         )
 
-    def test_empirical_midranks_for_ties(self):
+    def test_empirical_midranks_for_ties(self, rng):
         np.testing.assert_allclose(
             rank_transform([1.0, 1.0, 2.0]), [1 / 3, 1 / 3, 5 / 6], atol=1e-15
         )
+        n = 100_000
+        for x in (rng.integers(0, 500, size=n).astype(float), rng.normal(size=n)):
+            want = (rankdata(x, method="average") - 0.5) / n
+            assert np.array_equal(rank_transform(x), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_empirical_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            rank_transform([0.3, bad, 0.1])
 
     def test_true_cdf_uniform_identity(self, rng):
         u = rng.random(50)

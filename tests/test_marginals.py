@@ -11,7 +11,6 @@ from coskew.marginals import (
     Marginal,
     exponential,
     laplace,
-    norm_ppf,
     parse_marginal,
     standard_normal,
     student_t,
@@ -41,10 +40,29 @@ class TestQuantile:
             np.linspace(1e-9, 1 - 1e-9, 201),
             [1e-12, 1e-6, 0.02425, 0.5, 0.97575, 1 - 1e-6],
         ])
-        got = norm_ppf(ps)
+        got = standard_normal().quantile(ps)
         want = special.ndtri(ps)
         err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert np.max(err) < 1e-13
+
+    def test_normal_matches_mpmath_erfinv(self):
+        mpmath = pytest.importorskip("mpmath")
+        ps = np.concatenate([
+            np.logspace(-300, -1, 24),
+            np.linspace(0.1, 0.9, 17),
+            0.5 + np.logspace(-15, -2, 14),  # relative accuracy near the median
+            0.5 - np.logspace(-15, -2, 14),
+            1.0 - np.logspace(-16, -1, 16),
+        ])
+        got = standard_normal().quantile(ps)
+        # 420 digits keep 2p - 1 exact for p down to 1e-300
+        with mpmath.workdps(420):
+            want = np.array([
+                float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
+                for p in ps
+            ])
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+        assert np.max(err) <= 2e-15
 
     def test_laplace_matches_scipy(self):
         ps = np.linspace(0.001, 0.999, 97)
@@ -154,6 +172,8 @@ class TestConstruction:
             student_t(3.0)
         with pytest.raises(DomainError):
             student_t(2.5)
+        with pytest.raises(DomainError):
+            student_t(math.inf)
         assert student_t(3.5).df == 3.5
 
     def test_exp_requires_positive_rate(self):
@@ -161,6 +181,8 @@ class TestConstruction:
             exponential(0.0)
         with pytest.raises(DomainError):
             exponential(-1.0)
+        with pytest.raises(DomainError):
+            exponential(math.inf)
 
     def test_parse_roundtrip(self):
         for token in ("normal", "uniform", "laplace", "t:5", "exp:1"):
