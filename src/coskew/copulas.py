@@ -11,7 +11,9 @@ The mixture structure draws a Bernoulli(lambda) selector per row from its
 own substream and takes the max-branch third coordinate where it fires.
 Because the selector compares a shared uniform draw against lambda, sweeps
 over lambda are coupled pathwise: raising lambda only ever flips rows from
-the min branch to the max branch.
+the min branch to the max branch.  :func:`mixture_sweep` uses this to run a
+whole lambda grid from one draw: it transforms both extremal branches once
+and per lambda only picks each row's third value with the selector.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "GaussianParams",
     "extremal_coords",
     "mixing_sum_coords",
+    "mixture_sweep",
     "parse_copula",
     "sample",
     "sample_comonotonic",
@@ -191,6 +194,13 @@ def mixing_sum_coords(u):
     return u2, u3
 
 
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    return lam
+
+
 def _extremal_u(n: int, seed: SeedSpec):
     """Shared (u, v) draws plus the branch coordinates of both extremes."""
     u = uniform_open(substream(seed, _OFF_U), n)
@@ -222,9 +232,7 @@ def sample_mixture(n: int, lam: float, seed: SeedSpec = SeedSpec()) -> USample:
     sample_max_coskew / sample_min_coskew bit-for-bit.
     """
     n = _check_n(n)
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    lam = _check_lam(lam)
     u, u2, u3_max = _extremal_u(n, seed)
     # coupled selector: same substream draws for every lambda
     h = substream(seed, _OFF_B).random(n)
@@ -311,3 +319,22 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     for m, u in zip((m1, m2, m3), us.u):
         cols.append(m.quantile(np.clip(u, _CLAMP, 1.0 - _CLAMP)))
     return TriSample(np.stack(cols), us.seed)
+
+
+def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()):
+    """Data-space mixture samples over a lambda grid, drawn once.
+
+    Yields (lam, TriSample) for each lambda in order; each sample equals
+    ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit-for-bit.  Both
+    extremal branches are drawn and transformed once and the selector is
+    drawn once; each lambda only stacks x1, x2 and the branch its selector
+    picks for x3.  A lambda outside [0, 1] raises DomainError, as in
+    sample_mixture, on the first step and before anything is drawn.
+    """
+    lams = [_check_lam(lam) for lam in lams]
+    hi = to_data(sample_max_coskew(n, seed), *marginals).x
+    lo = to_data(sample_min_coskew(n, seed), *marginals).x
+    h = substream(seed, _OFF_B).random(n)
+    for lam in lams:
+        x3 = np.where(h < lam, hi[2], lo[2])
+        yield lam, TriSample(np.stack([hi[0], hi[1], x3]), seed)

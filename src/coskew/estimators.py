@@ -43,7 +43,6 @@ __all__ = [
     "rank_coskewness",
     "conditional_corr",
     "build_event_mask",
-    "stat_record",
     "MIN_EVENT_ROWS",
 ]
 
@@ -359,15 +358,3 @@ def build_event_mask(
     if spec.kind == "exceed-upper":
         return (sample.x[i] > thr[0]) & (sample.x[j] > thr[1])
     return (sample.x[i] <= thr[0]) & (sample.x[j] <= thr[1])
-
-
-def stat_record(statistic: str, value: float, sample: TriSample | None = None,
-                spec: str | None = None) -> dict:
-    """JSON-ready record: {statistic, value, n, seed, spec}."""
-    rec = {"statistic": statistic, "value": float(value)}
-    if sample is not None:
-        rec["n"] = sample.n
-        rec["seed"] = {"seed": sample.seed.seed, "stream": sample.seed.stream}
-    if spec is not None:
-        rec["spec"] = spec
-    return rec

@@ -2,17 +2,17 @@
 downside-risk reproductions, the worked copula examples, and a
 proposition-by-proposition verification suite.
 
-The core pipeline (per lambda) is:
+The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
 
-    1. draw u, v uniform and the Bernoulli selector b from fixed substreams
-    2. build the max- and min-coskewness copulas from (u, v)
-    3. mix the third coordinate with b
-    4. transform by the marginal quantiles
-    5. compute pairwise correlations and the coskewness with
+    1. draw u, v uniform and the Bernoulli selector h from fixed substreams
+    2. build the max- and min-coskewness copulas from (u, v) and transform
+       both by the marginal quantiles, once
+    3. per lambda, take x3 from the max branch where h < lambda
+    4. compute pairwise correlations and the coskewness with
        population-normalized standard deviations
 
-Sweeps over lambda reuse the same (u, v) substreams, so curves are
-variance-reduced and pathwise comparable across grid points.
+Every lambda shares the same draws, so curves are variance-reduced and
+pathwise comparable across grid points.
 """
 
 from __future__ import annotations
@@ -137,21 +137,32 @@ def _sample_stats(ts: TriSample) -> dict:
     }
 
 
-def run_algorithm1(
-    cfg: ExperimentConfig,
-    lam: float,
-    bounds: analytic.BoundsResult | None = None,
-) -> dict:
+def _sweep_rows(cfg: ExperimentConfig, lams, bounds, event=None) -> list[dict]:
+    """One report row per lambda of one mixture sweep.  Rows carry the
+    affine prediction when bounds are given, and the event fraction plus the
+    three event-conditional correlations when an event is given."""
+    rows = []
+    for lam, ts in copulas.mixture_sweep(cfg.n, lams, cfg.marginals, cfg.seed):
+        row = {"lambda": lam}
+        row.update(_sample_stats(ts))
+        if bounds is not None:
+            row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
+        if event is not None:
+            mask = estimators.build_event_mask(ts, event, cfg.marginals)
+            row["event_fraction"] = float(mask.mean())
+            for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
+                                ((1, 2), "cond_rho23")):
+                row[key] = estimators.conditional_corr(ts.x[i], ts.x[j], mask)
+        rows.append(row)
+    return rows
+
+
+def run_algorithm1(cfg: ExperimentConfig, lam: float,
+                   bounds: analytic.BoundsResult | None = None) -> dict:
     """One grid point of the mixture pipeline; returns a report row."""
-    us = copulas.sample_mixture(cfg.n, lam, cfg.seed)
-    ts = copulas.to_data(us, *cfg.marginals)
-    row = {"lambda": float(lam)}
-    row.update(_sample_stats(ts))
     if bounds is None and cfg.symmetric:
         bounds = analytic.coskew_bound(*cfg.marginals)
-    if bounds is not None:
-        row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
-    return row
+    return _sweep_rows(cfg, [lam], bounds)[0]
 
 
 def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
@@ -160,7 +171,7 @@ def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
         raise DomainError("the lambda sweep needs symmetric marginals")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals)
-    rows = [run_algorithm1(cfg, lam, bounds) for lam in cfg.lambda_grid]
+    rows = _sweep_rows(cfg, cfg.lambda_grid, bounds)
     meta = _base_metadata("figure1", cfg)
     meta["s_max"] = bounds.s_max
     meta["runtime_s"] = time.perf_counter() - t0
@@ -172,20 +183,7 @@ def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
     event = cfg.event or estimators.EventSpec("downside")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    rows = []
-    for lam in cfg.lambda_grid:
-        us = copulas.sample_mixture(cfg.n, lam, cfg.seed)
-        ts = copulas.to_data(us, *cfg.marginals)
-        row = {"lambda": float(lam)}
-        row.update(_sample_stats(ts))
-        if bounds is not None:
-            row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
-        mask = estimators.build_event_mask(ts, event, cfg.marginals)
-        row["event_fraction"] = float(mask.mean())
-        for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
-                            ((1, 2), "cond_rho23")):
-            row[key] = estimators.conditional_corr(ts.x[i], ts.x[j], mask)
-        rows.append(row)
+    rows = _sweep_rows(cfg, cfg.lambda_grid, bounds, event)
     meta = _base_metadata("figure2", cfg)
     meta["event"] = event.token
     meta["runtime_s"] = time.perf_counter() - t0
@@ -278,17 +276,17 @@ def rank_trend(values) -> float:
     return estimators.spearman_rho(idx, estimators.rank_transform(values))
 
 
-def _mixture_data(n, lam, seed, marginals):
-    us = copulas.sample_mixture(n, lam, seed)
-    return copulas.to_data(us, *marginals)
-
-
 def _gauss_data(n, triple, seed, marginals):
     us = copulas.sample_gaussian(n, copulas.GaussianParams(*triple), seed)
     return copulas.to_data(us, *marginals)
 
 
+def _max_abs_rho(st: dict) -> float:
+    return max(abs(st["rho12_hat"]), abs(st["rho13_hat"]), abs(st["rho23_hat"]))
+
+
 _GAUSS_TRIPLES = ((0.0, 0.0, 0.0), (0.8, 0.5, 0.3), (-0.5, 0.4, -0.3))
+_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def verify_propositions(
@@ -304,18 +302,16 @@ def verify_propositions(
     exp3 = (exponential(1.0),) * 3
     bounds_n = analytic.coskew_bound(*normal3)
 
+    # P1 and P3 share one normal sweep; P2 and P5 share the Gaussian samples
+    mix_n = {lam: _sample_stats(ts) for lam, ts in
+             copulas.mixture_sweep(n, _VERIFY_GRID, normal3, seed)}
+    gauss_n = [_sample_stats(_gauss_data(n, t, seed, normal3)) for t in _GAUSS_TRIPLES]
+
     # P1: symmetric marginals, mixture structure: coskewness spans the whole
     # range while every pairwise correlation stays at zero.
-    worst_rho, worst_end = 0.0, 0.0
-    for lam in (0.0, 0.5, 1.0):
-        st = _sample_stats(_mixture_data(n, lam, seed, normal3))
-        worst_rho = max(
-            worst_rho,
-            abs(st["rho12_hat"]), abs(st["rho13_hat"]), abs(st["rho23_hat"]),
-        )
-        if lam in (0.0, 1.0):
-            target = bounds_n.s_max if lam == 1.0 else bounds_n.s_min
-            worst_end = max(worst_end, abs(st["coskewness_hat"] - target))
+    worst_rho = max(_max_abs_rho(mix_n[lam]) for lam in (0.0, 0.5, 1.0))
+    worst_end = max(abs(mix_n[1.0]["coskewness_hat"] - bounds_n.s_max),
+                    abs(mix_n[0.0]["coskewness_hat"] - bounds_n.s_min))
     records.append({
         "proposition": "P1",
         "claim": "zero pairwise correlation at every coskewness level",
@@ -324,11 +320,11 @@ def verify_propositions(
     })
 
     # P2: trivariate Gaussian reaches any admissible correlations.
-    worst_rho_gap = 0.0
-    for triple in _GAUSS_TRIPLES:
-        st = _sample_stats(_gauss_data(n, triple, seed, normal3))
-        for key, target in zip(("rho12_hat", "rho13_hat", "rho23_hat"), triple):
-            worst_rho_gap = max(worst_rho_gap, abs(st[key] - target))
+    worst_rho_gap = max(
+        abs(st[key] - target)
+        for st, triple in zip(gauss_n, _GAUSS_TRIPLES)
+        for key, target in zip(("rho12_hat", "rho13_hat", "rho23_hat"), triple)
+    )
     records.append({
         "proposition": "P2",
         "claim": "Gaussian model attains arbitrary correlation triples",
@@ -337,11 +333,10 @@ def verify_propositions(
     })
 
     # P3: mixture coskewness is affine in lambda.
-    worst_gap = 0.0
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        st = _sample_stats(_mixture_data(n, lam, seed, normal3))
-        pred = analytic.mixture_prediction(lam, bounds_n)
-        worst_gap = max(worst_gap, abs(st["coskewness_hat"] - pred))
+    worst_gap = max(
+        abs(st["coskewness_hat"] - analytic.mixture_prediction(lam, bounds_n))
+        for lam, st in mix_n.items()
+    )
     records.append({
         "proposition": "P3",
         "claim": "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
@@ -350,14 +345,11 @@ def verify_propositions(
     })
 
     # P4: correlations stay zero for other symmetric marginals too.
-    worst_rho = 0.0
-    for marginals in ((laplace(),) * 3, (student_t(5),) * 3):
-        for lam in (0.0, 0.5, 1.0):
-            st = _sample_stats(_mixture_data(n, lam, seed, marginals))
-            worst_rho = max(
-                worst_rho,
-                abs(st["rho12_hat"]), abs(st["rho13_hat"]), abs(st["rho23_hat"]),
-            )
+    worst_rho = max(
+        _max_abs_rho(_sample_stats(ts))
+        for marginals in ((laplace(),) * 3, (student_t(5),) * 3)
+        for _, ts in copulas.mixture_sweep(n, (0.0, 0.5, 1.0), marginals, seed)
+    )
     records.append({
         "proposition": "P4",
         "claim": "zero correlations persist for Laplace and Student-t margins",
@@ -366,10 +358,7 @@ def verify_propositions(
     })
 
     # P5: Gaussian coskewness is zero whatever the correlations.
-    worst_s = 0.0
-    for triple in _GAUSS_TRIPLES:
-        st = _sample_stats(_gauss_data(n, triple, seed, normal3))
-        worst_s = max(worst_s, abs(st["coskewness_hat"]))
+    worst_s = max(abs(st["coskewness_hat"]) for st in gauss_n)
     records.append({
         "proposition": "P5",
         "claim": "trivariate Gaussian has zero coskewness",
@@ -380,8 +369,7 @@ def verify_propositions(
     # P6/P7: with arbitrary continuous marginals the mixture keeps all rank
     # correlations at zero while rank coskewness sweeps [-1, 1] as 2l-1.
     worst_rho_s, worst_rs = 0.0, 0.0
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        ts = _mixture_data(n, lam, seed, exp3)
+    for lam, ts in copulas.mixture_sweep(n, _VERIFY_GRID, exp3, seed):
         ranks = [estimators.rank_transform(ts.x[j], exp3[j]) for j in range(3)]
         for a, b in ((0, 1), (0, 2), (1, 2)):
             worst_rho_s = max(

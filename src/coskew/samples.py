@@ -95,9 +95,6 @@ class USample:
     def u3(self) -> np.ndarray:
         return self.u[2]
 
-    def row(self, i: int) -> tuple[float, float, float]:
-        return (float(self.u[0, i]), float(self.u[1, i]), float(self.u[2, i]))
-
 
 @dataclass(frozen=True)
 class TriSample:
@@ -123,9 +120,3 @@ class TriSample:
     @property
     def d(self) -> int:
         return self.x.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.x[j]
-
-    def row(self, i: int) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.x[:, i])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -58,6 +59,19 @@ class TestSample:
         payload = json.loads(res.stdout)
         assert payload["metadata"]["copula"] == "comonotonic"
         assert len(payload["columns"]["x1"]) == 5
+
+    def test_csv_cells_read_back_exactly(self, runner):
+        # 5000 rows cross the writer's chunk boundary
+        margs = "t:5,laplace,exp:2"
+        res = runner.invoke(main, ["sample", "--copula", "mixture:0.75", "--marginals",
+                                   margs, "--n", "5000", "--seed", "11"])
+        assert res.exit_code == 0
+        lines = _data_lines(res.stdout)
+        cells = np.array([[float(c) for c in l.split(",")] for l in lines[1:]])
+        us = coskew.sample_mixture(5000, 0.75, coskew.SeedSpec(11, 0))
+        want = coskew.to_data(us, *(coskew.parse_marginal(t) for t in margs.split(",")))
+        assert np.array_equal(cells.T, want.x)
+        assert lines[1] == ",".join(format(v, ".17g") for v in want.x[:, 0])
 
 
 class TestBounds:

@@ -10,6 +10,7 @@ from coskew.copulas import (
     GaussianParams,
     extremal_coords,
     mixing_sum_coords,
+    mixture_sweep,
     parse_copula,
     sample,
     sample_comonotonic,
@@ -22,7 +23,7 @@ from coskew.copulas import (
     to_data,
 )
 from coskew.errors import DomainError, InvalidCorrelationError
-from coskew.marginals import standard_normal, uniform01
+from coskew.marginals import parse_marginal, standard_normal, uniform01
 from coskew.samples import SeedSpec, USample
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
@@ -117,6 +118,29 @@ class TestMixture:
             sample_mixture(10, 1.5, seed)
         with pytest.raises(DomainError):
             sample_mixture(10, -0.1, seed)
+
+
+class TestMixtureSweep:
+    GRID = (0.0, 0.1, 0.25, 0.5, 0.5, 0.8, 0.999, 1.0)
+
+    @pytest.mark.parametrize(
+        "margins",
+        ["normal,normal,normal", "t:5,t:5,t:5", "laplace,laplace,laplace",
+         "exp:2,exp:2,exp:2", "t:5,laplace,exp:2"],
+    )
+    def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
+        m = tuple(parse_marginal(t) for t in margins.split(","))
+        swept = list(mixture_sweep(3000, self.GRID, m, seed))
+        assert [lam for lam, _ in swept] == list(self.GRID)
+        for lam, ts in swept:
+            ref = to_data(sample_mixture(3000, lam, seed), *m)
+            assert np.array_equal(ts.x, ref.x), lam
+            assert ts.seed == seed
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_lambda_domain(self, bad, seed):
+        with pytest.raises(DomainError):
+            list(mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed))
 
 
 class TestMixingSum:

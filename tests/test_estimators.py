@@ -397,16 +397,3 @@ class TestMomentAccumulator:
             acc.update(rng.normal(size=(2, 10)))
         with pytest.raises(DomainError):
             acc.merge(MomentAccumulator(2))
-
-
-class TestStatRecord:
-    def test_fields(self, seed):
-        ts = TriSample(np.zeros((3, 5)) + np.arange(5.0), seed)
-        rec = estimators.stat_record("coskewness", 0.25, ts, "mixture:0.5")
-        assert rec == {
-            "statistic": "coskewness",
-            "value": 0.25,
-            "n": 5,
-            "seed": {"seed": seed.seed, "stream": seed.stream},
-            "spec": "mixture:0.5",
-        }

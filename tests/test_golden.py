@@ -1,0 +1,94 @@
+"""Golden outputs: figure1, figure2, verify and a `coskew sample` CSV.
+
+The reference file pins the primary output of the experiment drivers and
+the sample writer at n = 2000, seed 7, so a refactor can show that it keeps
+the statistics.  Floats compare within 1e-12 absolute and everything else
+(keys, strings, flags, the CSV header) compares exactly.
+
+Regenerate the reference (only when an output change is intended and stated):
+
+    PYTHONPATH=src python tests/test_golden.py > tests/data/golden.json
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from coskew.cli import main
+from coskew.estimators import parse_event
+from coskew.experiments import (
+    ExperimentConfig,
+    run_figure1,
+    run_figure2,
+    verify_propositions,
+)
+from coskew.marginals import parse_marginal
+from coskew.samples import SeedSpec
+
+GOLDEN = Path(__file__).parent / "data" / "golden.json"
+ATOL = 1e-12
+N, SEED = 2000, SeedSpec(7, 0)
+SAMPLE_ARGS = ["sample", "--copula", "mixture:0.75", "--marginals",
+               "t:5,laplace,exp:2", "--n", "200", "--seed", "7"]
+
+
+def _cfg(marginals="normal,normal,normal", event=None):
+    return ExperimentConfig(
+        n=N,
+        marginals=tuple(parse_marginal(t) for t in marginals.split(",")),
+        seed=SEED,
+        event=parse_event(event) if event else None,
+    )
+
+
+def current_outputs() -> dict:
+    res = CliRunner().invoke(main, SAMPLE_ARGS)
+    assert res.exit_code == 0, res.output
+    return {
+        "figure1": run_figure1(_cfg()).rows,
+        "figure2_downside": run_figure2(_cfg(event="downside")).rows,
+        "figure2_exceed_upper": run_figure2(
+            _cfg("laplace,normal,exp:2", "exceed-upper:0.9")).rows,
+        "verify": verify_propositions(N, SEED),
+        "sample_csv": res.stdout,
+    }
+
+
+def _assert_close(got, want, path="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isfinite(got) and abs(got - want) <= ATOL, (path, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for k in want:
+            _assert_close(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, (path, got, want)
+
+
+def _csv_cells(text: str):
+    lines = text.splitlines()
+    return lines[0], [[float(c) for c in line.split(",")] for line in lines[1:]]
+
+
+def test_outputs_match_golden_file():
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(json.dumps(current_outputs()))
+    assert list(got) == list(want)
+    for key in want:
+        if key == "sample_csv":
+            _assert_close(_csv_cells(got[key]), _csv_cells(want[key]), key)
+        else:
+            _assert_close(got[key], want[key], key)
+
+
+if __name__ == "__main__":
+    print(json.dumps(current_outputs(), indent=1))
