@@ -4,24 +4,23 @@ The coskewness bound for symmetric marginals is
 
     s_max = integral_0^1 G1^{-1}(u) G2^{-1}(u) G3^{-1}(u) du,   s_min = -s_max
 
-where G_i is the distribution of the absolute standardized value.  The
-quadrature path substitutes u = 1 - exp(-t) whenever any G^{-1} is
-unbounded near u = 1, and evaluates the quantiles from the tail
-probability q = exp(-t) directly, so 1 - q is never formed.
+where G_i is the distribution of the absolute standardized value.  Every
+triple takes one quadrature path: the substitution u = 1 - exp(-t), with
+the quantiles evaluated from the tail probability q = exp(-t) directly so
+1 - q is never formed, quad over t in [0, TAIL_CUTOFF], and the rest of
+the integral added in closed form.
 
-Normal and Laplace tails make the t-integrand decay faster than any
-exponential, and quad runs it to t = inf.  A Student t_nu quantile grows
-like a Pareto tail instead, x_i ~ a_i q^(-1/nu_i) with
-a_i = sqrt(nu_i) ((nu_i/2) B(nu_i/2, 1/2))^(-1/nu_i) / sd_i
+A Student t_nu quantile grows like a Pareto tail, x_i ~ a_i q^(-1/nu_i)
+with a_i = sqrt(nu_i) ((nu_i/2) B(nu_i/2, 1/2))^(-1/nu_i) / sd_i
 (``Marginal.pareto_scale``), so the integrand decays only like
 exp(-(1 - s) t) with s = sum of 1/nu_i over the t margins; near nu = 3
-most of the mass lies where q is below the smallest double.  With any t
-margin, quad covers t in [0, TAIL_CUTOFF] and the rest is added in closed
-form: prod(a_i) exp(-(1 - s) T) / (1 - s) when all three margins are t,
-and nothing otherwise (at least one light tail leaves less than 1e-80).
-``quadrature_error`` is quad's error estimate plus a bound on that
-remainder's error, taken from how far the integrand at the cut-off lies
-from its asymptote; a bound that cannot be held below QUAD_TOL raises
+most of the mass lies where q is below the smallest double.  The rest is
+prod(a_i) exp(-(1 - s) T) / (1 - s) when all three margins are t, and
+nothing otherwise: a normal, Laplace or uniform margin is bounded or grows
+at most like t, so past the cut-off at least one light factor leaves less
+than 1e-80.  ``quadrature_error`` is quad's error estimate plus a bound on
+that remainder's error, taken from how far the integrand at the cut-off
+lies from its asymptote; a bound that cannot be held below QUAD_TOL raises
 QuadratureError rather than returning a value.
 
 The Gaussian-copula identities are the arcsine laws
@@ -70,8 +69,8 @@ TAIL_CUTOFF = 600.0
 class BoundsResult:
     """Extremal coskewness bounds; s_min is exactly -s_max.
 
-    quadrature_error is the absolute error of s_max: quad's estimate, plus
-    a bound on the analytic tail past TAIL_CUTOFF when a margin is t.
+    quadrature_error is the absolute error of s_max: quad's estimate over
+    [0, TAIL_CUTOFF] plus a bound on the analytic tail past it.
     """
 
     s_max: float
@@ -91,41 +90,20 @@ def coskew_bound(m1: Marginal, m2: Marginal, m3: Marginal) -> BoundsResult:
                 f"coskewness bounds need symmetric marginals; {m.token} is not"
             )
 
-    if any(m.unbounded for m in margins):
-        # u = 1 - exp(-t); du = exp(-t) dt; quantiles evaluated from q = exp(-t)
-        def integrand(t: float) -> float:
-            q = math.exp(-t)
-            if q == 0.0:
-                return 0.0
-            prod = q
-            for m in margins:
-                prod *= m.abs_std_tail_quantile(q)
-            return prod
+    # u = 1 - exp(-t); du = exp(-t) dt; quantiles evaluated from q = exp(-t)
+    def integrand(t: float) -> float:
+        q = math.exp(-t)
+        prod = q
+        for m in margins:
+            prod *= m.abs_std_tail_quantile(q)
+        return prod
 
-        heavy = any(m.pareto_scale is not None for m in margins)
-        value, abserr = integrate.quad(
-            integrand,
-            0.0,
-            TAIL_CUTOFF if heavy else np.inf,
-            epsabs=1e-10,
-            epsrel=1e-12,
-            limit=200,
-        )
-        if heavy:
-            tail, tail_err = _pareto_tail(margins, integrand(TAIL_CUTOFF))
-            value += tail
-            abserr += tail_err
-    else:
-
-        def integrand(u: float) -> float:
-            prod = 1.0
-            for m in margins:
-                prod *= m.abs_std_quantile(u)
-            return prod
-
-        value, abserr = integrate.quad(
-            integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-12, limit=200
-        )
+    value, abserr = integrate.quad(
+        integrand, 0.0, TAIL_CUTOFF, epsabs=1e-10, epsrel=1e-12, limit=200
+    )
+    tail, tail_err = _pareto_tail(margins, integrand(TAIL_CUTOFF))
+    value += tail
+    abserr += tail_err
 
     if not math.isfinite(value) or abserr > QUAD_TOL:
         raise QuadratureError(

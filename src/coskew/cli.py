@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -23,6 +24,8 @@ from .samples import SeedSpec, TriSample
 
 _CSV_ROW = "%.17g,%.17g,%.17g\n"  # 17 significant digits read back exactly
 _CSV_CHUNK = 4096  # rows per pass; bounds the Python floats alive, so peak memory
+_DEFAULT_GRID_TEXT = ",".join(
+    f"{lam:g}" for lam in experiments.ExperimentConfig.lambda_grid)
 
 
 def _parse_marginals(text: str, count: int = 3):
@@ -150,15 +153,19 @@ def sample_cmd(copula_token, marginals, n, seed, stream, fmt, output, determinis
 @_io_options
 def stats_cmd(input_path, marginals, event_token, fmt, output, deterministic):
     """Compute the full statistic set for a 3-column CSV sample."""
-    text = sys.stdin.read() if input_path == "-" else Path(input_path).read_text()
-    rows = [line for line in text.splitlines()
-            if line.strip() and not line.startswith("#")]
-    if len(rows) < 3:
+    with click.open_file(input_path) as fh:
+        for line in fh:  # comment and blank lines may precede the header
+            if line.strip() and not line.startswith("#"):
+                break
+        try:
+            with warnings.catch_warnings():
+                # an input without data rows is a usage error below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:  # ragged rows or unparsable cells
+            raise click.UsageError(f"malformed CSV input: {exc}")
+    if data.shape[0] < 2:
         raise click.UsageError("need a header row plus at least two data rows")
-    try:
-        data = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
-    except ValueError as exc:  # ragged rows or unparsable cells
-        raise click.UsageError(f"malformed CSV input: {exc}")
     if data.shape[1] != 3:
         raise click.UsageError(f"expected 3 columns, got {data.shape[1]}")
     if not np.all(np.isfinite(data)):
@@ -245,8 +252,7 @@ def _experiment_config(n, seed, stream, lambda_grid, marginals, event_token=None
 
 @main.command("figure1")
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
-@click.option("--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
-              show_default=True)
+@click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT, show_default=True)
 @click.option("--marginals", default="normal,normal,normal", show_default=True)
 @_seed_options
 @_io_options
@@ -262,8 +268,7 @@ def figure1_cmd(n, lambda_grid, marginals, seed, stream, fmt, output, determinis
 
 @main.command("figure2")
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
-@click.option("--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
-              show_default=True)
+@click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT, show_default=True)
 @click.option("--marginals", default="normal,normal,normal", show_default=True)
 @click.option("--event", "event_token", default="downside", show_default=True)
 @_seed_options

@@ -325,16 +325,19 @@ def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()):
     """Data-space mixture samples over a lambda grid, drawn once.
 
     Yields (lam, TriSample) for each lambda in order; each sample equals
-    ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit-for-bit.  Both
-    extremal branches are drawn and transformed once and the selector is
-    drawn once; each lambda only stacks x1, x2 and the branch its selector
-    picks for x3.  A lambda outside [0, 1] raises DomainError, as in
+    ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit-for-bit.  The
+    uniforms and the selector are drawn once, the max branch is transformed
+    once and the min branch only in its third column (its x1 and x2 are the
+    max branch's); each lambda only stacks x1, x2 and the x3 its selector
+    picks.  A lambda outside [0, 1] raises DomainError, as in
     sample_mixture, on the first step and before anything is drawn.
     """
     lams = [_check_lam(lam) for lam in lams]
-    hi = to_data(sample_max_coskew(n, seed), *marginals).x
-    lo = to_data(sample_min_coskew(n, seed), *marginals).x
+    us = sample_max_coskew(n, seed)
+    hi = to_data(us, *marginals).x
+    # min-branch x3 with to_data's clamp, so it matches that path bit for bit
+    lo3 = marginals[2].quantile(np.clip(1.0 - us.u[2], _CLAMP, 1.0 - _CLAMP))
     h = substream(seed, _OFF_B).random(n)
     for lam in lams:
-        x3 = np.where(h < lam, hi[2], lo[2])
+        x3 = np.where(h < lam, hi[2], lo3)
         yield lam, TriSample(np.stack([hi[0], hi[1], x3]), seed)

@@ -285,6 +285,18 @@ def _max_abs_rho(st: dict) -> float:
     return max(abs(st["rho12_hat"]), abs(st["rho13_hat"]), abs(st["rho23_hat"]))
 
 
+def _record(prop: str, claim: str, *checks) -> dict:
+    """One verify record.  Each check is (label, value, tolerance, fmt); the
+    record passes when every value lies below its tolerance."""
+    return {
+        "proposition": prop,
+        "claim": claim,
+        "observed": ", ".join(f"{label} = {value:{fmt}}"
+                              for label, value, _, fmt in checks),
+        "passed": all(value < tol for _, value, tol, _ in checks),
+    }
+
+
 _GAUSS_TRIPLES = ((0.0, 0.0, 0.0), (0.8, 0.5, 0.3), (-0.5, 0.4, -0.3))
 _VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -312,12 +324,11 @@ def verify_propositions(
     worst_rho = max(_max_abs_rho(mix_n[lam]) for lam in (0.0, 0.5, 1.0))
     worst_end = max(abs(mix_n[1.0]["coskewness_hat"] - bounds_n.s_max),
                     abs(mix_n[0.0]["coskewness_hat"] - bounds_n.s_min))
-    records.append({
-        "proposition": "P1",
-        "claim": "zero pairwise correlation at every coskewness level",
-        "observed": f"max |rho| = {worst_rho:.4f}, endpoint gap = {worst_end:.4f}",
-        "passed": bool(worst_rho < 0.02 and worst_end < 0.05),
-    })
+    records.append(_record(
+        "P1", "zero pairwise correlation at every coskewness level",
+        ("max |rho|", worst_rho, 0.02, ".4f"),
+        ("endpoint gap", worst_end, 0.05, ".4f"),
+    ))
 
     # P2: trivariate Gaussian reaches any admissible correlations.
     worst_rho_gap = max(
@@ -325,24 +336,20 @@ def verify_propositions(
         for st, triple in zip(gauss_n, _GAUSS_TRIPLES)
         for key, target in zip(("rho12_hat", "rho13_hat", "rho23_hat"), triple)
     )
-    records.append({
-        "proposition": "P2",
-        "claim": "Gaussian model attains arbitrary correlation triples",
-        "observed": f"max |rho_hat - rho| = {worst_rho_gap:.4f}",
-        "passed": bool(worst_rho_gap < 0.02),
-    })
+    records.append(_record(
+        "P2", "Gaussian model attains arbitrary correlation triples",
+        ("max |rho_hat - rho|", worst_rho_gap, 0.02, ".4f"),
+    ))
 
     # P3: mixture coskewness is affine in lambda.
     worst_gap = max(
         abs(st["coskewness_hat"] - analytic.mixture_prediction(lam, bounds_n))
         for lam, st in mix_n.items()
     )
-    records.append({
-        "proposition": "P3",
-        "claim": "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
-        "observed": f"max |S_hat - prediction| = {worst_gap:.4f}",
-        "passed": bool(worst_gap < 0.05),
-    })
+    records.append(_record(
+        "P3", "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
+        ("max |S_hat - prediction|", worst_gap, 0.05, ".4f"),
+    ))
 
     # P4: correlations stay zero for other symmetric marginals too.
     worst_rho = max(
@@ -350,21 +357,17 @@ def verify_propositions(
         for marginals in ((laplace(),) * 3, (student_t(5),) * 3)
         for _, ts in copulas.mixture_sweep(n, (0.0, 0.5, 1.0), marginals, seed)
     )
-    records.append({
-        "proposition": "P4",
-        "claim": "zero correlations persist for Laplace and Student-t margins",
-        "observed": f"max |rho| = {worst_rho:.4f}",
-        "passed": bool(worst_rho < 0.02),
-    })
+    records.append(_record(
+        "P4", "zero correlations persist for Laplace and Student-t margins",
+        ("max |rho|", worst_rho, 0.02, ".4f"),
+    ))
 
     # P5: Gaussian coskewness is zero whatever the correlations.
     worst_s = max(abs(st["coskewness_hat"]) for st in gauss_n)
-    records.append({
-        "proposition": "P5",
-        "claim": "trivariate Gaussian has zero coskewness",
-        "observed": f"max |S_hat| = {worst_s:.4f}",
-        "passed": bool(worst_s < 0.05),
-    })
+    records.append(_record(
+        "P5", "trivariate Gaussian has zero coskewness",
+        ("max |S_hat|", worst_s, 0.05, ".4f"),
+    ))
 
     # P6/P7: with arbitrary continuous marginals the mixture keeps all rank
     # correlations at zero while rank coskewness sweeps [-1, 1] as 2l-1.
@@ -377,18 +380,14 @@ def verify_propositions(
             )
         rs = estimators.rank_coskewness(*ranks)
         worst_rs = max(worst_rs, abs(rs - (2.0 * lam - 1.0)))
-    records.append({
-        "proposition": "P6",
-        "claim": "rank coskewness spans [-1, 1] with zero rank correlations",
-        "observed": f"max |RS - (2l-1)| = {worst_rs:.4f}",
-        "passed": bool(worst_rs < 0.03),
-    })
-    records.append({
-        "proposition": "P7",
-        "claim": "pairwise rank correlations all zero under the mixture",
-        "observed": f"max |rho_S| = {worst_rho_s:.4f}",
-        "passed": bool(worst_rho_s < 0.02),
-    })
+    records.append(_record(
+        "P6", "rank coskewness spans [-1, 1] with zero rank correlations",
+        ("max |RS - (2l-1)|", worst_rs, 0.03, ".4f"),
+    ))
+    records.append(_record(
+        "P7", "pairwise rank correlations all zero under the mixture",
+        ("max |rho_S|", worst_rho_s, 0.02, ".4f"),
+    ))
 
     # P8: Gaussian copula has zero rank coskewness: algebraic identity plus
     # simulation with non-symmetric marginals.
@@ -407,14 +406,10 @@ def verify_propositions(
         ts = _gauss_data(n, triple, seed, exp3)
         ranks = [estimators.rank_transform(ts.x[j], exp3[j]) for j in range(3)]
         worst_rs = max(worst_rs, abs(estimators.rank_coskewness(*ranks)))
-    records.append({
-        "proposition": "P8",
-        "claim": "Gaussian copula rank coskewness is identically zero",
-        "observed": (
-            f"identity residual = {worst_identity:.2e}, "
-            f"max simulated |RS| = {worst_rs:.4f}"
-        ),
-        "passed": bool(worst_identity < 1e-12 and worst_rs < 0.02),
-    })
+    records.append(_record(
+        "P8", "Gaussian copula rank coskewness is identically zero",
+        ("identity residual", worst_identity, 1e-12, ".2e"),
+        ("max simulated |RS|", worst_rs, 0.02, ".4f"),
+    ))
 
     return records

@@ -1,9 +1,10 @@
 """Univariate marginal distributions.
 
 Provides the quantile, CDF and moment surface needed by the samplers and
-estimators, plus the absolute-standardized-value quantile that drives the
+estimators, plus the absolute-standardized-value quantile behind the
 coskewness bound: for a symmetric marginal with mean mu and sd sigma,
-``abs_std_quantile(u)`` is the u-quantile of |(X - mu)/sigma|.
+``abs_std_quantile(u)`` is the u-quantile of |(X - mu)/sigma|, and the
+bound evaluates it as ``abs_std_tail_quantile(1 - u)``.
 
 Families: standard normal, Uniform(0,1), unit Laplace, Student t (df > 3 so
 the third absolute moment is finite), Exponential(rate).  The exponential is
@@ -198,11 +199,6 @@ class Marginal:
         half = 0.5 * self.df
         scale = (half * special.beta(half, 0.5)) ** (-1.0 / self.df)
         return math.sqrt(self.df) * scale / self.sd
-
-    @property
-    def unbounded(self) -> bool:
-        """Whether |standardized X| has unbounded support."""
-        return self.family in ("normal", "laplace", "t")
 
     # -- naming -------------------------------------------------------------
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,24 @@ class TestStats:
         res = runner.invoke(main, ["stats"], input=text)
         assert res.exit_code == 2
         assert "malformed" in res.output
+
+    @pytest.mark.parametrize(
+        "text", ["", "# config\n\n", "x1,x2,x3\n# c\n", "x1,x2,x3\n0.1,0.2,0.3\n"])
+    def test_too_few_data_rows_is_usage_error(self, runner, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the usage error is the only report
+            res = runner.invoke(main, ["stats"], input=text)
+        assert res.exit_code == 2
+        assert "at least two data rows" in res.output
+
+    def test_hash_starts_a_comment_anywhere(self, runner):
+        plain = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"
+        commented = ("# config\n\nx1,x2,x3\n0.1,0.2,0.3 # after data\n# between\n"
+                     "\n0.4,0.5,0.7\n0.9,0.1,0.5\n")
+        a = runner.invoke(main, ["stats"], input=plain)
+        b = runner.invoke(main, ["stats"], input=commented)
+        assert a.exit_code == b.exit_code == 0
+        assert a.stdout == b.stdout
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
