@@ -144,6 +144,7 @@ def sample_cmd(copula_token, marginals, n, seed, stream, fmt, output, determinis
 
 @main.command("stats")
 @click.option("--input", "input_path", default="-",
+              type=click.Path(exists=True, dir_okay=False, allow_dash=True),
               help="CSV file with a header row; '-' reads stdin.")
 @click.option("--marginals", default=None,
               help="If given, rank statistics use these true CDFs instead of "

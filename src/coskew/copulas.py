@@ -12,8 +12,15 @@ own substream and takes the max-branch third coordinate where it fires.
 Because the selector compares a shared uniform draw against lambda, sweeps
 over lambda are coupled pathwise: raising lambda only ever flips rows from
 the min branch to the max branch.  :func:`mixture_sweep` uses this to run a
-whole lambda grid from one draw: it transforms both extremal branches once
-and per lambda only picks each row's third value with the selector.
+whole lambda grid from one draw.  Every coordinate of these copulas is U or
+1-U, so it inverts each distinct marginal once, at U, for the pair
+(F^-1(U), F^-1(1-U)), and per lambda only picks each row's third value with
+the selector.  For a symmetric marginal F^-1(1-U) is the reflection
+2*mean - F^-1(U), which equals the direct quantile bit for bit on the
+samplers' k/2^53 grid except in two cases that are inverted directly: rows
+the 1e-12 clamp moves on either side (the clamp is not symmetric:
+1 - 1e-12 rounds to 1 - 9007/2^53 while 1e-12 is 9007.2/2^53), and
+U = 1/2, where Laplace gives -0.0 directly but +0.0 by reflection.
 """
 
 from __future__ import annotations
@@ -321,23 +328,52 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     return TriSample(np.stack(cols), us.seed)
 
 
+def _quantile_pair(m: Marginal, u):
+    """(F^-1(u), F^-1(1 - u)), each equal to to_data's clamped quantile bit
+    for bit.  A symmetric marginal reflects the first into the second except
+    where the clamp moves u or 1 - u, or at u = 1/2 (see the module
+    docstring); a non-symmetric one inverts 1 - u directly."""
+    v = 1.0 - u
+    lo, hi = np.clip(u, _CLAMP, 1.0 - _CLAMP), np.clip(v, _CLAMP, 1.0 - _CLAMP)
+    x = m.quantile(lo)
+    if not m.symmetric:
+        return x, m.quantile(hi)
+    y = 2.0 * m.mean - x
+    direct = np.flatnonzero((lo != u) | (hi != v) | (u == 0.5))
+    if direct.size:
+        y[direct] = m.quantile(hi[direct])
+    return x, y
+
+
+def _branch_columns(n: int, marginals, seed: SeedSpec):
+    """x1, x2 and the max- and min-branch x3 of one extremal draw, picked
+    from each distinct marginal's quantile pair by whether the coordinate
+    is 1 - u (the min branch's x3 is at 1 - u3_max)."""
+    u, u2, u3 = sample_max_coskew(n, seed).u
+    flip2, flip3 = u2 != u, u3 != u
+    pairs = {m: _quantile_pair(m, u) for m in dict.fromkeys(marginals)}
+    del u, u2, u3  # free the draws before the columns are built
+    (a1, _), (a2, b2), (a3, b3) = (pairs[m] for m in marginals)
+    return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
+
+
 def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()):
     """Data-space mixture samples over a lambda grid, drawn once.
 
     Yields (lam, TriSample) for each lambda in order; each sample equals
     ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit-for-bit.  The
-    uniforms and the selector are drawn once, the max branch is transformed
-    once and the min branch only in its third column (its x1 and x2 are the
-    max branch's); each lambda only stacks x1, x2 and the x3 its selector
-    picks.  A lambda outside [0, 1] raises DomainError, as in
-    sample_mixture, on the first step and before anything is drawn.
+    uniforms and the selector are drawn once, and each distinct marginal is
+    inverted once, at u, for the pair (F^-1(u), F^-1(1 - u)): a symmetric
+    marginal reflects it, 2*mean - F^-1(u), except on the rows the clamp
+    moves and at u = 1/2, which are inverted directly; a non-symmetric one
+    inverts 1 - u as well.  x1, x2 and both branches' x3 are picked from
+    those pairs by whether the coordinate is 1 - u, and each lambda only
+    stacks x1, x2 and the x3 its selector picks.  A lambda outside [0, 1]
+    raises DomainError, as in sample_mixture, on the first step and before
+    anything is drawn.
     """
     lams = [_check_lam(lam) for lam in lams]
-    us = sample_max_coskew(n, seed)
-    hi = to_data(us, *marginals).x
-    # min-branch x3 with to_data's clamp, so it matches that path bit for bit
-    lo3 = marginals[2].quantile(np.clip(1.0 - us.u[2], _CLAMP, 1.0 - _CLAMP))
+    x1, x2, hi3, lo3 = _branch_columns(n, marginals, seed)
     h = substream(seed, _OFF_B).random(n)
     for lam in lams:
-        x3 = np.where(h < lam, hi[2], lo3)
-        yield lam, TriSample(np.stack([hi[0], hi[1], x3]), seed)
+        yield lam, TriSample(np.stack([x1, x2, np.where(h < lam, hi3, lo3)]), seed)

@@ -5,8 +5,9 @@ proposition-by-proposition verification suite.
 The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
 
     1. draw u, v uniform and the Bernoulli selector h from fixed substreams
-    2. build the max- and min-coskewness copulas from (u, v) and transform
-       both by the marginal quantiles, once
+    2. build the max- and min-coskewness copulas from (u, v); every
+       coordinate is u or 1 - u, so invert each distinct marginal once, at
+       u, and take both branches' columns from (F^-1(u), F^-1(1 - u))
     3. per lambda, take x3 from the max branch where h < lambda
     4. compute pairwise correlations and the coskewness with
        population-normalized standard deviations

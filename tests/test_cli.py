@@ -143,6 +143,16 @@ class TestStats:
         assert res.exit_code == 2
         assert "at least two data rows" in res.output
 
+    def test_missing_input_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["stats", "--input", str(tmp_path / "absent.csv")])
+        assert res.exit_code == 2
+        assert "does not exist" in res.output
+
+    def test_directory_input_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["stats", "--input", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "is a directory" in res.output
+
     def test_hash_starts_a_comment_anywhere(self, runner):
         plain = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"
         commented = ("# config\n\nx1,x2,x3\n0.1,0.2,0.3 # after data\n# between\n"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from coskew import copulas
@@ -23,7 +25,7 @@ from coskew.copulas import (
     to_data,
 )
 from coskew.errors import DomainError, InvalidCorrelationError
-from coskew.marginals import parse_marginal, standard_normal, uniform01
+from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
 from coskew.samples import SeedSpec, USample
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
@@ -126,7 +128,8 @@ class TestMixtureSweep:
     @pytest.mark.parametrize(
         "margins",
         ["normal,normal,normal", "t:5,t:5,t:5", "laplace,laplace,laplace",
-         "exp:2,exp:2,exp:2", "t:5,laplace,exp:2"],
+         "exp:2,exp:2,exp:2", "uniform,uniform,uniform", "t:5,laplace,exp:2",
+         "t:3.05,normal,t:3.05"],
     )
     def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
         m = tuple(parse_marginal(t) for t in margins.split(","))
@@ -134,13 +137,61 @@ class TestMixtureSweep:
         assert [lam for lam, _ in swept] == list(self.GRID)
         for lam, ts in swept:
             ref = to_data(sample_mixture(3000, lam, seed), *m)
-            assert np.array_equal(ts.x, ref.x), lam
+            # bytes, not values: -0.0 == 0.0 but prints as "-0"
+            assert ts.x.tobytes() == ref.x.tobytes(), lam
             assert ts.seed == seed
+
+    @pytest.mark.parametrize(
+        "margins,calls",
+        [("normal,normal,normal", 1), ("exp:1,exp:1,exp:1", 2), ("t:5,laplace,exp:2", 4)],
+    )
+    def test_inverts_each_marginal_once(self, margins, calls, seed, monkeypatch):
+        # one quantile call per distinct marginal, two for a non-symmetric one
+        made = []
+        quantile = Marginal.quantile
+
+        def counted(m, p):
+            made.append(m)
+            return quantile(m, p)
+
+        monkeypatch.setattr(Marginal, "quantile", counted)
+        m = tuple(parse_marginal(t) for t in margins.split(","))
+        list(mixture_sweep(3000, self.GRID, m, seed))
+        assert len(made) == calls
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_lambda_domain(self, bad, seed):
         with pytest.raises(DomainError):
             list(mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed))
+
+
+class TestQuantilePair:
+    # the reflection must equal the direct clamped quantile on the k/2^53
+    # grid; 9007 and 2^53 - 9007 straddle the (asymmetric) 1e-12 clamp and
+    # k = 2^52 is u = 1/2, where Laplace's direct quantile is -0.0
+    @pytest.mark.parametrize(
+        "token",
+        ["normal", "uniform", "laplace", "exp:2",
+         "t:3.0001", "t:3.05", "t:5", "t:30", "t:1e9"],
+    )
+    @given(k=st.integers(1, 2**53 - 1))
+    @example(k=1)
+    @example(k=9007)
+    @example(k=9008)
+    @example(k=2**52 - 1)
+    @example(k=2**52)
+    @example(k=2**52 + 1)
+    @example(k=2**53 - 9008)
+    @example(k=2**53 - 9007)
+    @example(k=2**53 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_equals_direct_quantile(self, token, k):
+        m = parse_marginal(token)
+        u = np.array([k]) / 2**53
+        x, y = copulas._quantile_pair(m, u)
+        clamp = copulas._CLAMP
+        assert x.tobytes() == m.quantile(np.clip(u, clamp, 1.0 - clamp)).tobytes()
+        assert y.tobytes() == m.quantile(np.clip(1.0 - u, clamp, 1.0 - clamp)).tobytes()
 
 
 class TestMixingSum:
