@@ -3,8 +3,13 @@
 Every run resolves its full configuration (seed included) and echoes it:
 JSON output embeds it as metadata, CSV output sends it to stderr so the
 data stream stays machine-readable.  With a fixed --seed the primary
-output is byte-identical across runs; --deterministic additionally drops
-the runtime field from JSON metadata.
+output is byte-identical across runs; the report commands' --deterministic
+additionally drops the runtime field from the metadata.
+
+Exit codes: 0 on success; 2 on a usage error (a bad token, seed, stream,
+path, CSV input or experiment configuration), raised before any work
+starts; 1 when the library raises a ``CoskewError`` on valid input, or
+when ``verify`` reports a failed check.
 """
 
 from __future__ import annotations
@@ -28,23 +33,34 @@ _DEFAULT_GRID_TEXT = ",".join(
     f"{lam:g}" for lam in experiments.ExperimentConfig.lambda_grid)
 
 
-def _parse_marginals(text: str, count: int = 3):
+def _parse_marginals(text: str):
     parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != count:
-        raise click.UsageError(
-            f"--marginals needs {count} comma-separated tokens, got {text!r}"
-        )
-    try:
-        return tuple(parse_marginal(p) for p in parts)
-    except (CoskewError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    if len(parts) != 3:
+        raise ValueError(f"--marginals needs 3 comma-separated tokens, got {text!r}")
+    return tuple(parse_marginal(p) for p in parts)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise click.UsageError(f"--lambda-grid must be comma-separated reals: {text!r}")
+        raise ValueError(f"--lambda-grid must be comma-separated reals: {text!r}")
+
+
+def _optional(parse):
+    """``parse`` for an option that may be left out: no text parses to None."""
+    return lambda text: parse(text) if text else None
+
+
+def _token(parse):
+    """Option callback that parses the option's text with ``parse``; a token
+    the parser rejects is a usage error carrying the parser's message."""
+    def callback(ctx, param, text):
+        try:
+            return parse(text)
+        except (CoskewError, ValueError) as exc:
+            raise click.UsageError(str(exc)) from exc
+    return callback
 
 
 def _emit(text: str, output: str):
@@ -76,17 +92,26 @@ def _write_report(report, fmt: str, output: str, deterministic: bool):
         _emit(report.to_json() + "\n", target)
 
 
+_SEED_RANGE = click.IntRange(0, 2**64 - 1)  # what SeedSpec accepts
+
+
 def _seed_options(f):
-    f = click.option("--seed", type=int, default=experiments.DEFAULT_SEED,
+    f = click.option("--seed", type=_SEED_RANGE, default=experiments.DEFAULT_SEED,
                      show_default=True, help="Base RNG seed.")(f)
-    f = click.option("--stream", type=int, default=0, show_default=True,
+    f = click.option("--stream", type=_SEED_RANGE, default=0, show_default=True,
                      help="Stream index for independent replicas.")(f)
     return f
 
 
-def _io_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", show_default=True)(f)
+_format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                              default="csv", show_default=True)
+_file_output = click.option("--output", default="-", show_default=True,
+                            type=click.Path(dir_okay=False, allow_dash=True),
+                            help="Output file, or '-' for stdout.")
+
+
+def _report_options(f):
+    f = _format_option(f)
     f = click.option("--output", default="-", show_default=True,
                      help="Output path, directory, or '-' for stdout.")(f)
     f = click.option("--deterministic", is_flag=True,
@@ -94,37 +119,45 @@ def _io_options(f):
     return f
 
 
-@click.group()
+_marginals_option = click.option("--marginals", default="normal,normal,normal",
+                                 show_default=True, callback=_token(_parse_marginals))
+_grid_option = click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT,
+                            show_default=True, callback=_token(_parse_grid))
+
+
+class _Main(click.Group):
+    """Command group that reports a library error raised inside any command
+    as a failure (exit 1) with its message, never as a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CoskewError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Trivariate dependence toolkit: copula samplers, coskewness and rank
     statistics, analytic bounds, and experiment reproductions."""
 
 
 @main.command("sample")
-@click.option("--copula", "copula_token", required=True,
+@click.option("--copula", "spec", required=True, callback=_token(copulas.parse_copula),
               help="comonotonic | independence | max | min | mixture:L | "
                    "mixingsum | gaussian:r12,r13,r23")
-@click.option("--marginals", default="normal,normal,normal", show_default=True)
+@_marginals_option
 @click.option("--n", type=int, default=1000, show_default=True)
 @_seed_options
-@_io_options
-def sample_cmd(copula_token, marginals, n, seed, stream, fmt, output, deterministic):
+@_file_output
+@_format_option
+def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
     """Draw a seeded sample and emit it as CSV (x1,x2,x3) or JSON."""
-    try:
-        spec = copulas.parse_copula(copula_token)
-    except (CoskewError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    margs = _parse_marginals(marginals)
-    seed_spec = SeedSpec(seed, stream)
-    try:
-        us = copulas.sample(spec, n, seed_spec)
-        ts = copulas.to_data(us, *margs)
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    ts = copulas.to_data(copulas.sample(spec, n, SeedSpec(seed, stream)), *marginals)
     meta = {
         "command": "sample",
         "copula": spec.token,
-        "marginals": ",".join(m.token for m in margs),
+        "marginals": ",".join(m.token for m in marginals),
         "n": n,
         "seed": seed,
         "stream": stream,
@@ -146,13 +179,13 @@ def sample_cmd(copula_token, marginals, n, seed, stream, fmt, output, determinis
 @click.option("--input", "input_path", default="-",
               type=click.Path(exists=True, dir_okay=False, allow_dash=True),
               help="CSV file with a header row; '-' reads stdin.")
-@click.option("--marginals", default=None,
+@click.option("--marginals", callback=_token(_optional(_parse_marginals)),
               help="If given, rank statistics use these true CDFs instead of "
                    "empirical ranks.")
-@click.option("--event", "event_token", default=None,
+@click.option("--event", callback=_token(_optional(estimators.parse_event)),
               help="downside | exceed-upper:p | exceed-lower:p")
-@_io_options
-def stats_cmd(input_path, marginals, event_token, fmt, output, deterministic):
+@_file_output
+def stats_cmd(input_path, marginals, event, output):
     """Compute the full statistic set for a 3-column CSV sample."""
     with click.open_file(input_path) as fh:
         for line in fh:  # comment and blank lines may precede the header
@@ -171,16 +204,11 @@ def stats_cmd(input_path, marginals, event_token, fmt, output, deterministic):
         raise click.UsageError(f"expected 3 columns, got {data.shape[1]}")
     if not np.all(np.isfinite(data)):
         raise click.UsageError("CSV input holds non-finite (nan/inf) cells")
-    ts = TriSample(data.T)
-    margs = _parse_marginals(marginals) if marginals else None
-    try:
-        records = _stat_records(ts, margs, event_token)
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    records = _stat_records(TriSample(data.T), marginals, event)
     _emit(json.dumps(records, indent=2) + "\n", output)
 
 
-def _stat_records(ts, margs, event_token):
+def _stat_records(ts, margs, event):
     acc = estimators.MomentAccumulator(3).update(ts.x)
     records = []
 
@@ -200,11 +228,7 @@ def _stat_records(ts, margs, event_token):
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         rec(f"spearman{i+1}{j+1}", estimators.spearman_rho(ranks[i], ranks[j]))
     rec("rank_coskewness", estimators.rank_coskewness(*ranks))
-    if event_token:
-        try:
-            event = estimators.parse_event(event_token)
-        except (CoskewError, ValueError) as exc:
-            raise click.UsageError(str(exc))
+    if event is not None:
         mask = estimators.build_event_mask(ts, event, margs)
         i, j = event.pair
         rec(f"conditional_corr{i+1}{j+1}|{event.token}",
@@ -213,17 +237,13 @@ def _stat_records(ts, margs, event_token):
 
 
 @main.command("bounds")
-@click.option("--marginals", default="normal,normal,normal", show_default=True)
-@click.option("--output", default="-", show_default=True)
+@_marginals_option
+@_file_output
 def bounds_cmd(marginals, output):
     """Extremal coskewness bounds for three symmetric marginals (JSON)."""
-    margs = _parse_marginals(marginals)
-    try:
-        res = analytic.coskew_bound(*margs)
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    res = analytic.coskew_bound(*marginals)
     payload = {
-        "marginals": ",".join(m.token for m in margs),
+        "marginals": ",".join(m.token for m in marginals),
         "s_max": res.s_max,
         "s_min": res.s_min,
         "quadrature_error": res.quadrature_error,
@@ -231,19 +251,12 @@ def bounds_cmd(marginals, output):
     _emit(json.dumps(payload) + "\n", output)
 
 
-def _experiment_config(n, seed, stream, lambda_grid, marginals, event_token=None):
-    margs = _parse_marginals(marginals)
-    event = None
-    if event_token:
-        try:
-            event = estimators.parse_event(event_token)
-        except (CoskewError, ValueError) as exc:
-            raise click.UsageError(str(exc))
+def _experiment_config(n, seed, stream, lambda_grid, marginals, event=None):
     try:
         return experiments.ExperimentConfig(
             n=n,
-            lambda_grid=_parse_grid(lambda_grid),
-            marginals=margs,
+            lambda_grid=lambda_grid,
+            marginals=marginals,
             seed=SeedSpec(seed, stream),
             event=event,
         )
@@ -253,48 +266,40 @@ def _experiment_config(n, seed, stream, lambda_grid, marginals, event_token=None
 
 @main.command("figure1")
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
-@click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT, show_default=True)
-@click.option("--marginals", default="normal,normal,normal", show_default=True)
+@_grid_option
+@_marginals_option
 @_seed_options
-@_io_options
+@_report_options
 def figure1_cmd(n, lambda_grid, marginals, seed, stream, fmt, output, deterministic):
     """Coskewness across the mixture parameter versus the affine prediction."""
     cfg = _experiment_config(n, seed, stream, lambda_grid, marginals)
-    try:
-        report = experiments.run_figure1(cfg)
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    report = experiments.run_figure1(cfg)
     _write_report(report, fmt, output, deterministic)
 
 
 @main.command("figure2")
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
-@click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT, show_default=True)
-@click.option("--marginals", default="normal,normal,normal", show_default=True)
-@click.option("--event", "event_token", default="downside", show_default=True)
+@_grid_option
+@_marginals_option
+@click.option("--event", default="downside", show_default=True,
+              callback=_token(_optional(estimators.parse_event)))
 @_seed_options
-@_io_options
-def figure2_cmd(n, lambda_grid, marginals, event_token, seed, stream, fmt, output,
+@_report_options
+def figure2_cmd(n, lambda_grid, marginals, event, seed, stream, fmt, output,
                 deterministic):
     """Event-conditional correlations across the mixture parameter."""
-    cfg = _experiment_config(n, seed, stream, lambda_grid, marginals, event_token)
-    try:
-        report = experiments.run_figure2(cfg)
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    cfg = _experiment_config(n, seed, stream, lambda_grid, marginals, event)
+    report = experiments.run_figure2(cfg)
     _write_report(report, fmt, output, deterministic)
 
 
 @main.command("example1")
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
 @_seed_options
-@_io_options
+@_report_options
 def example1_cmd(n, seed, stream, fmt, output, deterministic):
     """Rank statistics of the comonotonic, mixing and independence copulas."""
-    try:
-        report = experiments.run_example1(n, SeedSpec(seed, stream))
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    report = experiments.run_example1(n, SeedSpec(seed, stream))
     _write_report(report, fmt, output, deterministic)
 
 
@@ -303,10 +308,7 @@ def example1_cmd(n, seed, stream, fmt, output, deterministic):
 @_seed_options
 def verify_cmd(n, seed, stream):
     """Check the eight dependence/coskewness claims; exit 1 on any failure."""
-    try:
-        records = experiments.verify_propositions(n, SeedSpec(seed, stream))
-    except CoskewError as exc:
-        raise click.ClickException(str(exc))
+    records = experiments.verify_propositions(n, SeedSpec(seed, stream))
     failed = 0
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"

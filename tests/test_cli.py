@@ -153,6 +153,12 @@ class TestStats:
         assert res.exit_code == 2
         assert "is a directory" in res.output
 
+    def test_event_token_checked_before_input_is_read(self, runner):
+        res = runner.invoke(main, ["stats", "--event", "bogus"],
+                            input="x1,x2,x3\n0.1,0.2\n")
+        assert res.exit_code == 2
+        assert "unknown event token 'bogus'" in res.output
+
     def test_hash_starts_a_comment_anywhere(self, runner):
         plain = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"
         commented = ("# config\n\nx1,x2,x3\n0.1,0.2,0.3 # after data\n# between\n"
@@ -161,6 +167,44 @@ class TestStats:
         b = runner.invoke(main, ["stats"], input=commented)
         assert a.exit_code == b.exit_code == 0
         assert a.stdout == b.stdout
+
+
+# One case per failure class and command: a bad token, an out-of-range seed or
+# stream, an unusable output path and a removed option are usage errors
+# (exit 2); a library error on valid tokens is a failure (exit 1).
+_ERROR_CASES = [
+    (["sample", "--copula", "clayton"], 2),
+    (["sample", "--copula", "max", "--seed", "-1"], 2),
+    (["sample", "--copula", "max", "--output", "{tmp}"], 2),
+    (["sample", "--copula", "max", "--deterministic"], 2),
+    (["sample", "--copula", "max", "--n", "0"], 1),
+    (["stats", "--marginals", "normal"], 2),
+    (["stats", "--output", "{tmp}"], 2),
+    (["stats", "--format", "csv"], 2),
+    (["stats", "--deterministic"], 2),
+    (["bounds", "--marginals", "t:2,normal,normal"], 2),
+    (["bounds", "--output", "{tmp}"], 2),
+    (["bounds", "--marginals", "exp:1,normal,normal"], 1),
+    (["figure1", "--lambda-grid", "a,b"], 2),
+    (["figure1", "--stream", "-1"], 2),
+    (["figure1", "--n", "2000", "--marginals", "exp:1,normal,normal"], 1),
+    (["figure2", "--event", "bogus"], 2),
+    (["figure2", "--seed", "-1"], 2),
+    (["example1", "--stream", str(2**64)], 2),
+    (["example1", "--n", "0"], 1),
+    (["verify", "--seed", "-1"], 2),
+    (["verify", "--n", "0"], 1),
+]
+
+
+@pytest.mark.parametrize("args,code", _ERROR_CASES,
+                         ids=[" ".join(args) for args, _ in _ERROR_CASES])
+def test_error_policy(runner, tmp_path, args, code):
+    csv = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"  # valid stats input
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args], input=csv)
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)  # a message, never a traceback
+    assert "Error:" in res.output
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,30 @@ class TestExample1:
         assert exact["rho13_s"] == pytest.approx(-0.5, abs=1e-10)
         assert exact["rho23_s"] == pytest.approx(-0.5, abs=1e-10)
         assert exact["rs"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_exact_values_match_exact_integration(self):
+        # centred coordinates of (U, U2, U3) as (c0, c1) of c0 + c1 * u on
+        # each half of [0, 1]; products of them integrate exactly
+        half = Fraction(1, 2)
+        pieces = [(0, half, [(-half, 1), (half, -2), (0, 1)]),
+                  (half, 1, [(-half, 1), (Fraction(3, 2), -2), (-1, 1)])]
+
+        def moment(cols):
+            total = Fraction(0)
+            for lo, hi, lines in pieces:
+                poly = [Fraction(1)]
+                for j in cols:
+                    c0, c1 = lines[j]
+                    poly = [a * c0 + b * c1 for a, b in zip(poly + [0], [0] + poly)]
+                total += sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                             for k, c in enumerate(poly))
+            return total
+
+        exact = mixing_sum_exact_rank_stats()
+        assert exact["rho12_s"] == 12 * moment([0, 1])
+        assert exact["rho13_s"] == 12 * moment([0, 2])
+        assert exact["rho23_s"] == 12 * moment([1, 2])
+        assert exact["rs"] == 32 * moment([0, 1, 2])
 
     def test_report_rows(self, seed):
         rep = run_example1(100_000, seed)
