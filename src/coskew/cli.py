@@ -15,6 +15,7 @@ when ``verify`` reports a failed check.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -63,6 +64,27 @@ def _token(parse):
     return callback
 
 
+def _names_dir(output: str) -> bool:
+    """A trailing separator names a directory; ``Path`` would drop it."""
+    return output.endswith(("/", os.sep)) or Path(output).is_dir()
+
+
+def _output_check(dir_ok: bool):
+    """``--output`` callback: stdout, or a path whose parent directory
+    exists.  Report commands (``dir_ok``) also take a directory, which need
+    not exist yet if its parent does; file outputs refuse one."""
+    def callback(ctx, param, output):
+        if output == "-" or (dir_ok and Path(output).is_dir()):
+            return output
+        if not dir_ok and _names_dir(output):
+            raise click.BadParameter(f"{output!r} names a directory")
+        parent = Path(output).parent
+        if not parent.is_dir():
+            raise click.BadParameter(f"directory '{parent}' does not exist")
+        return output
+    return callback
+
+
 def _emit(text: str, output: str):
     if output == "-":
         click.echo(text, nl=False)
@@ -72,7 +94,8 @@ def _emit(text: str, output: str):
 
 
 def _resolve_output(output: str, report: experiments.ExperimentReport, fmt: str) -> str:
-    if output != "-" and Path(output).is_dir():
+    if output != "-" and _names_dir(output):
+        Path(output).mkdir(exist_ok=True)
         return str(Path(output) / report.default_filename(fmt))
     return output
 
@@ -107,12 +130,14 @@ _format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json
                               default="csv", show_default=True)
 _file_output = click.option("--output", default="-", show_default=True,
                             type=click.Path(dir_okay=False, allow_dash=True),
+                            callback=_output_check(dir_ok=False),
                             help="Output file, or '-' for stdout.")
 
 
 def _report_options(f):
     f = _format_option(f)
     f = click.option("--output", default="-", show_default=True,
+                     callback=_output_check(dir_ok=True),
                      help="Output path, directory, or '-' for stdout.")(f)
     f = click.option("--deterministic", is_flag=True,
                      help="Suppress the runtime field so output is byte-stable.")(f)
@@ -188,14 +213,15 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
 def stats_cmd(input_path, marginals, event, output):
     """Compute the full statistic set for a 3-column CSV sample."""
     with click.open_file(input_path) as fh:
-        for line in fh:  # comment and blank lines may precede the header
-            if line.strip() and not line.startswith("#"):
-                break
+        # skip every line that is blank before its comment; the first line
+        # left is the header
+        lines = (line for line in fh if line.partition("#")[0].strip())
+        next(lines, None)
         try:
             with warnings.catch_warnings():
                 # an input without data rows is a usage error below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+                data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:  # ragged rows or unparsable cells
             raise click.UsageError(f"malformed CSV input: {exc}")
     if data.shape[0] < 2:

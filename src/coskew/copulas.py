@@ -12,7 +12,10 @@ own substream and takes the max-branch third coordinate where it fires.
 Because the selector compares a shared uniform draw against lambda, sweeps
 over lambda are coupled pathwise: raising lambda only ever flips rows from
 the min branch to the max branch.  :func:`mixture_sweep` uses this to run a
-whole lambda grid from one draw.  Every coordinate of these copulas is U or
+whole lambda grid from one draw, and to reduce it without a pass per
+lambda: binning the rows by how many grid points lie at or below their
+selector value, each lambda's moments merge the max-branch bins below it
+with the min-branch bins above it.  Every coordinate of these copulas is U or
 1-U, so it inverts each distinct marginal once, at U, for the pair
 (F^-1(U), F^-1(1-U)), and per lambda only picks each row's third value with
 the selector.  For a symmetric marginal F^-1(1-U) is the reflection
@@ -31,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidCorrelationError
+from .estimators import MomentAccumulator
 from .marginals import Marginal, norm_cdf
 from .samples import SeedSpec, TriSample, USample, substream, uniform_open
 
 __all__ = [
     "CopulaSpec",
     "GaussianParams",
+    "MixtureSweep",
     "extremal_coords",
     "mixing_sum_coords",
     "mixture_sweep",
@@ -357,23 +362,89 @@ def _branch_columns(n: int, marginals, seed: SeedSpec):
     return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
 
 
-def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()):
+@dataclass(frozen=True, eq=False)
+class MixtureSweep:
+    """One mixture draw over a lambda grid: the columns x1 and x2, both
+    branches' x3 and the selector h, from :func:`mixture_sweep`.
+
+    Iterating yields (lam, TriSample) for each lambda in order; each sample
+    equals ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit for
+    bit.  :meth:`moments` gives each lambda's moment accumulator without
+    building the samples.
+    """
+
+    lams: tuple[float, ...]
+    x1: np.ndarray
+    x2: np.ndarray
+    hi3: np.ndarray
+    lo3: np.ndarray
+    h: np.ndarray
+    seed: SeedSpec
+
+    def __iter__(self):
+        for lam in self.lams:
+            x = np.stack([self.x1, self.x2, np.where(self.h < lam, self.hi3, self.lo3)])
+            yield lam, TriSample(x, self.seed)
+
+    def moments(self) -> list[MomentAccumulator]:
+        """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
+
+        Row i takes the max branch at lam exactly when h_i < lam.  With the
+        G distinct grid points sorted, bin k holds the rows with k points
+        <= h, so at the g-th point bins 0..g are on the max branch and bins
+        g+1..G on the min branch.  The rows are sorted by bin once, each
+        nonempty bin is reduced once per branch it can take, and each
+        point's accumulator merges the max-branch prefix with the
+        min-branch suffix.  The merges are shift-stable and compensated, so
+        the values match a one-shot update of each sample to ~1e-12
+        relative; the bits differ.
+        """
+        grid = np.unique(self.lams)
+        g_max = grid.size
+        bins = np.zeros(self.h.size, np.min_scalar_type(g_max))
+        for lam in grid:
+            bins += self.h >= lam
+        order = np.argsort(bins, kind="stable")
+        edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=g_max + 1))]
+        del bins
+        cols = np.empty((4, self.h.size))
+        for row, col in zip(cols, (self.x1, self.x2, self.hi3, self.lo3)):
+            np.take(col, order, out=row)
+        del order
+
+        def reduce(branch, k):
+            acc = MomentAccumulator(3)
+            if edges[k + 1] > edges[k]:  # update warns on an empty chunk
+                acc.update(cols[branch, edges[k]:edges[k + 1]])
+            return acc
+
+        suffix = [MomentAccumulator(3)]
+        for k in range(g_max, 0, -1):
+            acc = MomentAccumulator(3).merge(suffix[-1])
+            suffix.append(acc.merge(reduce([0, 1, 3], k)))
+        suffix.reverse()  # suffix[g]: the min branch over bins g+1..G
+        prefix, at_point = MomentAccumulator(3), []
+        for g in range(g_max):
+            prefix.merge(reduce([0, 1, 2], g))
+            at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
+        return [at_point[g] for g in np.searchsorted(grid, self.lams)]
+
+
+def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> MixtureSweep:
     """Data-space mixture samples over a lambda grid, drawn once.
 
-    Yields (lam, TriSample) for each lambda in order; each sample equals
-    ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit-for-bit.  The
-    uniforms and the selector are drawn once, and each distinct marginal is
-    inverted once, at u, for the pair (F^-1(u), F^-1(1 - u)): a symmetric
-    marginal reflects it, 2*mean - F^-1(u), except on the rows the clamp
-    moves and at u = 1/2, which are inverted directly; a non-symmetric one
-    inverts 1 - u as well.  x1, x2 and both branches' x3 are picked from
-    those pairs by whether the coordinate is 1 - u, and each lambda only
-    stacks x1, x2 and the x3 its selector picks.  A lambda outside [0, 1]
-    raises DomainError, as in sample_mixture, on the first step and before
-    anything is drawn.
+    The uniforms and the selector are drawn once, and each distinct
+    marginal is inverted once, at u, for the pair (F^-1(u), F^-1(1 - u)):
+    a symmetric marginal reflects it, 2*mean - F^-1(u), except on the rows
+    the clamp moves and at u = 1/2, which are inverted directly; a
+    non-symmetric one inverts 1 - u as well.  x1, x2 and both branches' x3
+    are picked from those pairs by whether the coordinate is 1 - u.  Each
+    lambda's sample only stacks x1, x2 and the x3 its selector picks, and
+    its moments come from merged per-bin accumulators
+    (:meth:`MixtureSweep.moments`).  A lambda outside [0, 1] raises
+    DomainError, as in sample_mixture, before anything is drawn.
     """
-    lams = [_check_lam(lam) for lam in lams]
+    lams = tuple(_check_lam(lam) for lam in lams)
     x1, x2, hi3, lo3 = _branch_columns(n, marginals, seed)
     h = substream(seed, _OFF_B).random(n)
-    for lam in lams:
-        yield lam, TriSample(np.stack([x1, x2, np.where(h < lam, hi3, lo3)]), seed)
+    return MixtureSweep(lams, x1, x2, hi3, lo3, h, seed)

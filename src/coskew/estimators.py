@@ -13,7 +13,9 @@ sample means:
 Moments come from a streaming accumulator that centers within each chunk
 and merges chunk summaries with shift-stable update formulas plus Neumaier
 compensation, so results are accurate to ~1e-12 relative up to n = 1e7 and
-bit-stable for a fixed chunking.
+bit-stable for a fixed chunking.  A mixture sweep builds each lambda's
+accumulator by merging per-bin accumulators of the selector (see
+:meth:`coskew.copulas.MixtureSweep.moments`), under the same contract.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "spearman_rho",
     "rank_coskewness",
     "conditional_corr",
+    "conditional_moments",
     "build_event_mask",
     "MIN_EVENT_ROWS",
 ]
@@ -79,7 +82,9 @@ class MomentAccumulator:
         self._m3c = np.zeros((d, d, d))
 
     def update(self, chunk: np.ndarray) -> "MomentAccumulator":
-        chunk = np.asarray(chunk, dtype=float)
+        # a C-contiguous copy: a strided or F-ordered chunk reduces slower
+        # and to other bits
+        chunk = np.ascontiguousarray(chunk, dtype=float)
         if chunk.ndim != 2 or chunk.shape[0] != self.d:
             raise DomainError(f"expected a ({self.d}, m) chunk, got {chunk.shape}")
         other = MomentAccumulator(self.d)
@@ -268,19 +273,28 @@ def rank_coskewness(u, v, w) -> float:
     return float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
 
 
-def conditional_corr(x, y, mask) -> float:
-    """Pearson correlation restricted to the rows where mask is true."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+def conditional_moments(cols, mask) -> MomentAccumulator:
+    """Moment accumulator of the columns restricted to the rows where mask
+    is true.  ``cols`` is a sequence of 1-d columns (a (d, n) array works);
+    each is gathered on its own, so the chunk comes out C-ordered."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in cols]
     mask = np.asarray(mask, dtype=bool).ravel()
-    if mask.size != x.size or y.size != x.size:
+    if any(c.size != mask.size for c in cols):
         raise DomainError("columns and mask must share a common length")
-    rows = int(mask.sum())
+    rows = int(np.count_nonzero(mask))
     if rows < MIN_EVENT_ROWS:
         raise InsufficientEventRowsError(
             f"event selects {rows} rows; need at least {MIN_EVENT_ROWS}"
         )
-    return pearson_corr(x[mask], y[mask])
+    chunk = np.empty((len(cols), rows))
+    for row, c in zip(chunk, cols):
+        np.compress(mask, c, out=row)
+    return MomentAccumulator(len(cols)).update(chunk)
+
+
+def conditional_corr(x, y, mask) -> float:
+    """Pearson correlation restricted to the rows where mask is true."""
+    return conditional_moments((x, y), mask).corr(0, 1)
 
 
 @dataclass(frozen=True)

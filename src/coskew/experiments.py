@@ -8,9 +8,13 @@ The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
     2. build the max- and min-coskewness copulas from (u, v); every
        coordinate is u or 1 - u, so invert each distinct marginal once, at
        u, and take both branches' columns from (F^-1(u), F^-1(1 - u))
-    3. per lambda, take x3 from the max branch where h < lambda
-    4. compute pairwise correlations and the coskewness with
-       population-normalized standard deviations
+    3. x3 is the max branch's where h < lambda: sort the rows once into
+       bins of h between grid points, and reduce each bin once for each
+       branch it can take
+    4. per lambda, merge the max-branch bins below it with the min-branch
+       bins above it, and compute pairwise correlations and the coskewness
+       with population-normalized standard deviations; an event's
+       conditional correlations come from one accumulator over its rows
 
 Every lambda shares the same draws, so curves are variance-reduced and
 pathwise comparable across grid points.
@@ -28,7 +32,7 @@ import numpy as np
 from . import analytic, copulas, estimators
 from .errors import DomainError
 from .marginals import Marginal, exponential, laplace, standard_normal, student_t
-from .samples import SeedSpec, TriSample, substream
+from .samples import SeedSpec, substream
 
 __all__ = [
     "DEFAULT_N",
@@ -127,8 +131,7 @@ def _base_metadata(name: str, cfg: ExperimentConfig) -> dict:
     }
 
 
-def _sample_stats(ts: TriSample) -> dict:
-    acc = estimators.MomentAccumulator(3).update(ts.x)
+def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
     return {
         "coskewness_hat": acc.coskew(0, 1, 2),
         "rho12_hat": acc.corr(0, 1),
@@ -137,23 +140,31 @@ def _sample_stats(ts: TriSample) -> dict:
     }
 
 
+def _grid_stats(n, lams, marginals, seed) -> dict:
+    """Moment statistics of one mixture sweep, keyed by lambda."""
+    sweep = copulas.mixture_sweep(n, lams, marginals, seed)
+    return dict(zip(sweep.lams, map(_moment_stats, sweep.moments())))
+
+
 def _sweep_rows(cfg: ExperimentConfig, lams, bounds, event=None) -> list[dict]:
     """One report row per lambda of one mixture sweep.  Rows carry the
     affine prediction when bounds are given, and the event fraction plus the
     three event-conditional correlations when an event is given."""
+    sweep = copulas.mixture_sweep(cfg.n, lams, cfg.marginals, cfg.seed)
     rows = []
-    for lam, ts in copulas.mixture_sweep(cfg.n, lams, cfg.marginals, cfg.seed):
-        row = {"lambda": lam}
-        row.update(_sample_stats(ts))
+    for lam, acc in zip(sweep.lams, sweep.moments()):
+        row = {"lambda": lam, **_moment_stats(acc)}
         if bounds is not None:
             row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
-        if event is not None:
-            mask = estimators.build_event_mask(ts, event, cfg.marginals)
-            row["event_fraction"] = float(mask.mean())
-            for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
-                                ((1, 2), "cond_rho23")):
-                row[key] = estimators.conditional_corr(ts.x[i], ts.x[j], mask)
         rows.append(row)
+    if event is not None:
+        for row, (_, ts) in zip(rows, sweep):
+            mask = estimators.build_event_mask(ts, event, cfg.marginals)
+            acc = estimators.conditional_moments(ts.x, mask)
+            row["event_fraction"] = float(mask.mean())
+            row["cond_rho12"] = acc.corr(0, 1)
+            row["cond_rho13"] = acc.corr(0, 2)
+            row["cond_rho23"] = acc.corr(1, 2)
     return rows
 
 
@@ -275,7 +286,8 @@ def _gauss_stats(n, triple, seed, normal3, exp3):
     """Moment statistics with normal margins and |rank coskewness| with
     exponential margins, both from one Gaussian copula draw."""
     us = copulas.sample_gaussian(n, copulas.GaussianParams(*triple), seed)
-    stats = _sample_stats(copulas.to_data(us, *normal3))
+    acc = estimators.MomentAccumulator(3).update(copulas.to_data(us, *normal3).x)
+    stats = _moment_stats(acc)
     ts = copulas.to_data(us, *exp3)
     ranks = [estimators.rank_transform(ts.x[j], exp3[j]) for j in range(3)]
     return stats, abs(estimators.rank_coskewness(*ranks))
@@ -316,8 +328,7 @@ def verify_propositions(
 
     # P1 and P3 share one normal sweep; P2, P5 and P8 share one Gaussian
     # copula draw per triple
-    mix_n = {lam: _sample_stats(ts) for lam, ts in
-             copulas.mixture_sweep(n, _VERIFY_GRID, normal3, seed)}
+    mix_n = _grid_stats(n, _VERIFY_GRID, normal3, seed)
     gauss_n, gauss_rs = zip(*[_gauss_stats(n, t, seed, normal3, exp3)
                               for t in _GAUSS_TRIPLES])
 
@@ -355,9 +366,9 @@ def verify_propositions(
 
     # P4: correlations stay zero for other symmetric marginals too.
     worst_rho = max(
-        _max_abs_rho(_sample_stats(ts))
+        _max_abs_rho(st)
         for marginals in ((laplace(),) * 3, (student_t(5),) * 3)
-        for _, ts in copulas.mixture_sweep(n, (0.0, 0.5, 1.0), marginals, seed)
+        for st in _grid_stats(n, (0.0, 0.5, 1.0), marginals, seed).values()
     )
     records.append(_record(
         "P4", "zero correlations persist for Laplace and Student-t margins",

@@ -161,8 +161,8 @@ class TestStats:
 
     def test_hash_starts_a_comment_anywhere(self, runner):
         plain = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"
-        commented = ("# config\n\nx1,x2,x3\n0.1,0.2,0.3 # after data\n# between\n"
-                     "\n0.4,0.5,0.7\n0.9,0.1,0.5\n")
+        commented = ("# config\n  # indented\n\nx1,x2,x3\n0.1,0.2,0.3 # after data\n"
+                     "# between\n  # note\n\t# tab\n\n0.4,0.5,0.7\n0.9,0.1,0.5\n")
         a = runner.invoke(main, ["stats"], input=plain)
         b = runner.invoke(main, ["stats"], input=commented)
         assert a.exit_code == b.exit_code == 0
@@ -176,17 +176,24 @@ _ERROR_CASES = [
     (["sample", "--copula", "clayton"], 2),
     (["sample", "--copula", "max", "--seed", "-1"], 2),
     (["sample", "--copula", "max", "--output", "{tmp}"], 2),
+    (["sample", "--copula", "max", "--output", "{tmp}/missing/x.csv"], 2),
+    (["sample", "--copula", "max", "--output", "{tmp}/new/"], 2),
     (["sample", "--copula", "max", "--deterministic"], 2),
     (["sample", "--copula", "max", "--n", "0"], 1),
     (["stats", "--marginals", "normal"], 2),
     (["stats", "--output", "{tmp}"], 2),
+    (["stats", "--output", "{tmp}/missing/s.json"], 2),
     (["stats", "--format", "csv"], 2),
     (["stats", "--deterministic"], 2),
     (["bounds", "--marginals", "t:2,normal,normal"], 2),
     (["bounds", "--output", "{tmp}"], 2),
+    (["bounds", "--output", "{tmp}/missing/b.json"], 2),
     (["bounds", "--marginals", "exp:1,normal,normal"], 1),
     (["figure1", "--lambda-grid", "a,b"], 2),
     (["figure1", "--stream", "-1"], 2),
+    (["figure1", "--output", "{tmp}/missing/f.csv"], 2),
+    (["figure2", "--output", "{tmp}/missing/results/"], 2),
+    (["example1", "--output", "{tmp}/missing/e.csv"], 2),
     (["figure1", "--n", "2000", "--marginals", "exp:1,normal,normal"], 1),
     (["figure2", "--event", "bogus"], 2),
     (["figure2", "--seed", "-1"], 2),
@@ -252,6 +259,15 @@ class TestFigureCommands:
         )
         assert res.exit_code == 0
         assert (tmp_path / "figure1-3.csv").exists()
+
+    def test_trailing_separator_names_a_new_directory(self, runner, tmp_path):
+        res = runner.invoke(
+            main,
+            ["figure1", "--n", "2000", "--lambda-grid", "0,1", "--seed", "3",
+             "--output", str(tmp_path / "results") + os.sep],
+        )
+        assert res.exit_code == 0
+        assert (tmp_path / "results" / "figure1-3.csv").is_file()
 
     def test_deterministic_json_runs_identical(self, runner):
         args = ["figure1", "--n", "2000", "--lambda-grid", "0,1", "--seed", "3",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coskew.copulas import (
     to_data,
 )
 from coskew.errors import DomainError, InvalidCorrelationError
+from coskew.estimators import MomentAccumulator
 from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
 from coskew.samples import SeedSpec, USample
 
@@ -163,6 +165,58 @@ class TestMixtureSweep:
     def test_lambda_domain(self, bad, seed):
         with pytest.raises(DomainError):
             list(mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed))
+
+
+def _assert_moments_match(acc, ref):
+    # 1e-12 relative; the absolute floor serves a lambda whose coskewness
+    # or correlation lies within ~1e-4 of zero, where merging and a one-shot
+    # reduction round differently by ~1e-16
+    assert acc.n == ref.n
+    close = dict(rel=1e-12, abs=1e-13)
+    assert acc.coskew(0, 1, 2) == pytest.approx(ref.coskew(0, 1, 2), **close)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert acc.corr(i, j) == pytest.approx(ref.corr(i, j), **close)
+
+
+class TestSweepMoments:
+    # per-lambda accumulators merged from per-bin ones must match a one-shot
+    # reduction of each lambda's sample; grid points equal to a selector
+    # value put rows exactly on a bin edge, where h < lam decides the branch
+    N = 1000
+    SEED = SeedSpec(11, 2)
+    MARGINS = (standard_normal(),) * 3
+    H = mixture_sweep(N, (), MARGINS, SEED).h
+    POINT = st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5]),
+        st.floats(0.0, 1.0),
+        st.integers(0, N - 1).map(lambda k: float(TestSweepMoments.H[k])),
+    )
+
+    @given(grid=st.lists(POINT, max_size=8))
+    @example(grid=[])
+    @example(grid=[0.0])
+    @example(grid=[1.0])
+    @example(grid=[0.7, 0.2, 0.7, 0.0, 1.0, 0.2])
+    @example(grid=[0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9])  # empty bins
+    @example(grid=[float(H[0]), 0.5, float(H[1])])  # a row on each bin edge
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_shot_reduction(self, grid):
+        sweep = mixture_sweep(self.N, grid, self.MARGINS, self.SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty bin must never be reduced
+            accs = sweep.moments()
+        assert len(accs) == len(grid)
+        for lam, acc in zip(grid, accs):
+            ts = to_data(sample_mixture(self.N, lam, self.SEED), *self.MARGINS)
+            _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
+
+    def test_heavy_tails_at_a_million_rows(self):
+        # the sweep's samples equal the per-lambda path bit for bit
+        # (TestMixtureSweep); reducing them in one shot is the oracle here
+        m = (parse_marginal("t:3.05"),) * 3
+        sweep = mixture_sweep(1_000_000, (0.0, 0.25, 0.5, 0.5, 1.0, 0.75), m, self.SEED)
+        for (_, ts), acc in zip(sweep, sweep.moments()):
+            _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
 
 
 class TestQuantilePair:

@@ -3,9 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coskew import analytic, experiments
-from coskew.errors import DomainError
-from coskew.estimators import EventSpec
+from coskew import analytic, copulas, experiments
+from coskew.errors import DomainError, InsufficientEventRowsError
+from coskew.estimators import (
+    MIN_EVENT_ROWS,
+    EventSpec,
+    build_event_mask,
+    conditional_corr,
+    conditional_moments,
+    parse_event,
+)
 from coskew.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -131,6 +138,42 @@ class TestFigure2:
     def test_event_fraction_recorded(self, fig2_report):
         fracs = [r["event_fraction"] for r in fig2_report.rows]
         assert all(0.2 < f < 0.8 for f in fracs)
+
+
+class TestEventMoments:
+    # figure2 takes its three conditional correlations from one 3-column
+    # accumulator over the event rows; each must match conditional_corr
+    @pytest.mark.parametrize("token", ["downside", "exceed-upper:0.75",
+                                       "exceed-lower:0.3"])
+    def test_matches_conditional_corr(self, token, seed):
+        event = parse_event(token)
+        cfg = ExperimentConfig(n=5000, lambda_grid=(0.0, 0.3, 0.3, 1.0),
+                               marginals=(laplace(),) * 3, seed=seed, event=event)
+        rows = run_figure2(cfg).rows
+        sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, seed)
+        for row, (lam, ts) in zip(rows, sweep):
+            mask = build_event_mask(ts, event, cfg.marginals)
+            assert row["event_fraction"] == mask.mean()
+            for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
+                                ((1, 2), "cond_rho23")):
+                ref = conditional_corr(ts.x[i], ts.x[j], mask)
+                assert row[key] == pytest.approx(ref, abs=1e-13), (lam, key)
+
+    def test_too_few_event_rows(self, seed):
+        cfg = ExperimentConfig(n=1000, lambda_grid=(0.5,), seed=seed,
+                               event=parse_event("exceed-upper:0.99"))
+        with pytest.raises(InsufficientEventRowsError):
+            run_figure2(cfg)
+
+    @pytest.mark.parametrize("rows", [MIN_EVENT_ROWS - 1, MIN_EVENT_ROWS])
+    def test_event_row_floor(self, rows, rng):
+        cols = rng.standard_normal((3, 100))
+        mask = np.arange(100) < rows
+        if rows < MIN_EVENT_ROWS:
+            with pytest.raises(InsufficientEventRowsError):
+                conditional_moments(cols, mask)
+        else:
+            assert conditional_moments(cols, mask).n == rows
 
 
 class TestExample1:
