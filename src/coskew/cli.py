@@ -213,10 +213,12 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
 def stats_cmd(input_path, marginals, event, output):
     """Compute the full statistic set for a 3-column CSV sample."""
     with click.open_file(input_path) as fh:
-        # skip every line that is blank before its comment; the first line
-        # left is the header
-        lines = (line for line in fh if line.partition("#")[0].strip())
-        next(lines, None)
+        # without leading whitespace a comment-only line starts with "#",
+        # which loadtxt skips like a blank one
+        lines = map(str.lstrip, fh)
+        for line in lines:  # comment and blank lines may precede the header
+            if line and not line.startswith("#"):
+                break
         try:
             with warnings.catch_warnings():
                 # an input without data rows is a usage error below
