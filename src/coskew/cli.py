@@ -49,8 +49,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _optional(parse):
-    """``parse`` for an option that may be left out: no text parses to None."""
-    return lambda text: parse(text) if text else None
+    """``parse`` for an option that may be left out: only an unset option
+    parses to None; empty text goes to ``parse``, which rejects it."""
+    return lambda text: None if text is None else parse(text)
 
 
 def _token(parse):
@@ -178,7 +179,7 @@ def main():
 @_format_option
 def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
     """Draw a seeded sample and emit it as CSV (x1,x2,x3) or JSON."""
-    ts = copulas.to_data(copulas.sample(spec, n, SeedSpec(seed, stream)), *marginals)
+    ts = copulas.sample_data(spec, n, marginals, SeedSpec(seed, stream))
     meta = {
         "command": "sample",
         "copula": spec.token,
@@ -310,7 +311,7 @@ def figure1_cmd(n, lambda_grid, marginals, seed, stream, fmt, output, determinis
 @_grid_option
 @_marginals_option
 @click.option("--event", default="downside", show_default=True,
-              callback=_token(_optional(estimators.parse_event)))
+              callback=_token(estimators.parse_event))
 @_seed_options
 @_report_options
 def figure2_cmd(n, lambda_grid, marginals, event, seed, stream, fmt, output,

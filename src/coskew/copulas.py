@@ -24,6 +24,8 @@ samplers' k/2^53 grid except in two cases that are inverted directly: rows
 the 1e-12 clamp moves on either side (the clamp is not symmetric:
 1 - 1e-12 rounds to 1 - 9007/2^53 while 1e-12 is 9007.2/2^53), and
 U = 1/2, where Laplace gives -0.0 directly but +0.0 by reflection.
+:func:`sample_data` takes the same path for one max, min or mixture
+sample, as ``coskew sample`` draws it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "parse_copula",
     "sample",
     "sample_comonotonic",
+    "sample_data",
     "sample_independence",
     "sample_max_coskew",
     "sample_min_coskew",
@@ -333,6 +336,19 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     return TriSample(np.stack(cols), us.seed)
 
 
+def sample_data(spec: CopulaSpec, n: int, marginals, seed: SeedSpec = SeedSpec()) -> TriSample:
+    """Data-space sample of a copula, equal to
+    ``to_data(sample(spec, n, seed), *marginals)`` bit for bit.  The max and
+    min copulas and their mixture take the branch-aware path of
+    :func:`mixture_sweep`, which inverts each distinct marginal once; max
+    and min are its lambda = 1 and lambda = 0 ends."""
+    if spec.kind not in ("max", "min", "mixture"):
+        return to_data(sample(spec, n, seed), *marginals)
+    lam = {"max": 1.0, "min": 0.0}.get(spec.kind, spec.lam)
+    _, ts = next(iter(mixture_sweep(n, [lam], marginals, seed)))
+    return ts
+
+
 def _quantile_pair(m: Marginal, u):
     """(F^-1(u), F^-1(1 - u)), each equal to to_data's clamped quantile bit
     for bit.  A symmetric marginal reflects the first into the second except
@@ -413,10 +429,7 @@ class MixtureSweep:
         del order
 
         def reduce(branch, k):
-            acc = MomentAccumulator(3)
-            if edges[k + 1] > edges[k]:  # update warns on an empty chunk
-                acc.update(cols[branch, edges[k]:edges[k + 1]])
-            return acc
+            return MomentAccumulator(3).update(cols[branch, edges[k]:edges[k + 1]])
 
         suffix = [MomentAccumulator(3)]
         for k in range(g_max, 0, -1):

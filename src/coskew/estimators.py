@@ -13,14 +13,21 @@ sample means:
 Moments come from a streaming accumulator that centers within each chunk
 and merges chunk summaries with shift-stable update formulas plus Neumaier
 compensation, so results are accurate to ~1e-12 relative up to n = 1e7 and
-bit-stable for a fixed chunking.  A mixture sweep builds each lambda's
-accumulator by merging per-bin accumulators of the selector (see
+bit-stable for a fixed chunking.  The third moments are symmetric, so the
+accumulator keeps only the distinct ones, one per index triple
+i <= j <= k (10 for three columns).  A chunk's third moments come from
+blocks of rows: each block's pairwise products z_i z_j are multiplied by
+the block's columns in one matrix product.  A mixture sweep builds each
+lambda's accumulator by merging per-bin accumulators of the selector (see
 :meth:`coskew.copulas.MixtureSweep.moments`), under the same contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +67,42 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> np.n
     return new
 
 
+_BLOCK = 8192  # rows per block of pairwise products; bounds their memory
+
+
+class _Packing(NamedTuple):
+    """Index arrays of the packed third moments of d columns.  Entry t holds
+    the moment of columns (i[t], j[t], k[t]), the triples i <= j <= k in
+    lexicographic order; ``pair_i``/``pair_j`` list the pairs i <= j in the
+    same order, ``pair`` gives each triple's row in that list, and
+    ``full[a, b, c]`` is the entry holding columns a, b, c in any order."""
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    pair: np.ndarray
+    full: np.ndarray
+
+
+@functools.cache
+def _packing(d: int) -> _Packing:
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    triples = [(i, j, k) for i, j in pairs for k in range(j, d)]
+    entry = {t: n for n, t in enumerate(triples)}
+    full = [entry[tuple(sorted(t))] for t in itertools.product(range(d), repeat=3)]
+    arrays = (
+        *np.array(pairs).T,
+        *np.array(triples).T,
+        np.repeat(np.arange(len(pairs)), [d - j for _, j in pairs]),
+        np.array(full).reshape(d, d, d),
+    )
+    for a in arrays:  # shared by every accumulator of this dimension
+        a.flags.writeable = False
+    return _Packing(*arrays)
+
+
 class MomentAccumulator:
     """Streaming accumulator of central cross-moments up to order three.
 
@@ -68,6 +111,13 @@ class MomentAccumulator:
     raw moments, so the result is invariant (to rounding) under shifts of
     the data.  Accumulators can also be merged pairwise; merging in a fixed
     chunk order gives bit-identical results.
+
+    The third moments are stored packed, one per index triple i <= j <= k
+    (d(d+1)(d+2)/6 of them), and unpacked into an exactly symmetric
+    (d, d, d) tensor when read.  ``update`` forms them in blocks of
+    ``_BLOCK`` rows: the block's pairwise products z_i z_j (i <= j) fill one
+    preallocated array, whose product with the block's columns adds
+    sum z_i z_j z_k for every k.
     """
 
     def __init__(self, d: int):
@@ -78,8 +128,9 @@ class MomentAccumulator:
         self.mean = np.zeros(d)
         self._m2 = np.zeros((d, d))
         self._m2c = np.zeros((d, d))
-        self._m3 = np.zeros((d, d, d))
-        self._m3c = np.zeros((d, d, d))
+        size = d * (d + 1) * (d + 2) // 6
+        self._m3 = np.zeros(size)
+        self._m3c = np.zeros(size)
 
     def update(self, chunk: np.ndarray) -> "MomentAccumulator":
         # a C-contiguous copy: a strided or F-ordered chunk reduces slower
@@ -87,13 +138,24 @@ class MomentAccumulator:
         chunk = np.ascontiguousarray(chunk, dtype=float)
         if chunk.ndim != 2 or chunk.shape[0] != self.d:
             raise DomainError(f"expected a ({self.d}, m) chunk, got {chunk.shape}")
-        other = MomentAccumulator(self.d)
         m = chunk.shape[1]
+        if m == 0:
+            return self
+        pk = _packing(self.d)
+        other = MomentAccumulator(self.d)
         other.n = m
         other.mean = chunk.mean(axis=1)
         z = chunk - other.mean[:, None]
         other._m2 = z @ z.T
-        other._m3 = np.einsum("in,jn,kn->ijk", z, z, z)
+        sums = np.zeros((pk.pair_i.size, self.d))  # sum z_i z_j z_k, pair (i, j) by k
+        products = np.empty((pk.pair_i.size, min(m, _BLOCK)))
+        for start in range(0, m, _BLOCK):
+            block = z[:, start:start + _BLOCK]
+            w = products[:, :block.shape[1]]
+            for row, i, j in zip(w, pk.pair_i, pk.pair_j):
+                np.multiply(block[i], block[j], out=row)
+            sums += w @ block.T
+        other._m3 = sums[pk.pair, pk.k]
         self.merge(other)
         return self
 
@@ -119,23 +181,18 @@ class MomentAccumulator:
         m2b = other._m2 + other._m2c
 
         # third order first: its update uses the pre-merge second moments
-        ddd = np.einsum("i,j,k->ijk", delta, delta, delta)
-        cross_b = (
-            np.einsum("i,jk->ijk", delta, m2b)
-            + np.einsum("j,ik->ijk", delta, m2b)
-            + np.einsum("k,ij->ijk", delta, m2b)
-        )
-        cross_a = (
-            np.einsum("i,jk->ijk", delta, m2a)
-            + np.einsum("j,ik->ijk", delta, m2a)
-            + np.einsum("k,ij->ijk", delta, m2a)
-        )
+        pk = _packing(self.d)
+        di, dj, dk = delta[pk.i], delta[pk.j], delta[pk.k]
+
+        def cross(m2):  # d_i m2_jk + d_j m2_ik + d_k m2_ij
+            return di * m2[pk.j, pk.k] + dj * m2[pk.i, pk.k] + dk * m2[pk.i, pk.j]
+
         m3_term = (
             other._m3
             + other._m3c
-            + ddd * (na * nb * (na - nb) / n**2)
-            + cross_b * (na / n)
-            - cross_a * (nb / n)
+            + di * dj * dk * (na * nb * (na - nb) / n**2)
+            + cross(m2b) * (na / n)
+            - cross(m2a) * (nb / n)
         )
         self._m3 = _neumaier_add(self._m3, self._m3c, m3_term)
 
@@ -154,7 +211,7 @@ class MomentAccumulator:
 
     def third_central(self) -> np.ndarray:
         """(d, d, d) tensor of mean-centered third moments, divided by n."""
-        return (self._m3 + self._m3c) / self.n
+        return ((self._m3 + self._m3c) / self.n)[_packing(self.d).full]
 
     def sds(self) -> np.ndarray:
         """Population standard deviations."""
@@ -176,13 +233,16 @@ class MomentAccumulator:
         s = self._checked_sds()
         return float(self.second_central()[i, j] / (s[i] * s[j]))
 
-    def coskew(self, i: int = 0, j: int = 1, k: int = 2) -> float:
+    def _coskew_packed(self) -> np.ndarray:
         s = self._checked_sds()
-        return float(self.third_central()[i, j, k] / (s[i] * s[j] * s[k]))
+        pk = _packing(self.d)
+        return (self._m3 + self._m3c) / self.n / (s[pk.i] * s[pk.j] * s[pk.k])
+
+    def coskew(self, i: int = 0, j: int = 1, k: int = 2) -> float:
+        return float(self._coskew_packed()[_packing(self.d).full[i, j, k]])
 
     def coskew_tensor(self) -> np.ndarray:
-        s = self._checked_sds()
-        return self.third_central() / np.einsum("i,j,k->ijk", s, s, s)
+        return self._coskew_packed()[_packing(self.d).full]
 
 
 def _columns(*cols) -> np.ndarray:

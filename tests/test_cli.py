@@ -185,6 +185,8 @@ _ERROR_CASES = [
     (["stats", "--output", "{tmp}/missing/s.json"], 2),
     (["stats", "--format", "csv"], 2),
     (["stats", "--deterministic"], 2),
+    (["stats", "--event", ""], 2),
+    (["stats", "--marginals", ""], 2),
     (["bounds", "--marginals", "t:2,normal,normal"], 2),
     (["bounds", "--output", "{tmp}"], 2),
     (["bounds", "--output", "{tmp}/missing/b.json"], 2),
@@ -196,6 +198,7 @@ _ERROR_CASES = [
     (["example1", "--output", "{tmp}/missing/e.csv"], 2),
     (["figure1", "--n", "2000", "--marginals", "exp:1,normal,normal"], 1),
     (["figure2", "--event", "bogus"], 2),
+    (["figure2", "--event", ""], 2),
     (["figure2", "--seed", "-1"], 2),
     (["example1", "--stream", str(2**64)], 2),
     (["example1", "--n", "0"], 1),

@@ -22,6 +22,7 @@ from coskew.copulas import (
     sample_max_coskew,
     sample_min_coskew,
     sample_mixing_sum,
+    sample_data,
     sample_mixture,
     to_data,
 )
@@ -203,7 +204,7 @@ class TestSweepMoments:
     def test_matches_one_shot_reduction(self, grid):
         sweep = mixture_sweep(self.N, grid, self.MARGINS, self.SEED)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty bin must never be reduced
+            warnings.simplefilter("error")  # an empty bin must reduce silently
             accs = sweep.moments()
         assert len(accs) == len(grid)
         for lam, acc in zip(grid, accs):
@@ -361,6 +362,32 @@ class TestToData:
         us = sample_comonotonic(10, seed)
         ts = to_data(us, uniform01(), uniform01(), uniform01())
         assert ts.seed == seed
+
+
+class TestSampleData:
+    @pytest.mark.parametrize("margins", ["normal,normal,normal", "uniform,uniform,uniform",
+                                         "t:5,laplace,exp:2"])
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_equals_to_data_bit_for_bit(self, token, margins, seed):
+        spec = parse_copula(token)
+        m = tuple(parse_marginal(t) for t in margins.split(","))
+        ts = sample_data(spec, 3000, m, seed)
+        ref = to_data(sample(spec, 3000, seed), *m)
+        assert ts.x.tobytes() == ref.x.tobytes()
+        assert ts.seed == seed
+
+    @pytest.mark.parametrize("token", ["max", "min", "mixture:0.75"])
+    def test_extremal_copulas_invert_a_shared_marginal_once(self, token, seed, monkeypatch):
+        made = []
+        quantile = Marginal.quantile
+
+        def counted(m, p):
+            made.append(m)
+            return quantile(m, p)
+
+        monkeypatch.setattr(Marginal, "quantile", counted)
+        sample_data(parse_copula(token), 3000, (standard_normal(),) * 3, seed)
+        assert len(made) == 1
 
 
 class TestSpecParsing:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +122,16 @@ class TestCoskewMatrix:
     def test_needs_two_columns(self, rng):
         with pytest.raises(DomainError):
             coskew_matrix(TriSample(rng.normal(size=(1, 50))))
+
+    def test_four_columns_match_brute_force(self, rng):
+        x = rng.standard_exponential((4, 4)) @ rng.standard_exponential((4, 2000))
+        n = x.shape[1]
+        c = x - np.array([math.fsum(col) / n for col in x])[:, None]
+        s = [math.sqrt(math.fsum(col * col) / n) for col in c]
+        m = coskew_matrix(TriSample(x))
+        for i, j, k in itertools.product(range(4), repeat=3):
+            want = math.fsum(c[i] * c[j] * c[k]) / n / (s[i] * s[j] * s[k])
+            assert m.entries[i, j * 4 + k] == pytest.approx(want, abs=1e-12), (i, j, k)
 
 
 class TestRankTransform:
@@ -404,6 +416,47 @@ class TestMomentAccumulator:
         a, b = MomentAccumulator(3).update(x), MomentAccumulator(3).update(chunk)
         for name in ("mean", "_m2", "_m3"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(1, 300),
+        cuts=st.lists(st.integers(0, 300), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_third_moments_match_fsum_oracle(self, d, n, cuts, seed):
+        # skewed, mixed and shifted columns; repeated cuts give empty chunks
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(d, d)) @ rng.standard_exponential((d, n))
+        x += rng.uniform(-100.0, 100.0, (d, 1))
+        edges = [0, *sorted(min(c, n) for c in cuts), n]
+        acc = MomentAccumulator(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in zip(edges, edges[1:]):
+                acc.update(x[:, a:b])
+        got = acc.third_central()
+        c = x - np.array([math.fsum(col) / n for col in x])[:, None]
+        for i, j, k in itertools.product(range(d), repeat=3):
+            terms = c[i] * c[j] * c[k]
+            # 1e-12 relative to E|z_i z_j z_k|, the scale the sum cancels from
+            scale = math.fsum(np.abs(terms)) / n
+            assert abs(got[i, j, k] - math.fsum(terms) / n) <= 1e-12 * scale, (i, j, k)
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(got, got.transpose(perm)), perm
+
+    def test_empty_chunk_leaves_accumulator_unchanged(self, rng):
+        acc = MomentAccumulator(3).update(rng.normal(size=(3, 100)))
+        names = ("mean", "_m2", "_m2c", "_m3", "_m3c")
+        before = [getattr(acc, name).tobytes() for name in names]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc.update(np.empty((3, 0)))
+            empty = MomentAccumulator(3).update(np.empty((3, 0)))
+        assert acc.n == 100 and empty.n == 0
+        assert [getattr(acc, name).tobytes() for name in names] == before
+        with pytest.raises(DomainError):
+            acc.update(np.empty((2, 0)))
 
     def test_dimension_mismatch(self, rng):
         acc = MomentAccumulator(3)
