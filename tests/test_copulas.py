@@ -17,12 +17,12 @@ from coskew.copulas import (
     parse_copula,
     sample,
     sample_comonotonic,
+    sample_data,
     sample_gaussian,
     sample_independence,
     sample_max_coskew,
     sample_min_coskew,
     sample_mixing_sum,
-    sample_data,
     sample_mixture,
     to_data,
 )
