@@ -20,8 +20,9 @@ nothing otherwise: a normal, Laplace or uniform margin is bounded or grows
 at most like t, so past the cut-off at least one light factor leaves less
 than 1e-80.  ``quadrature_error`` is quad's error estimate plus a bound on
 that remainder's error, taken from how far the integrand at the cut-off
-lies from its asymptote; a bound that cannot be held below QUAD_TOL raises
-QuadratureError rather than returning a value.
+lies from its asymptote; a bound whose error cannot be held below
+max(QUAD_TOL, QUAD_RTOL * s_max) raises QuadratureError rather than
+returning a value.
 
 The Gaussian-copula identities are the arcsine laws
 
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DomainError,
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-8
+# s_max ~ 1.27/(df - 3) for three t margins, so next to df = 3 the
+# absolute error is judged against the value
+QUAD_RTOL = 1e-12
 # exp(-600) ~ 2.7e-261: every tail quantile is still a normal double here
 TAIL_CUTOFF = 600.0
 
@@ -90,6 +93,9 @@ def coskew_bound(m1: Marginal, m2: Marginal, m3: Marginal) -> BoundsResult:
                 f"coskewness bounds need symmetric marginals; {m.token} is not"
             )
 
+    # deferred: the bound is its only user, and the import costs every CLI start
+    from scipy import integrate
+
     # u = 1 - exp(-t); du = exp(-t) dt; quantiles evaluated from q = exp(-t)
     def integrand(t: float) -> float:
         q = math.exp(-t)
@@ -105,7 +111,7 @@ def coskew_bound(m1: Marginal, m2: Marginal, m3: Marginal) -> BoundsResult:
     value += tail
     abserr += tail_err
 
-    if not math.isfinite(value) or abserr > QUAD_TOL:
+    if not math.isfinite(value) or abserr > max(QUAD_TOL, QUAD_RTOL * value):
         raise QuadratureError(
             f"bound quadrature did not converge (value={value}, abserr={abserr})"
         )

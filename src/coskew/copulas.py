@@ -20,12 +20,9 @@ with the min-branch bins above it.  Every coordinate of these copulas is U or
 (F^-1(U), F^-1(1-U)), and per lambda only picks each row's third value with
 the selector.  For a symmetric marginal F^-1(1-U) is the reflection
 2*mean - F^-1(U), which equals the direct quantile bit for bit on the
-samplers' k/2^53 grid except in two cases that are inverted directly: rows
-the 1e-12 clamp moves on either side (the clamp is not symmetric:
-1 - 1e-12 rounds to 1 - 9007/2^53 while 1e-12 is 9007.2/2^53), and
-U = 1/2, where Laplace gives -0.0 directly but +0.0 by reflection.
-:func:`sample_data` takes the same path for one max, min or mixture
-sample, as ``coskew sample`` draws it.
+samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own ends, so
+it moves no sampled value.  :func:`sample_data` takes the same path for one
+max, min or mixture sample, as ``coskew sample`` draws it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 from .errors import DomainError, InvalidCorrelationError
 from .estimators import MomentAccumulator
 from .marginals import Marginal, norm_cdf
-from .samples import SeedSpec, TriSample, USample, substream, uniform_open
+from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_open
 
 __all__ = [
     "CopulaSpec",
@@ -321,14 +318,16 @@ def sample(spec: CopulaSpec, n: int, seed: SeedSpec = SeedSpec()) -> USample:
     return sample_gaussian(n, spec.gaussian, seed)
 
 
-_CLAMP = 1e-12
+_CLAMP = U_MIN
 
 
 def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     """Apply marginal quantiles columnwise: x_j = F_j^{-1}(u_j).
 
-    Entries at exactly 0 or 1 (possible in hand-built samples; the package
-    samplers never emit them) are clamped inward by 1e-12 before inversion.
+    Entries are clamped to [U_MIN, 1 - U_MIN], the ends of the samplers'
+    k/2^53 grid, so no grid value moves.  Only exact 0 and 1 (the mixing
+    copula's u2 and u3 at u = 1/2, or a hand-built sample) and a Gaussian
+    coordinate whose normal CDF leaves the grid (|z| above about 8.2) do.
     """
     cols = []
     for m, u in zip((m1, m2, m3), us.u):
@@ -350,20 +349,11 @@ def sample_data(spec: CopulaSpec, n: int, marginals, seed: SeedSpec = SeedSpec()
 
 
 def _quantile_pair(m: Marginal, u):
-    """(F^-1(u), F^-1(1 - u)), each equal to to_data's clamped quantile bit
-    for bit.  A symmetric marginal reflects the first into the second except
-    where the clamp moves u or 1 - u, or at u = 1/2 (see the module
-    docstring); a non-symmetric one inverts 1 - u directly."""
-    v = 1.0 - u
-    lo, hi = np.clip(u, _CLAMP, 1.0 - _CLAMP), np.clip(v, _CLAMP, 1.0 - _CLAMP)
-    x = m.quantile(lo)
-    if not m.symmetric:
-        return x, m.quantile(hi)
-    y = 2.0 * m.mean - x
-    direct = np.flatnonzero((lo != u) | (hi != v) | (u == 0.5))
-    if direct.size:
-        y[direct] = m.quantile(hi[direct])
-    return x, y
+    """(F^-1(u), F^-1(1 - u)) for u on the samplers' k/2^53 grid, each equal
+    to to_data's quantile bit for bit.  A symmetric marginal reflects the
+    first, 2*mean - F^-1(u); a non-symmetric one inverts 1 - u as well."""
+    x = m.quantile(u)
+    return x, 2.0 * m.mean - x if m.symmetric else m.quantile(1.0 - u)
 
 
 def _branch_columns(n: int, marginals, seed: SeedSpec):
@@ -448,8 +438,7 @@ def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> Mixtu
 
     The uniforms and the selector are drawn once, and each distinct
     marginal is inverted once, at u, for the pair (F^-1(u), F^-1(1 - u)):
-    a symmetric marginal reflects it, 2*mean - F^-1(u), except on the rows
-    the clamp moves and at u = 1/2, which are inverted directly; a
+    a symmetric marginal reflects it, 2*mean - F^-1(u), and a
     non-symmetric one inverts 1 - u as well.  x1, x2 and both branches' x3
     are picked from those pairs by whether the coordinate is 1 - u.  Each
     lambda's sample only stacks x1, x2 and the x3 its selector picks, and

@@ -140,17 +140,11 @@ def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
     }
 
 
-def _grid_stats(n, lams, marginals, seed) -> dict:
-    """Moment statistics of one mixture sweep, keyed by lambda."""
-    sweep = copulas.mixture_sweep(n, lams, marginals, seed)
-    return dict(zip(sweep.lams, map(_moment_stats, sweep.moments())))
-
-
-def _sweep_rows(cfg: ExperimentConfig, lams, bounds, event=None) -> list[dict]:
+def _sweep_rows(n, lams, marginals, seed, bounds=None, event=None) -> list[dict]:
     """One report row per lambda of one mixture sweep.  Rows carry the
     affine prediction when bounds are given, and the event fraction plus the
     three event-conditional correlations when an event is given."""
-    sweep = copulas.mixture_sweep(cfg.n, lams, cfg.marginals, cfg.seed)
+    sweep = copulas.mixture_sweep(n, lams, marginals, seed)
     rows = []
     for lam, acc in zip(sweep.lams, sweep.moments()):
         row = {"lambda": lam, **_moment_stats(acc)}
@@ -159,7 +153,7 @@ def _sweep_rows(cfg: ExperimentConfig, lams, bounds, event=None) -> list[dict]:
         rows.append(row)
     if event is not None:
         for row, (_, ts) in zip(rows, sweep):
-            mask = estimators.build_event_mask(ts, event, cfg.marginals)
+            mask = estimators.build_event_mask(ts, event, marginals)
             acc = estimators.conditional_moments(ts.x, mask)
             row["event_fraction"] = float(mask.mean())
             row["cond_rho12"] = acc.corr(0, 1)
@@ -173,7 +167,7 @@ def run_algorithm1(cfg: ExperimentConfig, lam: float,
     """One grid point of the mixture pipeline; returns a report row."""
     if bounds is None and cfg.symmetric:
         bounds = analytic.coskew_bound(*cfg.marginals)
-    return _sweep_rows(cfg, [lam], bounds)[0]
+    return _sweep_rows(cfg.n, [lam], cfg.marginals, cfg.seed, bounds)[0]
 
 
 def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
@@ -182,7 +176,7 @@ def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
         raise DomainError("the lambda sweep needs symmetric marginals")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals)
-    rows = _sweep_rows(cfg, cfg.lambda_grid, bounds)
+    rows = _sweep_rows(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed, bounds)
     meta = _base_metadata("figure1", cfg)
     meta["s_max"] = bounds.s_max
     meta["runtime_s"] = time.perf_counter() - t0
@@ -194,7 +188,8 @@ def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
     event = cfg.event or estimators.EventSpec("downside")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    rows = _sweep_rows(cfg, cfg.lambda_grid, bounds, event)
+    rows = _sweep_rows(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed,
+                       bounds, event)
     meta = _base_metadata("figure2", cfg)
     meta["event"] = event.token
     meta["runtime_s"] = time.perf_counter() - t0
@@ -328,7 +323,8 @@ def verify_propositions(
 
     # P1 and P3 share one normal sweep; P2, P5 and P8 share one Gaussian
     # copula draw per triple
-    mix_n = _grid_stats(n, _VERIFY_GRID, normal3, seed)
+    mix_n = {row["lambda"]: row
+             for row in _sweep_rows(n, _VERIFY_GRID, normal3, seed, bounds_n)}
     gauss_n, gauss_rs = zip(*[_gauss_stats(n, t, seed, normal3, exp3)
                               for t in _GAUSS_TRIPLES])
 
@@ -355,10 +351,8 @@ def verify_propositions(
     ))
 
     # P3: mixture coskewness is affine in lambda.
-    worst_gap = max(
-        abs(st["coskewness_hat"] - analytic.mixture_prediction(lam, bounds_n))
-        for lam, st in mix_n.items()
-    )
+    worst_gap = max(abs(st["coskewness_hat"] - st["coskewness_predicted"])
+                    for st in mix_n.values())
     records.append(_record(
         "P3", "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
         ("max |S_hat - prediction|", worst_gap, 0.05, ".4f"),
@@ -368,7 +362,7 @@ def verify_propositions(
     worst_rho = max(
         _max_abs_rho(st)
         for marginals in ((laplace(),) * 3, (student_t(5),) * 3)
-        for st in _grid_stats(n, (0.0, 0.5, 1.0), marginals, seed).values()
+        for st in _sweep_rows(n, (0.0, 0.5, 1.0), marginals, seed)
     )
     records.append(_record(
         "P4", "zero correlations persist for Laplace and Student-t margins",

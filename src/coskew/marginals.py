@@ -113,7 +113,7 @@ class Marginal:
             out = p_arr.copy()
         elif self.family == "laplace":
             out = np.where(
-                p_arr < 0.5, np.log(2.0 * p_arr), -np.log(2.0 * (1.0 - p_arr))
+                p_arr <= 0.5, np.log(2.0 * p_arr), -np.log(2.0 * (1.0 - p_arr))
             )
         elif self.family == "t":
             out = special.stdtrit(self.df, p_arr)

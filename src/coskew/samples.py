@@ -17,11 +17,15 @@ __all__ = [
     "SeedSpec",
     "USample",
     "TriSample",
+    "U_MIN",
     "substream",
     "uniform_open",
 ]
 
 _U53 = 1 << 53  # uniform resolution; k/2^53 with k in [1, 2^53) stays inside (0, 1)
+# the grid's smallest value; U_MIN and 1 - U_MIN are both exact, so clamping
+# to [U_MIN, 1 - U_MIN] moves no value uniform_open can draw
+U_MIN = 1.0 / _U53
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniforms strictly inside (0, 1).
 
     Raw 53-bit integers from [1, 2^53) divided by 2^53: the division is exact
-    and the endpoints 0.0 and 1.0 are unreachable, so downstream quantile
-    transforms never see them.
+    and the values run from U_MIN to 1 - U_MIN, so the endpoints 0.0 and 1.0
+    are unreachable and downstream quantile transforms never see them.
     """
     k = rng.integers(1, _U53, size=n, dtype=np.int64)
     return k / _U53

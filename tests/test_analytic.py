@@ -196,10 +196,21 @@ class TestStudentTBound:
         exact = t_abs_third_moment(df)
         assert abs(res.s_max - exact) <= analytic.QUAD_TOL + 1e-14 * exact
 
-    def test_refuses_next_to_df_3(self):
-        # s_max ~ 1/(df - 3): no absolute error below QUAD_TOL is reachable
-        with pytest.raises(QuadratureError):
-            coskew_bound(*(student_t(3.0 + 1e-12),) * 3)
+    @pytest.mark.parametrize("k", [7, 9, 12, 15])
+    def test_next_to_df_3_lies_within_its_error(self, k):
+        # s_max ~ 1.27/(df - 3): no absolute error below QUAD_TOL is reachable,
+        # so the bound is accepted on its relative error and must lie within
+        # its reported error of the 40-digit closed form
+        mpmath = pytest.importorskip("mpmath")
+        df = 3.0 + 10.0**-k
+        res = coskew_bound(*(student_t(df),) * 3)
+        with mpmath.workdps(40):
+            d = mpmath.mpf(df)
+            raw = d**1.5 * mpmath.gamma((d - 3) / 2) / (
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma(d / 2))
+            exact = raw / (d / (d - 2)) ** 1.5
+            assert abs(res.s_max - exact) <= res.quadrature_error
+        assert res.quadrature_error <= analytic.QUAD_RTOL * res.s_max
 
 
 class TestMixturePrediction:

@@ -227,6 +227,32 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_only_bounds_loads_scipy_integrate():
+    # scipy.integrate serves only coskew_bound, so commands that compute no
+    # bound never pay for its import
+    src = os.path.dirname(os.path.dirname(coskew.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """if True:
+        import sys
+        from click.testing import CliRunner
+        import coskew.cli
+
+        def run(*args, **kw):
+            res = CliRunner().invoke(coskew.cli.main, list(args), **kw)
+            assert res.exit_code == 0, res.output
+            print("scipy.integrate" in sys.modules)
+            return res
+
+        print("scipy.integrate" in sys.modules)
+        csv = run("sample", "--copula", "mixture:0.75", "--n", "200").stdout
+        run("stats", "--event", "downside", input=csv)
+        run("bounds")
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "False", "True"]
+
+
 class TestFigureCommands:
     def test_figure1_rows(self, runner):
         res = runner.invoke(

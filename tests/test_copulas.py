@@ -221,9 +221,11 @@ class TestSweepMoments:
 
 
 class TestQuantilePair:
-    # the reflection must equal the direct clamped quantile on the k/2^53
-    # grid; 9007 and 2^53 - 9007 straddle the (asymmetric) 1e-12 clamp and
-    # k = 2^52 is u = 1/2, where Laplace's direct quantile is -0.0
+    # the pair must equal to_data's clamped quantiles on the k/2^53 grid, and
+    # a symmetric marginal must get there by reflection alone: the clamp is
+    # the grid's own ends, so it moves no k, and at k = 2^52 (u = 1/2)
+    # Laplace's direct quantile is +0.0 like its reflection.  9007 and
+    # 2^53 - 9007 straddle where a 1e-12 clamp would move rows
     @pytest.mark.parametrize(
         "token",
         ["normal", "uniform", "laplace", "exp:2",
@@ -247,6 +249,9 @@ class TestQuantilePair:
         clamp = copulas._CLAMP
         assert x.tobytes() == m.quantile(np.clip(u, clamp, 1.0 - clamp)).tobytes()
         assert y.tobytes() == m.quantile(np.clip(1.0 - u, clamp, 1.0 - clamp)).tobytes()
+        assert x.tobytes() == m.quantile(u).tobytes()
+        if m.symmetric:
+            assert y.tobytes() == (2.0 * m.mean - x).tobytes()
 
 
 class TestMixingSum:
@@ -357,6 +362,19 @@ class TestToData:
         us = USample(np.array([[0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]))
         ts = to_data(us, *((standard_normal(),) * 3))
         assert np.all(np.isfinite(ts.x))
+
+    def test_grid_ends_pass_through(self):
+        # the clamp is the k/2^53 grid's own ends: 2^-53 and 1 - 2^-53 stay
+        # put, and exact 0 and 1 land on them
+        lo, hi = 2.0**-53, 1.0 - 2.0**-53
+        us = USample(np.array([[lo, hi, 0.0, 1.0]] * 3))
+        np.testing.assert_array_equal(to_data(us, *((uniform01(),) * 3)).x[0],
+                                      [lo, hi, lo, hi])
+        x = to_data(us, *((standard_normal(),) * 3)).x[0]
+        assert x[0] == special.ndtri(lo) == pytest.approx(-8.2095, abs=1e-4)
+        assert x[1] == special.ndtri(hi)
+        assert x[2:].tobytes() == x[:2].tobytes()
+        assert x[2] == -x[3]
 
     def test_seed_propagates(self, seed):
         us = sample_comonotonic(10, seed)

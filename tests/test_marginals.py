@@ -69,6 +69,10 @@ class TestQuantile:
         got = laplace().quantile(ps)
         want = stats.laplace.ppf(ps)
         np.testing.assert_allclose(got, want, atol=1e-12)
+        # the median is +0.0, as in scipy, so it equals its own reflection
+        assert laplace().quantile(0.5) == 0.0
+        assert not np.signbit(laplace().quantile(0.5))
+        assert not np.signbit(stats.laplace.ppf(0.5))
 
     def test_domain_errors(self, all_marginals):
         for m in all_marginals:
