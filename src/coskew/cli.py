@@ -276,6 +276,7 @@ def bounds_cmd(marginals, output):
         "s_max": res.s_max,
         "s_min": res.s_min,
         "quadrature_error": res.quadrature_error,
+        "evaluations": res.evaluations,
     }
     _emit(json.dumps(payload) + "\n", output)
 

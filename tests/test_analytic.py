@@ -25,6 +25,7 @@ from coskew.errors import (
     UnsupportedMarginalError,
 )
 from coskew.marginals import (
+    Marginal,
     exponential,
     laplace,
     parse_marginal,
@@ -40,26 +41,17 @@ UNIFORM_BOUND = 3.0 * math.sqrt(3.0) / 4.0
 LAPLACE_BOUND = 6.0 / 2.0**1.5  # E Exp(1)^3 / 2^{3/2}
 
 
-def t_bound(df: float) -> float:
-    # E|T|^3 = df^{3/2} G(2) G((df-3)/2) / (G(1/2) G(df/2)), standardized
-    raw = (
-        df**1.5
-        * math.gamma(2.0)
-        * math.gamma((df - 3.0) / 2.0)
-        / (math.gamma(0.5) * math.gamma(df / 2.0))
-    )
-    return raw / (df / (df - 2.0)) ** 1.5
-
-
 def t_abs_third_moment(df: float) -> float:
-    # t_bound in log space: math.gamma overflows for large df
-    raw = math.exp(
-        1.5 * math.log(df)
-        + math.lgamma((df - 3.0) / 2.0)
-        - 0.5 * math.log(math.pi)
-        - math.lgamma(df / 2.0)
+    # E|T|^3 / sd^3 = (df - 2)^{3/2} G((df-3)/2) / (sqrt(pi) G(df/2)), with
+    # G((df-3)/2) = 2 G((df-1)/2)/(df - 3): df - 3 is exact and both gammas
+    # stay near 1 as df -> 3, so no log of a large value is exponentiated.
+    # math.gamma overflows past df = 343
+    return (
+        2.0
+        * (df - 2.0) ** 1.5
+        * math.gamma((df - 1.0) / 2.0)
+        / ((df - 3.0) * math.sqrt(math.pi) * math.gamma(df / 2.0))
     )
-    return raw / (df / (df - 2.0)) ** 1.5
 
 
 def abs_third_moment(m) -> float:
@@ -73,6 +65,18 @@ def abs_third_moment(m) -> float:
 
 # high-precision quadrature of the mixed normal*uniform*laplace product
 MIXED_NUL_BOUND = 1.4416088310514087
+
+
+def test_gauss_legendre_table():
+    # the tabulated rule is leggauss(20) up to the latter's weight error, and
+    # integrates every monomial it should to within an ulp; leggauss's own
+    # weights miss x^k by up to 3.3e-15
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert np.allclose(analytic._GL_NODES, x, rtol=0, atol=2.3e-16)
+    assert np.allclose(analytic._GL_WEIGHTS, w, rtol=1e-13, atol=0)
+    for k in range(40):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(analytic._GL_WEIGHTS @ analytic._GL_NODES**k - exact) <= 2.3e-16
 
 
 class TestCoskewBound:
@@ -91,7 +95,7 @@ class TestCoskewBound:
 
     def test_three_student_t5(self):
         res = coskew_bound(*(student_t(5),) * 3)
-        assert res.s_max == pytest.approx(t_bound(5.0), abs=1e-8)
+        assert res.s_max == pytest.approx(t_abs_third_moment(5.0), abs=1e-8)
 
     def test_mixed_marginals(self):
         res = coskew_bound(standard_normal(), uniform01(), laplace())
@@ -187,7 +191,7 @@ class TestStudentTBound:
     def test_every_df_is_right_or_refused(self, log_excess):
         # df = 3 + 10**log_excess over (3, 200]: a bound whose error cannot be
         # held below QUAD_TOL must raise; the 1e-14 relative term is the
-        # rounding of the log-space oracle
+        # rounding of the oracle
         df = 3.0 + 10.0**log_excess
         try:
             res = coskew_bound(*(student_t(df),) * 3)
@@ -211,6 +215,81 @@ class TestStudentTBound:
             exact = raw / (d / (d - 2)) ** 1.5
             assert abs(res.s_max - exact) <= res.quadrature_error
         assert res.quadrature_error <= analytic.QUAD_RTOL * res.s_max
+
+    @given(log_excess=st.floats(min_value=-15.0, max_value=math.log10(197.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_df_lies_within_its_error(self, log_excess):
+        # the reported error covers rounding too: panel estimates alone can
+        # fall below an ulp of s_max
+        mpmath = pytest.importorskip("mpmath")
+        df = 3.0 + 10.0**log_excess
+        res = coskew_bound(*(student_t(df),) * 3)
+        with mpmath.workdps(40):
+            d = mpmath.mpf(df)
+            exact = (d - 2) ** mpmath.mpf(1.5) * mpmath.gamma((d - 3) / 2) / (
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma(d / 2))
+            assert abs(res.s_max - exact) <= res.quadrature_error
+
+    @pytest.mark.parametrize(
+        "df, exact",
+        [
+            # 40-digit mpmath values of (df-2)^1.5 G((df-3)/2) / (sqrt(pi) G(df/2))
+            # at these doubles
+            (3.000000000000001, 1433540284805666.180537),
+            (3.000000001, 1273239440.906021273651),
+            (3.05, 26.98705344533700512974),
+            (4.0, 2.828427124746190097603),
+            (30.0, 1.640164916864537054036),
+            (200.0, 1.601845671283677712975),
+        ],
+    )
+    def test_oracle_keeps_full_precision(self, df, exact):
+        assert t_abs_third_moment(df) == pytest.approx(exact, rel=2e-15)
+
+    def test_t305_point_budget(self, monkeypatch):
+        # counted at the quantile calls, not from the reported total
+        points = []
+        tail_quantile = Marginal.abs_std_tail_quantile
+
+        def counted(self, q):
+            points.append(np.size(q))
+            return tail_quantile(self, q)
+
+        monkeypatch.setattr(Marginal, "abs_std_tail_quantile", counted)
+        res = coskew_bound(*(student_t(3.05),) * 3)
+        assert sum(points) == 3 * res.evaluations
+        assert res.evaluations <= 1600
+
+
+def quad_bound(ms) -> tuple[float, float]:
+    """s_max and its error by scipy's quad: coskew_bound's integrand in t over
+    [0, TAIL_CUTOFF], plus its Pareto tail."""
+
+    def integrand(t: float) -> float:
+        q = math.exp(-t)
+        return q * math.prod(m.abs_std_tail_quantile(q) for m in ms)
+
+    value, abserr = integrate.quad(
+        integrand, 0.0, analytic.TAIL_CUTOFF, epsabs=1e-10, epsrel=1e-12, limit=200
+    )
+    tail, tail_err = analytic._pareto_tail(ms, integrand(analytic.TAIL_CUTOFF))
+    return value + tail, abserr + tail_err
+
+
+symmetric_marginals = st.one_of(
+    st.sampled_from([standard_normal(), uniform01(), laplace()]),
+    st.floats(min_value=-12.0, max_value=math.log10(197.0)).map(
+        lambda log_excess: student_t(3.0 + 10.0**log_excess)
+    ),
+)
+
+
+@given(ms=st.tuples(symmetric_marginals, symmetric_marginals, symmetric_marginals))
+@settings(max_examples=60, deadline=None)
+def test_agrees_with_quad_oracle(ms):
+    res = coskew_bound(*ms)
+    value, abserr = quad_bound(ms)
+    assert abs(res.s_max - value) <= res.quadrature_error + abserr
 
 
 class TestMixturePrediction:
@@ -329,6 +408,27 @@ class TestRankCoskewGaussian:
                 continue
             found += 1
             assert abs(rank_coskew_gaussian(*r)) < 1e-12
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(2718)
+        r = rng.uniform(-0.5, 0.5, size=(200, 3))
+        got = rank_coskew_gaussian(*r.T)
+        assert got.shape == (200,)
+        assert np.allclose(got, [rank_coskew_gaussian(*t) for t in r], rtol=0, atol=1e-15)
+        orthant = trivariate_orthant_prob(*r.T)
+        assert np.allclose(orthant, [trivariate_orthant_prob(*t) for t in r],
+                           rtol=0, atol=1e-16)
+        assert type(rank_coskew_gaussian(*r[0])) is float
+        assert type(trivariate_orthant_prob(*r[0])) is float
+
+    def test_arrays_with_one_invalid_triple(self):
+        r = np.zeros((5, 3))
+        r[3] = (0.95, 0.95, -0.95)
+        with pytest.raises(InvalidCorrelationError, match=r"\(0\.95, 0\.95, -0\.95\)"):
+            rank_coskew_gaussian(*r.T)
+        r[3] = (0.0, 1.5, 0.0)
+        with pytest.raises(DomainError, match="r13 must lie in"):
+            trivariate_orthant_prob(*r.T)
 
     def test_invalid_triple(self):
         with pytest.raises(InvalidCorrelationError):

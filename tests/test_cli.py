@@ -83,6 +83,10 @@ class TestBounds:
         assert payload["s_max"] == pytest.approx(1.5957691216057308, abs=1e-6)
         assert payload["s_min"] == -payload["s_max"]
         assert payload["quadrature_error"] < 1e-8
+        assert list(payload) == [
+            "marginals", "s_max", "s_min", "quadrature_error", "evaluations"]
+        assert isinstance(payload["evaluations"], int)
+        assert payload["evaluations"] > 0
 
     def test_asymmetric_marginals_fail(self, runner):
         res = runner.invoke(main, ["bounds", "--marginals", "exp:1,normal,normal"])
@@ -227,9 +231,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_only_bounds_loads_scipy_integrate():
-    # scipy.integrate serves only coskew_bound, so commands that compute no
-    # bound never pay for its import
+def test_no_command_loads_scipy_integrate():
+    # the bound is a numpy quadrature, so no command pays for scipy.integrate
     src = os.path.dirname(os.path.dirname(coskew.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = """if True:
@@ -240,17 +243,18 @@ def test_only_bounds_loads_scipy_integrate():
         def run(*args, **kw):
             res = CliRunner().invoke(coskew.cli.main, list(args), **kw)
             assert res.exit_code == 0, res.output
-            print("scipy.integrate" in sys.modules)
             return res
 
-        print("scipy.integrate" in sys.modules)
         csv = run("sample", "--copula", "mixture:0.75", "--n", "200").stdout
         run("stats", "--event", "downside", input=csv)
         run("bounds")
+        run("figure1", "--n", "2000")
+        run("figure2", "--n", "2000")
+        print("scipy.integrate" in sys.modules)
     """
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False", "False", "True"]
+    assert out.stdout.split() == ["False"]
 
 
 class TestFigureCommands:

@@ -25,7 +25,7 @@ from coskew.experiments import (
     verify_propositions,
 )
 from coskew.marginals import laplace, standard_normal, uniform01
-from coskew.samples import SeedSpec
+from coskew.samples import SeedSpec, substream
 
 NORMAL_BOUND = 1.5957691216057308
 
@@ -241,6 +241,19 @@ class TestVerifyPropositions:
         ]
         for rec in records:
             assert rec["passed"], f"{rec['proposition']}: {rec['observed']}"
+
+    @pytest.mark.parametrize("spec", [SeedSpec(7, 0), SeedSpec(DEFAULT_SEED, 0),
+                                      SeedSpec(1101, 3), SeedSpec(42, 17)])
+    def test_p8_triples_match_one_draw_at_a_time(self, spec):
+        # reference: one triple per draw, kept when 1 - r @ r + 2 prod(r) >= 0
+        rng = substream(spec, 8)
+        want = []
+        while len(want) < 1000:
+            r = rng.uniform(-1.0, 1.0, size=3)
+            if not 1.0 - r @ r + 2.0 * r.prod() < 0.0:
+                want.append(r)
+        got = experiments._valid_corr_triples(substream(spec, 8), 1000)
+        assert np.array_equal(got, np.array(want))
 
 
 class TestReports:
