@@ -196,7 +196,6 @@ def _panel_quadrature(margins, tail: float) -> tuple[float, float, int]:
         target = GL_RTOL * (math.fsum(values) + float(halves.sum()) + tail)
         if settled + pending <= target:
             values.extend(halves)
-            errors.extend(err)
             value = math.fsum(values)
             return value, settled + pending + 16.0 * _EPS * value, points
         split = err > (target - settled) / err.size
