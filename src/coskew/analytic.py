@@ -266,7 +266,7 @@ def uniform_product_moment_gaussian(rho: float) -> float:
     return math.asin(rho / 2.0) / (2.0 * math.pi) + 0.25
 
 
-def _check_corr_triple(r12, r13, r23) -> list[np.ndarray]:
+def _check_corr_triple(r12, r13, r23) -> tuple[np.ndarray, ...]:
     """The triple as broadcast float arrays (0-d for scalars), each entry in
     [-1, 1] and each triple a valid correlation matrix."""
     rs = np.broadcast_arrays(*(np.asarray(r, dtype=float) for r in (r12, r13, r23)))
