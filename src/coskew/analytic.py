@@ -146,11 +146,13 @@ def coskew_bound(m1: Marginal, m2: Marginal, m3: Marginal) -> BoundsResult:
 
 def _integrand(margins, t):
     """exp(-t) prod G_i^{-1}(1 - exp(-t)): the bound after u = 1 - exp(-t),
-    with every quantile taken from q = exp(-t) itself."""
+    with every quantile taken from q = exp(-t) itself, once per distinct
+    margin."""
     q = np.exp(-t)
+    tails = {m: m.abs_std_tail_quantile(q) for m in dict.fromkeys(margins)}
     prod = q
     for m in margins:
-        prod = prod * m.abs_std_tail_quantile(q)
+        prod = prod * tails[m]
     return prod
 
 

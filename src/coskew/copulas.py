@@ -22,7 +22,10 @@ the selector.  For a symmetric marginal F^-1(1-U) is the reflection
 2*mean - F^-1(U), which equals the direct quantile bit for bit on the
 samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own ends, so
 it moves no sampled value.  :func:`sample_data` takes the same path for one
-max, min or mixture sample, as ``coskew sample`` draws it.
+max, min or mixture sample, as ``coskew sample`` draws it.  A sweep's
+true-CDF rank statistics need no marginal at all: the rank of F^-1(U) is U,
+so :meth:`MixtureSweep.rank_stats` sums the copula coordinates' centred
+products over the same bins.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "GaussianParams",
     "MixtureSweep",
     "extremal_coords",
+    "gaussian_scores",
     "mixing_sum_coords",
     "mixture_sweep",
     "parse_copula",
@@ -275,16 +279,17 @@ def sample_mixing_sum(n: int, seed: SeedSpec = SeedSpec()) -> USample:
     return USample(np.stack([u, u2, u3]), seed)
 
 
-def sample_gaussian(
+def gaussian_scores(
     n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()
-) -> USample:
-    """Gaussian copula sampled through three independent standard normals:
+) -> np.ndarray:
+    """Correlated standard normal scores (H1, H2, H3) as a (3, n) array,
+    built from three independent standard normals:
 
         H1 = Z1
         H2 = rho12 Z1 + a Z2
         H3 = rho13 Z1 + (rho23 - rho12 rho13)/a Z2 + (b/a) Z3
 
-    then mapped to uniforms by the normal CDF.
+    They are the Gaussian copula's data under standard normal margins.
     """
     n = _check_n(n)
     a = params.a
@@ -298,7 +303,14 @@ def sample_gaussian(
         + (params.rho23 - params.rho12 * params.rho13) / a * z[1]
         + params.b / a * z[2]
     )
-    return USample(np.stack([norm_cdf(h1), norm_cdf(h2), norm_cdf(h3)]), seed)
+    return np.stack([h1, h2, h3])
+
+
+def sample_gaussian(
+    n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()
+) -> USample:
+    """Gaussian copula: the normal CDF of :func:`gaussian_scores`."""
+    return USample(norm_cdf(gaussian_scores(n, params, seed)), seed)
 
 
 def sample(spec: CopulaSpec, n: int, seed: SeedSpec = SeedSpec()) -> USample:
@@ -368,6 +380,11 @@ def _branch_columns(n: int, marginals, seed: SeedSpec):
     return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
 
 
+# 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
+# coskewness, as in coskew.estimators
+_RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureSweep:
     """One mixture draw over a lambda grid: the columns x1 and x2, both
@@ -375,8 +392,9 @@ class MixtureSweep:
 
     Iterating yields (lam, TriSample) for each lambda in order; each sample
     equals ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit for
-    bit.  :meth:`moments` gives each lambda's moment accumulator without
-    building the samples.
+    bit.  :meth:`moments` gives each lambda's moment accumulator and
+    :meth:`rank_stats` its true-CDF rank statistics, without building the
+    samples.
     """
 
     lams: tuple[float, ...]
@@ -392,27 +410,30 @@ class MixtureSweep:
             x = np.stack([self.x1, self.x2, np.where(self.h < lam, self.hi3, self.lo3)])
             yield lam, TriSample(x, self.seed)
 
-    def moments(self) -> list[MomentAccumulator]:
-        """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
-
-        Row i takes the max branch at lam exactly when h_i < lam.  With the
-        G distinct grid points sorted, bin k holds the rows with k points
-        <= h, so at the g-th point bins 0..g are on the max branch and bins
-        g+1..G on the min branch.  The rows are sorted by bin once, each
-        nonempty bin is reduced once per branch it can take, and each
-        point's accumulator merges the max-branch prefix with the
-        min-branch suffix.  The merges are shift-stable and compensated, so
-        the values match a one-shot update of each sample to ~1e-12
-        relative; the bits differ.
-        """
+    def _bins(self):
+        """The sorted distinct grid points, a stable order of the rows by
+        bin, and the bin edges in that order.  Bin k holds the rows with k
+        grid points <= h, so at the g-th point bins 0..g are on the max
+        branch (h < lam) and bins g+1..G on the min branch."""
         grid = np.unique(self.lams)
-        g_max = grid.size
-        bins = np.zeros(self.h.size, np.min_scalar_type(g_max))
+        bins = np.zeros(self.h.size, np.min_scalar_type(grid.size))
         for lam in grid:
             bins += self.h >= lam
         order = np.argsort(bins, kind="stable")
-        edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=g_max + 1))]
-        del bins
+        edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
+        return grid, order, edges
+
+    def moments(self) -> list[MomentAccumulator]:
+        """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
+
+        The rows are sorted by bin once (:meth:`_bins`), each nonempty bin is
+        reduced once per branch it can take, and each point's accumulator
+        merges the max-branch prefix with the min-branch suffix.  The merges
+        are shift-stable and compensated, so the values match a one-shot
+        update of each sample to ~1e-12 relative; the bits differ.
+        """
+        grid, order, edges = self._bins()
+        g_max = grid.size
         cols = np.empty((4, self.h.size))
         for row, col in zip(cols, (self.x1, self.x2, self.hi3, self.lo3)):
             np.take(col, order, out=row)
@@ -431,6 +452,34 @@ class MixtureSweep:
             prefix.merge(reduce([0, 1, 2], g))
             at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
         return [at_point[g] for g in np.searchsorted(grid, self.lams)]
+
+    def rank_stats(self) -> np.ndarray:
+        """True-CDF rank statistics for each lambda, in order: one row of
+        (rho12_s, rho13_s, rho23_s, rs) per lambda.
+
+        The true-CDF rank of F^-1(u) is u, so the rank coordinates are the
+        copula's u, u2 and u3, replayed from the seed; no marginal is
+        involved.  Each is u or 1 - u, so every centred product is
+        +-(u - 1/2)^k, and a row on the min branch flips the sign of every
+        product with u3.  Each product, taken with the max branch's u3, is
+        summed over each bin of :meth:`_bins` as one contiguous slice; at
+        the g-th point its sum over the rows is 2 * (the sum over bins
+        0..g) - (the total).  rho12_s takes no branch.  The values match
+        spearman_rho and rank_coskewness of each lambda's ranks to ~1e-15.
+        """
+        grid, order, edges = self._bins()
+        n = self.h.size
+        a, b, c = (np.take(col, order) - 0.5 for col in _extremal_u(n, self.seed))
+        del order
+        bin_sums = np.array([
+            [np.sum(a[s] * b[s]), np.sum(a[s] * c[s]), np.sum(b[s] * c[s]),
+             np.sum(a[s] * b[s] * c[s])]
+            for s in map(slice, edges[:-1], edges[1:])
+        ])
+        total = bin_sums.sum(axis=0)
+        sums = 2.0 * np.cumsum(bin_sums, axis=0)[:-1] - total
+        sums[:, 0] = total[0]
+        return sums[np.searchsorted(grid, self.lams)] * _RANK_SCALE / n
 
 
 def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> MixtureSweep:

@@ -15,6 +15,11 @@ The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
        bins above it, and compute pairwise correlations and the coskewness
        with population-normalized standard deviations; an event's
        conditional correlations come from one accumulator over its rows
+    5. rank statistics use true-CDF ranks, and the true-CDF rank of
+       F^-1(u) is u, so the ranks are the copula coordinates themselves and
+       no marginal is applied; equal to the ranks of any continuous
+       marginal up to rounding.  A sweep's come from per-bin sums over the
+       bins of step 3 (:meth:`~coskew.copulas.MixtureSweep.rank_stats`)
 
 Every lambda shares the same draws, so curves are variance-reduced and
 pathwise comparable across grid points.
@@ -31,7 +36,14 @@ import numpy as np
 
 from . import analytic, copulas, estimators
 from .errors import DomainError
-from .marginals import Marginal, exponential, laplace, standard_normal, student_t
+from .marginals import (
+    Marginal,
+    exponential,
+    laplace,
+    norm_cdf,
+    standard_normal,
+    student_t,
+)
 from .samples import SeedSpec, substream
 
 __all__ = [
@@ -140,11 +152,11 @@ def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
     }
 
 
-def _sweep_rows(n, lams, marginals, seed, bounds=None, event=None) -> list[dict]:
-    """One report row per lambda of one mixture sweep.  Rows carry the
-    affine prediction when bounds are given, and the event fraction plus the
-    three event-conditional correlations when an event is given."""
-    sweep = copulas.mixture_sweep(n, lams, marginals, seed)
+def _sweep_rows(sweep, marginals, bounds=None, event=None) -> list[dict]:
+    """One report row per lambda of a mixture sweep over marginals.  Rows
+    carry the affine prediction when bounds are given, and the event
+    fraction plus the three event-conditional correlations when an event is
+    given."""
     rows = []
     for lam, acc in zip(sweep.lams, sweep.moments()):
         row = {"lambda": lam, **_moment_stats(acc)}
@@ -167,7 +179,8 @@ def run_algorithm1(cfg: ExperimentConfig, lam: float,
     """One grid point of the mixture pipeline; returns a report row."""
     if bounds is None and cfg.symmetric:
         bounds = analytic.coskew_bound(*cfg.marginals)
-    return _sweep_rows(cfg.n, [lam], cfg.marginals, cfg.seed, bounds)[0]
+    sweep = copulas.mixture_sweep(cfg.n, [lam], cfg.marginals, cfg.seed)
+    return _sweep_rows(sweep, cfg.marginals, bounds)[0]
 
 
 def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
@@ -176,7 +189,8 @@ def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
         raise DomainError("the lambda sweep needs symmetric marginals")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals)
-    rows = _sweep_rows(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed, bounds)
+    sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed)
+    rows = _sweep_rows(sweep, cfg.marginals, bounds)
     meta = _base_metadata("figure1", cfg)
     meta["s_max"] = bounds.s_max
     meta["runtime_s"] = time.perf_counter() - t0
@@ -188,8 +202,8 @@ def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
     event = cfg.event or estimators.EventSpec("downside")
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    rows = _sweep_rows(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed,
-                       bounds, event)
+    sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed)
+    rows = _sweep_rows(sweep, cfg.marginals, bounds, event)
     meta = _base_metadata("figure2", cfg)
     meta["event"] = event.token
     meta["runtime_s"] = time.perf_counter() - t0
@@ -224,14 +238,14 @@ _MIXING_SUM_STATED = {"rho12_s": -1.0, "rho13_s": 1.0, "rho23_s": -1.0, "rs": 0.
 def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentReport:
     """Rank statistics for the comonotonic, mixing and independence copulas.
 
-    Simulates with Exponential(1) marginals and true-CDF ranks (rank
-    statistics are copula-only, so any strictly increasing continuous
-    marginal gives the same answer), and reports exact values next to the
-    estimates.  The mixing-copula row carries a discrepancy flag because
-    direct integration contradicts the stated pairwise rank correlations.
+    The ranks are each sample's copula coordinates, which equal the true-CDF
+    ranks of any continuous marginal up to rounding (the report names
+    Exponential(1)); no marginal is applied.  Exact values are reported next
+    to the estimates.  The mixing-copula row carries a discrepancy flag
+    because direct integration contradicts the stated pairwise rank
+    correlations.
     """
     t0 = time.perf_counter()
-    marg = exponential(1.0)
     exact = {
         "comonotonic": {"rho12_s": 1.0, "rho13_s": 1.0, "rho23_s": 1.0, "rs": 0.0},
         "mixingsum": mixing_sum_exact_rank_stats(),
@@ -239,9 +253,7 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
     }
     rows = []
     for kind in ("comonotonic", "mixingsum", "independence"):
-        us = copulas.sample(copulas.CopulaSpec(kind), n, seed)
-        ts = copulas.to_data(us, marg, marg, marg)
-        ranks = [estimators.rank_transform(ts.x[j], marg) for j in range(3)]
+        ranks = copulas.sample(copulas.CopulaSpec(kind), n, seed).u
         row = {
             "copula": kind,
             "rs_hat": estimators.rank_coskewness(*ranks),
@@ -263,7 +275,7 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
         "n": n,
         "seed": seed.seed,
         "stream": seed.stream,
-        "marginals": ",".join([marg.token] * 3),
+        "marginals": ",".join([exponential(1.0).token] * 3),
         "runtime_s": time.perf_counter() - t0,
     }
     return ExperimentReport("example1", rows, meta)
@@ -277,15 +289,17 @@ def rank_trend(values) -> float:
     return estimators.spearman_rho(idx, estimators.rank_transform(values))
 
 
-def _gauss_stats(n, triple, seed, normal3, exp3):
-    """Moment statistics with normal margins and |rank coskewness| with
-    exponential margins, both from one Gaussian copula draw."""
-    us = copulas.sample_gaussian(n, copulas.GaussianParams(*triple), seed)
-    acc = estimators.MomentAccumulator(3).update(copulas.to_data(us, *normal3).x)
-    stats = _moment_stats(acc)
-    ts = copulas.to_data(us, *exp3)
-    ranks = [estimators.rank_transform(ts.x[j], exp3[j]) for j in range(3)]
-    return stats, abs(estimators.rank_coskewness(*ranks))
+def _gauss_stats(n, triple, seed):
+    """Moment statistics and |rank coskewness| of one Gaussian copula draw.
+
+    The moments are the scores H's, which are the data under standard
+    normal margins.  The ranks are the copula coordinates norm_cdf(H),
+    which equal the true-CDF ranks of any continuous marginal up to
+    rounding.
+    """
+    h = copulas.gaussian_scores(n, copulas.GaussianParams(*triple), seed)
+    stats = _moment_stats(estimators.MomentAccumulator(3).update(h))
+    return stats, abs(estimators.rank_coskewness(*norm_cdf(h)))
 
 
 def _max_abs_rho(st: dict) -> float:
@@ -333,15 +347,15 @@ def verify_propositions(
     """
     records = []
     normal3 = (standard_normal(),) * 3
-    exp3 = (exponential(1.0),) * 3
     bounds_n = analytic.coskew_bound(*normal3)
 
-    # P1 and P3 share one normal sweep; P2, P5 and P8 share one Gaussian
-    # copula draw per triple
-    mix_n = {row["lambda"]: row
-             for row in _sweep_rows(n, _VERIFY_GRID, normal3, seed, bounds_n)}
-    gauss_n, gauss_rs = zip(*[_gauss_stats(n, t, seed, normal3, exp3)
-                              for t in _GAUSS_TRIPLES])
+    # P1, P3, P6 and P7 share one normal sweep; P2, P5 and P8 share one
+    # Gaussian copula draw per triple
+    sweep = copulas.mixture_sweep(n, _VERIFY_GRID, normal3, seed)
+    mix_n = {row["lambda"]: row for row in _sweep_rows(sweep, normal3, bounds_n)}
+    mix_ranks = sweep.rank_stats()
+    del sweep
+    gauss_n, gauss_rs = zip(*[_gauss_stats(n, t, seed) for t in _GAUSS_TRIPLES])
 
     # P1: symmetric marginals, mixture structure: coskewness spans the whole
     # range while every pairwise correlation stays at zero.
@@ -376,8 +390,8 @@ def verify_propositions(
     # P4: correlations stay zero for other symmetric marginals too.
     worst_rho = max(
         _max_abs_rho(st)
-        for marginals in ((laplace(),) * 3, (student_t(5),) * 3)
-        for st in _sweep_rows(n, (0.0, 0.5, 1.0), marginals, seed)
+        for m in ((laplace(),) * 3, (student_t(5),) * 3)
+        for st in _sweep_rows(copulas.mixture_sweep(n, (0.0, 0.5, 1.0), m, seed), m)
     )
     records.append(_record(
         "P4", "zero correlations persist for Laplace and Student-t margins",
@@ -393,15 +407,11 @@ def verify_propositions(
 
     # P6/P7: with arbitrary continuous marginals the mixture keeps all rank
     # correlations at zero while rank coskewness sweeps [-1, 1] as 2l-1.
-    worst_rho_s, worst_rs = 0.0, 0.0
-    for lam, ts in copulas.mixture_sweep(n, _VERIFY_GRID, exp3, seed):
-        ranks = [estimators.rank_transform(ts.x[j], exp3[j]) for j in range(3)]
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            worst_rho_s = max(
-                worst_rho_s, abs(estimators.spearman_rho(ranks[a], ranks[b]))
-            )
-        rs = estimators.rank_coskewness(*ranks)
-        worst_rs = max(worst_rs, abs(rs - (2.0 * lam - 1.0)))
+    # True-CDF ranks are the copula coordinates whatever the marginals, so
+    # they come from the normal sweep's draw.
+    rho_s, rs = mix_ranks[:, :3], mix_ranks[:, 3]
+    worst_rho_s = float(np.max(np.abs(rho_s)))
+    worst_rs = float(np.max(np.abs(rs - (2.0 * np.array(_VERIFY_GRID) - 1.0))))
     records.append(_record(
         "P6", "rank coskewness spans [-1, 1] with zero rank correlations",
         ("max |RS - (2l-1)|", worst_rs, 0.03, ".4f"),

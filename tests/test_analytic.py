@@ -246,7 +246,8 @@ class TestStudentTBound:
     def test_oracle_keeps_full_precision(self, df, exact):
         assert t_abs_third_moment(df) == pytest.approx(exact, rel=2e-15)
 
-    def test_t305_point_budget(self, monkeypatch):
+    @staticmethod
+    def _quantile_points(monkeypatch) -> list:
         # counted at the quantile calls, not from the reported total
         points = []
         tail_quantile = Marginal.abs_std_tail_quantile
@@ -256,9 +257,19 @@ class TestStudentTBound:
             return tail_quantile(self, q)
 
         monkeypatch.setattr(Marginal, "abs_std_tail_quantile", counted)
+        return points
+
+    def test_t305_point_budget(self, monkeypatch):
+        # three equal margins share one quantile per point
+        points = self._quantile_points(monkeypatch)
         res = coskew_bound(*(student_t(3.05),) * 3)
-        assert sum(points) == 3 * res.evaluations
+        assert sum(points) == res.evaluations
         assert res.evaluations <= 1600
+
+    def test_each_distinct_margin_is_inverted_once(self, monkeypatch):
+        points = self._quantile_points(monkeypatch)
+        res = coskew_bound(student_t(5), student_t(5), standard_normal())
+        assert sum(points) == 2 * res.evaluations
 
 
 def quad_bound(ms) -> tuple[float, float]:

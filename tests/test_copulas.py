@@ -12,6 +12,7 @@ from coskew.copulas import (
     CopulaSpec,
     GaussianParams,
     extremal_coords,
+    gaussian_scores,
     mixing_sum_coords,
     mixture_sweep,
     parse_copula,
@@ -27,9 +28,14 @@ from coskew.copulas import (
     to_data,
 )
 from coskew.errors import DomainError, InvalidCorrelationError
-from coskew.estimators import MomentAccumulator
+from coskew.estimators import (
+    MomentAccumulator,
+    rank_coskewness,
+    rank_transform,
+    spearman_rho,
+)
 from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
-from coskew.samples import SeedSpec, USample
+from coskew.samples import SeedSpec, USample, substream
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
 
@@ -220,6 +226,45 @@ class TestSweepMoments:
             _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
 
 
+class TestSweepRankStats:
+    # the per-bin rank sums must match the true-CDF ranks of each lambda's
+    # sample under non-symmetric margins, taken through quantile and CDF
+    N = TestSweepMoments.N
+    SEED = TestSweepMoments.SEED
+    EXP3 = (parse_marginal("exp:1"),) * 3
+
+    @classmethod
+    def oracle(cls, lam):
+        ts = to_data(sample_mixture(cls.N, lam, cls.SEED), *cls.EXP3)
+        r = [rank_transform(x, m) for x, m in zip(ts.x, cls.EXP3)]
+        return [spearman_rho(r[0], r[1]), spearman_rho(r[0], r[2]),
+                spearman_rho(r[1], r[2]), rank_coskewness(*r)]
+
+    @given(grid=st.lists(TestSweepMoments.POINT, max_size=8))
+    @example(grid=[])
+    @example(grid=[0.0])
+    @example(grid=[1.0])
+    @example(grid=[0.7, 0.2, 0.7, 0.0, 1.0, 0.2])
+    @example(grid=[0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9])  # empty bins
+    @example(grid=[float(TestSweepMoments.H[0]), 0.5, float(TestSweepMoments.H[1])])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_lambda_ranks(self, grid):
+        sweep = mixture_sweep(self.N, grid, (standard_normal(),) * 3, self.SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty bin must sum silently
+            stats = sweep.rank_stats()
+        assert stats.shape == (len(grid), 4)
+        for lam, row in zip(grid, stats):
+            np.testing.assert_allclose(row, self.oracle(lam), rtol=0, atol=1e-13)
+
+    def test_rank_coskewness_spans_its_range(self):
+        # at a million rows the ends sit within a few standard errors of -1
+        # and +1, and the rank correlations of zero
+        stats = mixture_sweep(10**6, (0.0, 1.0), self.EXP3, self.SEED).rank_stats()
+        np.testing.assert_allclose(stats[:, 3], [-1.0, 1.0], atol=0.01)
+        np.testing.assert_allclose(stats[:, :3], 0.0, atol=0.01)
+
+
 class TestQuantilePair:
     # the pair must equal to_data's clamped quantiles on the k/2^53 grid, and
     # a symmetric marginal must get there by reflection alone: the clamp is
@@ -287,6 +332,20 @@ class TestGaussian:
         for a, b in ((0, 1), (0, 2), (1, 2)):
             r = np.corrcoef(us.u[a], us.u[b])[0, 1]
             assert abs(r) < 4 / math.sqrt(us.n)
+
+    @pytest.mark.parametrize("rho", [(0.0, 0.0, 0.0), (0.8, 0.5, 0.3), (-0.5, 0.4, -0.3)])
+    def test_sample_is_the_cdf_of_the_scores(self, rho):
+        # bit for bit, and equal to the three-normal construction taken
+        # column by column
+        params, seed = GaussianParams(*rho), SeedSpec(7, 3)
+        h = gaussian_scores(2000, params, seed)
+        assert sample_gaussian(2000, params, seed).u.tobytes() == special.ndtr(h).tobytes()
+        z = substream(seed, 0).standard_normal((3, 2000))
+        want = [z[0], params.rho12 * z[0] + params.a * z[1],
+                params.rho13 * z[0]
+                + (params.rho23 - params.rho12 * params.rho13) / params.a * z[1]
+                + params.b / params.a * z[2]]
+        assert h.tobytes() == np.stack(want).tobytes()
 
     def test_recovers_requested_correlations(self, seed):
         rho = (0.8, 0.5, 0.3)

@@ -8,10 +8,14 @@ from coskew.errors import DomainError, InsufficientEventRowsError
 from coskew.estimators import (
     MIN_EVENT_ROWS,
     EventSpec,
+    MomentAccumulator,
     build_event_mask,
     conditional_corr,
     conditional_moments,
     parse_event,
+    rank_coskewness,
+    rank_transform,
+    spearman_rho,
 )
 from coskew.experiments import (
     DEFAULT_SEED,
@@ -24,7 +28,7 @@ from coskew.experiments import (
     run_figure2,
     verify_propositions,
 )
-from coskew.marginals import laplace, standard_normal, uniform01
+from coskew.marginals import exponential, laplace, standard_normal, uniform01
 from coskew.samples import SeedSpec, substream
 
 NORMAL_BOUND = 1.5957691216057308
@@ -230,6 +234,54 @@ class TestExample1:
             assert mix[f"rho{p}_s_hat"] == pytest.approx(-0.5, abs=0.02)
         assert mix["stated_rank_corr_discrepancy"] is True
         assert mix["rho13_s_stated"] == 1.0
+
+
+def _true_cdf_ranks(us, marginal):
+    """The old path to true-CDF ranks: quantile, then CDF."""
+    ts = copulas.to_data(us, marginal, marginal, marginal)
+    return [rank_transform(x, marginal) for x in ts.x]
+
+
+def _rank_row(ranks) -> dict:
+    return {
+        "rs_hat": rank_coskewness(*ranks),
+        "rho12_s_hat": spearman_rho(ranks[0], ranks[1]),
+        "rho13_s_hat": spearman_rho(ranks[0], ranks[2]),
+        "rho23_s_hat": spearman_rho(ranks[1], ranks[2]),
+    }
+
+
+SPECS = [SeedSpec(7, 0), SeedSpec(DEFAULT_SEED, 3)]
+
+
+class TestCopulaRanks:
+    # rank statistics read the copula coordinates; they must match the
+    # true-CDF ranks of exponential data, the path they replace
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_example1_matches_exp_cdf_ranks(self, spec):
+        # the mixing copula's u2 and u3 are exactly 0 and 1 at u = 1/2,
+        # where to_data clamps before the quantile
+        rows = {r["copula"]: r for r in run_example1(100_000, spec).rows}
+        for kind in ("comonotonic", "mixingsum", "independence"):
+            us = copulas.sample(copulas.CopulaSpec(kind), 100_000, spec)
+            want = _rank_row(_true_cdf_ranks(us, exponential(1.0)))
+            for key, value in want.items():
+                assert rows[kind][key] == pytest.approx(value, rel=0, abs=1e-15), (kind, key)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("triple", experiments._GAUSS_TRIPLES)
+    def test_gauss_stats_match_the_data_path(self, spec, triple):
+        stats, abs_rs = experiments._gauss_stats(100_000, triple, spec)
+        us = copulas.sample_gaussian(100_000, copulas.GaussianParams(*triple), spec)
+        normal3 = (standard_normal(),) * 3
+        acc = MomentAccumulator(3).update(copulas.to_data(us, *normal3).x)
+        # the statistics are standardized, so a value near zero (a Gaussian
+        # coskewness) is held to 1e-15 absolute rather than relative
+        want = experiments._moment_stats(acc)
+        assert stats == pytest.approx(want, rel=1e-12, abs=1e-15)
+        want = abs(rank_coskewness(*_true_cdf_ranks(us, exponential(1.0))))
+        assert abs_rs == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestVerifyPropositions:
