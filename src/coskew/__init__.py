@@ -40,12 +40,10 @@ from .errors import (
     UnsupportedMarginalError,
 )
 from .estimators import (
-    CoskewMatrix,
     EventSpec,
     MomentAccumulator,
     build_event_mask,
     conditional_corr,
-    coskew_matrix,
     coskewness,
     parse_event,
     pearson_corr,
@@ -79,7 +77,6 @@ __all__ = [
     "BoundsResult",
     "CopulaSpec",
     "CoskewError",
-    "CoskewMatrix",
     "DegenerateColumnError",
     "DomainError",
     "EventSpec",
@@ -98,7 +95,6 @@ __all__ = [
     "build_event_mask",
     "conditional_corr",
     "coskew_bound",
-    "coskew_matrix",
     "coskewness",
     "exponential",
     "laplace",

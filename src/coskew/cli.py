@@ -259,9 +259,8 @@ def _stat_records(ts, margs, event):
     rec("rank_coskewness", estimators.rank_coskewness(*ranks))
     if event is not None:
         mask = estimators.build_event_mask(ts, event, margs)
-        i, j = event.pair
-        rec(f"conditional_corr{i+1}{j+1}|{event.token}",
-            estimators.conditional_corr(ts.x[i], ts.x[j], mask))
+        rec(f"conditional_corr12|{event.token}",
+            estimators.conditional_corr(ts.x[0], ts.x[1], mask))
     return records
 
 

@@ -261,7 +261,7 @@ def sample_comonotonic(n: int, seed: SeedSpec = SeedSpec()) -> USample:
     """All three margins driven by the same uniform."""
     n = _check_n(n)
     u = uniform_open(substream(seed, _OFF_U), n)
-    return USample(np.stack([u, u.copy(), u.copy()]), seed)
+    return USample(np.stack([u, u, u]), seed)
 
 
 def sample_independence(n: int, seed: SeedSpec = SeedSpec()) -> USample:
@@ -330,9 +330,6 @@ def sample(spec: CopulaSpec, n: int, seed: SeedSpec = SeedSpec()) -> USample:
     return sample_gaussian(n, spec.gaussian, seed)
 
 
-_CLAMP = U_MIN
-
-
 def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     """Apply marginal quantiles columnwise: x_j = F_j^{-1}(u_j).
 
@@ -343,7 +340,7 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     """
     cols = []
     for m, u in zip((m1, m2, m3), us.u):
-        cols.append(m.quantile(np.clip(u, _CLAMP, 1.0 - _CLAMP)))
+        cols.append(m.quantile(np.clip(u, U_MIN, 1.0 - U_MIN)))
     return TriSample(np.stack(cols), us.seed)
 
 

@@ -41,12 +41,10 @@ from .samples import TriSample
 
 __all__ = [
     "MomentAccumulator",
-    "CoskewMatrix",
     "EventSpec",
     "parse_event",
     "pearson_corr",
     "coskewness",
-    "coskew_matrix",
     "rank_transform",
     "spearman_rho",
     "rank_coskewness",
@@ -233,16 +231,11 @@ class MomentAccumulator:
         s = self._checked_sds()
         return float(self.second_central()[i, j] / (s[i] * s[j]))
 
-    def _coskew_packed(self) -> np.ndarray:
-        s = self._checked_sds()
-        pk = _packing(self.d)
-        return (self._m3 + self._m3c) / self.n / (s[pk.i] * s[pk.j] * s[pk.k])
-
     def coskew(self, i: int = 0, j: int = 1, k: int = 2) -> float:
-        return float(self._coskew_packed()[_packing(self.d).full[i, j, k]])
-
-    def coskew_tensor(self) -> np.ndarray:
-        return self._coskew_packed()[_packing(self.d).full]
+        s = self._checked_sds()
+        t = _packing(self.d).full[i, j, k]
+        a, b, c = sorted((i, j, k))  # the packed entry's own column order
+        return float((self._m3[t] + self._m3c[t]) / self.n / (s[a] * s[b] * s[c]))
 
 
 def _columns(*cols) -> np.ndarray:
@@ -263,34 +256,6 @@ def pearson_corr(x, y) -> float:
 def coskewness(x, y, z) -> float:
     """Standardized third cross-moment of three columns."""
     return MomentAccumulator(3).update(_columns(x, y, z)).coskew(0, 1, 2)
-
-
-@dataclass(frozen=True)
-class CoskewMatrix:
-    """All d^3 standardized third mixed moments in the d x d^2 layout where
-    entry (i, j*d + k) holds s_ijk (zero-based indices)."""
-
-    d: int
-    entries: np.ndarray  # shape (d, d*d)
-
-    @classmethod
-    def from_tensor(cls, tensor: np.ndarray) -> "CoskewMatrix":
-        d = tensor.shape[0]
-        return cls(d=d, entries=tensor.reshape(d, d * d).copy())
-
-    def entry(self, i: int, j: int, k: int) -> float:
-        return float(self.entries[i, j * self.d + k])
-
-    def tensor(self) -> np.ndarray:
-        return self.entries.reshape(self.d, self.d, self.d)
-
-
-def coskew_matrix(sample: TriSample) -> CoskewMatrix:
-    """Coskewness matrix of a d-column sample, d >= 2."""
-    if sample.d < 2:
-        raise DomainError("coskewness matrix needs at least two columns")
-    acc = MomentAccumulator(sample.d).update(sample.x)
-    return CoskewMatrix.from_tensor(acc.coskew_tensor())
 
 
 def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
@@ -362,14 +327,13 @@ class EventSpec:
     """Conditioning event for conditional correlation.
 
     kind "downside" selects rows whose coordinate sum falls below its sample
-    mean; "exceed-upper"/"exceed-lower" select rows where both columns of
-    ``pair`` cross their p-quantile thresholds (strictly above, resp. at or
+    mean; "exceed-upper"/"exceed-lower" select rows where columns 0 and 1
+    both cross their p-quantile thresholds (strictly above, resp. at or
     below).
     """
 
     kind: str
     p: float | None = None
-    pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.kind not in ("downside", "exceed-upper", "exceed-lower"):
@@ -377,8 +341,6 @@ class EventSpec:
         if self.kind != "downside":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise DomainError("exceedance events need p in (0, 1)")
-        if self.pair[0] == self.pair[1]:
-            raise DomainError("event pair must name two distinct columns")
 
     @property
     def token(self) -> str:
@@ -411,7 +373,7 @@ def build_event_mask(
     """Boolean row mask for an EventSpec.
 
     Exceedance thresholds come from the true marginal quantiles when
-    ``marginals`` (a sequence indexable by column) is given, otherwise from
+    ``marginals`` (a sequence, one per column) is given, otherwise from
     empirical quantiles of the sample itself.
     """
     if spec.kind == "downside":
@@ -420,15 +382,13 @@ def build_event_mask(
         s = sample.x.sum(axis=0)
         return s < s.mean()
 
-    i, j = spec.pair
-    if not (0 <= i < sample.d and 0 <= j < sample.d):
-        raise DomainError(f"event pair {spec.pair} out of range for d = {sample.d}")
-    thr = []
-    for col in (i, j):
-        if marginals is not None:
-            thr.append(float(marginals[col].quantile(spec.p)))
-        else:
-            thr.append(float(np.quantile(sample.x[col], spec.p)))
+    if sample.d < 2:
+        raise DomainError(f"exceedance events need two columns, got d = {sample.d}")
+    x = sample.x[:2]
+    if marginals is not None:
+        thr = [float(m.quantile(spec.p)) for m in marginals[:2]]
+    else:
+        thr = [float(np.quantile(col, spec.p)) for col in x]
     if spec.kind == "exceed-upper":
-        return (sample.x[i] > thr[0]) & (sample.x[j] > thr[1])
-    return (sample.x[i] <= thr[0]) & (sample.x[j] <= thr[1])
+        return (x[0] > thr[0]) & (x[1] > thr[1])
+    return (x[0] <= thr[0]) & (x[1] <= thr[1])

@@ -56,8 +56,6 @@ __all__ = [
     "run_figure2",
     "run_example1",
     "verify_propositions",
-    "rank_trend",
-    "mixing_sum_exact_rank_stats",
 ]
 
 DEFAULT_N = 100_000
@@ -174,11 +172,9 @@ def _sweep_rows(sweep, marginals, bounds=None, event=None) -> list[dict]:
     return rows
 
 
-def run_algorithm1(cfg: ExperimentConfig, lam: float,
-                   bounds: analytic.BoundsResult | None = None) -> dict:
+def run_algorithm1(cfg: ExperimentConfig, lam: float) -> dict:
     """One grid point of the mixture pipeline; returns a report row."""
-    if bounds is None and cfg.symmetric:
-        bounds = analytic.coskew_bound(*cfg.marginals)
+    bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
     sweep = copulas.mixture_sweep(cfg.n, [lam], cfg.marginals, cfg.seed)
     return _sweep_rows(sweep, cfg.marginals, bounds)[0]
 
@@ -210,24 +206,6 @@ def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("figure2", rows, meta)
 
 
-def mixing_sum_exact_rank_stats() -> dict:
-    """Rank statistics of the mixing copula (U, U2, U3), exact.
-
-    U2 = 1 - 2U and U3 = U + 1/2 on [0, 1/2], U2 = 2 - 2U and U3 = U - 1/2
-    on [1/2, 1].  With a = U - 1/2 the centred coordinates are linear in a
-    on each half, so every moment is the integral of a polynomial:
-
-        [0, 1/2]:  U2 - 1/2 = -2a - 1/2,  U3 - 1/2 = a + 1/2
-        [1/2, 1]:  U2 - 1/2 = 1/2 - 2a,   U3 - 1/2 = a - 1/2
-
-    Each half contributes -1/48 to every pairwise E[(Ui - 1/2)(Uj - 1/2)],
-    so each Spearman correlation is 12 * (-1/24) = -1/2 (as forced by
-    Var(U + U2 + U3) = 0), and contributes 0 to E[a (U2 - 1/2)(U3 - 1/2)],
-    so the rank coskewness 32 * E[...] is 0.
-    """
-    return {"rho12_s": -0.5, "rho13_s": -0.5, "rho23_s": -0.5, "rs": 0.0}
-
-
 # Rank correlations printed alongside the mixing copula in the worked example
 # of the source material; direct integration gives -1/2 for every pair
 # (matching Var(U1+U2+U3) = 0), so these stated values are flagged instead
@@ -248,7 +226,13 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
     t0 = time.perf_counter()
     exact = {
         "comonotonic": {"rho12_s": 1.0, "rho13_s": 1.0, "rho23_s": 1.0, "rs": 0.0},
-        "mixingsum": mixing_sum_exact_rank_stats(),
+        # U2 = 1 - 2U, U3 = U + 1/2 on [0, 1/2] and U2 = 2 - 2U, U3 = U - 1/2
+        # on [1/2, 1]; with a = U - 1/2 every centred coordinate is linear in
+        # a on each half.  Each half gives -1/48 to every pairwise
+        # E[(Ui - 1/2)(Uj - 1/2)], so each Spearman rho is 12 * (-1/24) =
+        # -1/2, as Var(U + U2 + U3) = 0 forces, and 0 to
+        # E[(U - 1/2)(U2 - 1/2)(U3 - 1/2)], so the rank coskewness is 0
+        "mixingsum": {"rho12_s": -0.5, "rho13_s": -0.5, "rho23_s": -0.5, "rs": 0.0},
         "independence": {"rho12_s": 0.0, "rho13_s": 0.0, "rho23_s": 0.0, "rs": 0.0},
     }
     rows = []
@@ -279,14 +263,6 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
         "runtime_s": time.perf_counter() - t0,
     }
     return ExperimentReport("example1", rows, meta)
-
-
-def rank_trend(values) -> float:
-    """Spearman correlation between position and value; -1 is a strictly
-    decreasing sequence."""
-    values = np.asarray(values, dtype=float)
-    idx = estimators.rank_transform(np.arange(values.size, dtype=float))
-    return estimators.spearman_rho(idx, estimators.rank_transform(values))
 
 
 def _gauss_stats(n, triple, seed):

@@ -77,13 +77,11 @@ class Marginal:
 
     @property
     def mean(self) -> float:
-        return {
-            "normal": 0.0,
-            "uniform": 0.5,
-            "laplace": 0.0,
-            "t": 0.0,
-            "exp": 1.0 / self.rate if self.rate else 0.0,
-        }[self.family]
+        if self.family == "uniform":
+            return 0.5
+        if self.family == "exp":
+            return 1.0 / self.rate
+        return 0.0  # normal, Laplace, t
 
     @property
     def sd(self) -> float:

@@ -87,25 +87,13 @@ class USample:
     def n(self) -> int:
         return self.u.shape[1]
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.u[0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.u[1]
-
-    @property
-    def u3(self) -> np.ndarray:
-        return self.u[2]
-
 
 @dataclass(frozen=True)
 class TriSample:
     """n x d table of realizations in data space, carrying its generating seed.
 
-    d is 3 for everything except the coskewness-matrix estimator, which
-    accepts any d >= 2.
+    Every sampler and driver makes d = 3; the estimators check the d they
+    need (``build_event_mask``: 3 for the downside event, >= 2 otherwise).
     """
 
     x: np.ndarray  # shape (d, n)

@@ -194,7 +194,8 @@ def test_criterion_8_figure2(figure2_normal):
     trends, first_vs_last = [], []
     for key in ("cond_rho12", "cond_rho13", "cond_rho23"):
         vals = [r[key] for r in figure2_normal.rows]
-        trends.append(experiments.rank_trend(vals))
+        position = estimators.rank_transform(np.arange(len(vals), dtype=float))
+        trends.append(estimators.spearman_rho(position, estimators.rank_transform(vals)))
         first_vs_last.append(abs(vals[1] - vals[0]) > abs(vals[-1] - vals[-2]))
     _report(
         "criterion 8 (downside correlations fall as coskewness rises)",
@@ -207,9 +208,7 @@ def test_criterion_8_figure2(figure2_normal):
 def test_criterion_9_exceedance_degeneracy():
     normal3 = (standard_normal(),) * 3
     ts = copulas.to_data(copulas.sample_max_coskew(N, SEED), *normal3)
-    mask = estimators.build_event_mask(
-        ts, EventSpec("exceed-upper", p=0.5, pair=(0, 1)), normal3
-    )
+    mask = estimators.build_event_mask(ts, EventSpec("exceed-upper", p=0.5), normal3)
     cc = estimators.conditional_corr(ts.x[0], ts.x[1], mask)
     _report(
         "criterion 9 (upper-exceedance correlation degenerates to one)",

@@ -364,7 +364,7 @@ class TestArcsinIdentities:
 
     def test_uniform_product_moment_vs_simulation(self, seed):
         us = copulas.sample_gaussian(10**5, copulas.GaussianParams(0.6, 0.0, 0.0), seed)
-        sim = np.mean(us.u1 * us.u2)
+        sim = np.mean(us.u[0] * us.u[1])
         assert abs(sim - uniform_product_moment_gaussian(0.6)) < 4 * 0.1 / math.sqrt(
             us.n
         )

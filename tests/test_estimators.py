@@ -20,7 +20,6 @@ from coskew.estimators import (
     MomentAccumulator,
     build_event_mask,
     conditional_corr,
-    coskew_matrix,
     coskewness,
     parse_event,
     pearson_corr,
@@ -90,50 +89,6 @@ class TestCoskewness:
         assert coskewness(-x, y, z) == pytest.approx(-coskewness(x, y, z), abs=1e-10)
 
 
-class TestCoskewMatrix:
-    def test_layout_and_symmetry(self, rng):
-        x = rng.normal(size=(3, 2000))
-        ts = TriSample(x)
-        m = coskew_matrix(ts)
-        assert m.entries.shape == (3, 9)
-        assert m.entry(0, 1, 2) == pytest.approx(
-            coskewness(x[0], x[1], x[2]), abs=1e-12
-        )
-        t = m.tensor()
-        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            assert np.max(np.abs(np.transpose(t, perm) - t)) < 1e-12
-
-    def test_diagonal_is_univariate_skewness(self, seed, normal3):
-        ts = copulas.to_data(copulas.sample_comonotonic(10**5, seed), *normal3)
-        m = coskew_matrix(ts)
-        # normal symmetry: skewness near zero
-        assert abs(m.entry(0, 0, 0)) < 0.05
-        # comonotonic normal columns are identical, so every entry matches
-        assert m.entry(1, 1, 1) == pytest.approx(m.entry(0, 0, 0), abs=1e-12)
-
-    def test_general_dimension(self, rng):
-        x = rng.normal(size=(4, 500))
-        m = coskew_matrix(TriSample(x))
-        assert m.entries.shape == (4, 16)
-        assert m.entry(3, 1, 2) == pytest.approx(
-            coskewness(x[3], x[1], x[2]), abs=1e-12
-        )
-
-    def test_needs_two_columns(self, rng):
-        with pytest.raises(DomainError):
-            coskew_matrix(TriSample(rng.normal(size=(1, 50))))
-
-    def test_four_columns_match_brute_force(self, rng):
-        x = rng.standard_exponential((4, 4)) @ rng.standard_exponential((4, 2000))
-        n = x.shape[1]
-        c = x - np.array([math.fsum(col) / n for col in x])[:, None]
-        s = [math.sqrt(math.fsum(col * col) / n) for col in c]
-        m = coskew_matrix(TriSample(x))
-        for i, j, k in itertools.product(range(4), repeat=3):
-            want = math.fsum(c[i] * c[j] * c[k]) / n / (s[i] * s[j] * s[k])
-            assert m.entries[i, j * 4 + k] == pytest.approx(want, abs=1e-12), (i, j, k)
-
-
 class TestRankTransform:
     def test_empirical_small(self):
         np.testing.assert_allclose(
@@ -176,7 +131,7 @@ class TestSpearman:
 
     def test_independent_near_zero(self, seed):
         us = copulas.sample_independence(10**5, seed)
-        assert abs(spearman_rho(us.u1, us.u2)) < 0.02
+        assert abs(spearman_rho(us.u[0], us.u[1])) < 0.02
 
     def test_mixing_sum_pairwise(self, seed):
         # piecewise integration of the mixing structure gives -1/2 per pair
@@ -188,17 +143,17 @@ class TestSpearman:
 class TestRankCoskewness:
     def test_comonotonic_zero(self, seed):
         us = copulas.sample_comonotonic(10**5, seed)
-        assert abs(rank_coskewness(us.u1, us.u2, us.u3)) < 0.01
+        assert abs(rank_coskewness(us.u[0], us.u[1], us.u[2])) < 0.01
 
     def test_mixing_sum_zero(self, seed):
         us = copulas.sample_mixing_sum(10**5, seed)
-        assert abs(rank_coskewness(us.u1, us.u2, us.u3)) < 0.01
+        assert abs(rank_coskewness(us.u[0], us.u[1], us.u[2])) < 0.01
 
     def test_max_copula_attains_one(self, seed):
         us = copulas.sample_max_coskew(10**5, seed)
-        assert rank_coskewness(us.u1, us.u2, us.u3) == pytest.approx(1.0, abs=0.01)
+        assert rank_coskewness(us.u[0], us.u[1], us.u[2]) == pytest.approx(1.0, abs=0.01)
         mn = copulas.sample_min_coskew(10**5, seed)
-        assert rank_coskewness(mn.u1, mn.u2, mn.u3) == pytest.approx(-1.0, abs=0.01)
+        assert rank_coskewness(mn.u[0], mn.u[1], mn.u[2]) == pytest.approx(-1.0, abs=0.01)
 
     def test_argument_symmetry(self, rng):
         u, v, w = rng.random((3, 200))
@@ -332,6 +287,11 @@ class TestEventMask:
         # empirical quantiles make the per-column crossing fraction exact
         assert mask.mean() == pytest.approx(0.09, abs=0.02)
 
+    def test_exceedance_needs_two_columns(self, rng):
+        with pytest.raises(DomainError):
+            build_event_mask(TriSample(rng.normal(size=(1, 100))),
+                             EventSpec("exceed-upper", p=0.5))
+
     def test_downside_needs_three_columns(self, rng):
         with pytest.raises(DomainError):
             build_event_mask(TriSample(rng.normal(size=(4, 100))), EventSpec("downside"))
@@ -447,6 +407,20 @@ class TestMomentAccumulator:
             assert abs(got[i, j, k] - math.fsum(terms) / n) <= 1e-12 * scale, (i, j, k)
         for perm in itertools.permutations(range(3)):
             assert np.array_equal(got, got.transpose(perm)), perm
+
+    def test_coskew_reads_any_index_order(self, rng):
+        # four columns, every index triple in every order, against an fsum
+        # oracle; permuted indices name the same packed entry, so the same bits
+        x = rng.standard_exponential((4, 4)) @ rng.standard_exponential((4, 2000))
+        n = x.shape[1]
+        c = x - np.array([math.fsum(col) / n for col in x])[:, None]
+        s = [math.sqrt(math.fsum(col * col) / n) for col in c]
+        acc = MomentAccumulator(4).update(x)
+        for i, j, k in itertools.product(range(4), repeat=3):
+            want = math.fsum(c[i] * c[j] * c[k]) / n / (s[i] * s[j] * s[k])
+            got = acc.coskew(i, j, k)
+            assert got == pytest.approx(want, abs=1e-12), (i, j, k)
+            assert got == acc.coskew(*sorted((i, j, k))), (i, j, k)
 
     def test_empty_chunk_leaves_accumulator_unchanged(self, rng):
         acc = MomentAccumulator(3).update(rng.normal(size=(3, 100)))

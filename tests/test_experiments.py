@@ -20,8 +20,6 @@ from coskew.estimators import (
 from coskew.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
-    mixing_sum_exact_rank_stats,
-    rank_trend,
     run_algorithm1,
     run_example1,
     run_figure1,
@@ -127,7 +125,10 @@ class TestFigure2:
     def test_conditional_correlations_decrease(self, fig2_report):
         for key in ("cond_rho12", "cond_rho13", "cond_rho23"):
             vals = [r[key] for r in fig2_report.rows]
-            assert rank_trend(vals) <= -0.9
+            # Spearman correlation of position and value: -1 is decreasing
+            trend = spearman_rho(rank_transform(np.arange(len(vals), dtype=float)),
+                                 rank_transform(vals))
+            assert trend <= -0.9
 
     def test_sharper_change_near_lambda_zero(self, fig2_report):
         for key in ("cond_rho12", "cond_rho13", "cond_rho23"):
@@ -181,14 +182,7 @@ class TestEventMoments:
 
 
 class TestExample1:
-    def test_exact_integration_values(self):
-        exact = mixing_sum_exact_rank_stats()
-        assert exact["rho12_s"] == pytest.approx(-0.5, abs=1e-10)
-        assert exact["rho13_s"] == pytest.approx(-0.5, abs=1e-10)
-        assert exact["rho23_s"] == pytest.approx(-0.5, abs=1e-10)
-        assert exact["rs"] == pytest.approx(0.0, abs=1e-10)
-
-    def test_exact_values_match_exact_integration(self):
+    def test_exact_values_match_exact_integration(self, seed):
         # centred coordinates of (U, U2, U3) as (c0, c1) of c0 + c1 * u on
         # each half of [0, 1]; products of them integrate exactly
         half = Fraction(1, 2)
@@ -206,11 +200,11 @@ class TestExample1:
                              for k, c in enumerate(poly))
             return total
 
-        exact = mixing_sum_exact_rank_stats()
-        assert exact["rho12_s"] == 12 * moment([0, 1])
-        assert exact["rho13_s"] == 12 * moment([0, 2])
-        assert exact["rho23_s"] == 12 * moment([1, 2])
-        assert exact["rs"] == 32 * moment([0, 1, 2])
+        row = next(r for r in run_example1(1000, seed).rows if r["copula"] == "mixingsum")
+        assert row["rho12_s_exact"] == 12 * moment([0, 1])
+        assert row["rho13_s_exact"] == 12 * moment([0, 2])
+        assert row["rho23_s_exact"] == 12 * moment([1, 2])
+        assert row["rs_exact"] == 32 * moment([0, 1, 2])
 
     def test_report_rows(self, seed):
         rep = run_example1(100_000, seed)
@@ -338,12 +332,3 @@ class TestReports:
         cfg0 = ExperimentConfig(n=2000, lambda_grid=(0.5,), seed=SeedSpec(1, 0))
         cfg1 = ExperimentConfig(n=2000, lambda_grid=(0.5,), seed=SeedSpec(1, 1))
         assert run_figure1(cfg0).rows != run_figure1(cfg1).rows
-
-
-class TestRankTrend:
-    def test_decreasing_sequence(self):
-        vals = np.linspace(5, 1, 11)
-        assert rank_trend(vals) == pytest.approx(-(1 - 1 / 121), abs=1e-12)
-
-    def test_increasing_sequence(self):
-        assert rank_trend([1, 2, 3, 4]) > 0.9
