@@ -13,19 +13,24 @@ Because the selector compares a shared uniform draw against lambda, sweeps
 over lambda are coupled pathwise: raising lambda only ever flips rows from
 the min branch to the max branch.  :func:`mixture_sweep` uses this to run a
 whole lambda grid from one draw, and to reduce it without a pass per
-lambda: binning the rows by how many grid points lie at or below their
-selector value, each lambda's moments merge the max-branch bins below it
-with the min-branch bins above it.  Every coordinate of these copulas is U or
-1-U, so it inverts each distinct marginal once, at U, for the pair
-(F^-1(U), F^-1(1-U)), and per lambda only picks each row's third value with
-the selector.  For a symmetric marginal F^-1(1-U) is the reflection
+lambda.  It sorts the draw's rows once, right after drawing, into bins by
+how many grid points lie at or below their selector value, so each
+lambda's sample is a run of bins on the max branch followed by a run on
+the min branch.  Every coordinate of these copulas is U or 1-U, so the
+sort gathers only U and which coordinates are flipped, and each distinct
+marginal is inverted once, at the sorted U, for the pair
+(F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds x1, x2 and both
+branches' x3 once, in bin order; each lambda's moments merge the
+max-branch bins below it with the min-branch bins above it, and an event
+pass refills one buffer's third row with a prefix of one branch and a
+suffix of the other.  For a symmetric marginal F^-1(1-U) is the reflection
 2*mean - F^-1(U), which equals the direct quantile bit for bit on the
 samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own ends, so
-it moves no sampled value.  :func:`sample_data` takes the same path for one
-max, min or mixture sample, as ``coskew sample`` draws it.  A sweep's
-true-CDF rank statistics need no marginal at all: the rank of F^-1(U) is U,
-so :meth:`MixtureSweep.rank_stats` sums the copula coordinates' centred
-products over the same bins.
+it moves no sampled value.  :func:`sample_data` builds one max, min or
+mixture sample, as ``coskew sample`` draws it, from the same branch
+columns in row order.  A sweep's true-CDF rank statistics need no marginal
+at all: the rank of F^-1(U) is U, so :meth:`MixtureSweep.rank_stats` sums
+the copula coordinates' centred products over the same bins.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidCorrelationError
 from .estimators import MomentAccumulator
-from .marginals import Marginal, norm_cdf
+from .marginals import Marginal, norm_cdf, token_number
 from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_open
 
 __all__ = [
@@ -143,10 +148,10 @@ class CopulaSpec:
     @property
     def token(self) -> str:
         if self.kind == "mixture":
-            return f"mixture:{self.lam:g}"
+            return f"mixture:{token_number(self.lam)}"
         if self.kind == "gaussian":
             g = self.gaussian
-            return f"gaussian:{g.rho12:g},{g.rho13:g},{g.rho23:g}"
+            return "gaussian:" + ",".join(map(token_number, (g.rho12, g.rho13, g.rho23)))
         return self.kind
 
     def __str__(self) -> str:
@@ -347,14 +352,18 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
 def sample_data(spec: CopulaSpec, n: int, marginals, seed: SeedSpec = SeedSpec()) -> TriSample:
     """Data-space sample of a copula, equal to
     ``to_data(sample(spec, n, seed), *marginals)`` bit for bit.  The max and
-    min copulas and their mixture take the branch-aware path of
-    :func:`mixture_sweep`, which inverts each distinct marginal once; max
-    and min are its lambda = 1 and lambda = 0 ends."""
+    min copulas and their mixture invert each distinct marginal once
+    (:func:`_branch_columns`) and take each row's x3 from the branch its
+    selector picks; max and min are the mixture's lambda = 1 and lambda = 0
+    ends."""
     if spec.kind not in ("max", "min", "mixture"):
         return to_data(sample(spec, n, seed), *marginals)
     lam = {"max": 1.0, "min": 0.0}.get(spec.kind, spec.lam)
-    _, ts = next(iter(mixture_sweep(n, [lam], marginals, seed)))
-    return ts
+    u, u2, u3 = sample_max_coskew(n, seed).u
+    x1, x2, hi3, lo3 = _branch_columns(u, u2 != u, u3 != u, marginals)
+    del u, u2, u3  # free the draw before the sample is built
+    h = substream(seed, _OFF_B).random(x1.size)
+    return TriSample(np.stack([x1, x2, np.where(h < lam, hi3, lo3)]), seed)
 
 
 def _quantile_pair(m: Marginal, u):
@@ -365,16 +374,37 @@ def _quantile_pair(m: Marginal, u):
     return x, 2.0 * m.mean - x if m.symmetric else m.quantile(1.0 - u)
 
 
-def _branch_columns(n: int, marginals, seed: SeedSpec):
-    """x1, x2 and the max- and min-branch x3 of one extremal draw, picked
-    from each distinct marginal's quantile pair by whether the coordinate
-    is 1 - u (the min branch's x3 is at 1 - u3_max)."""
-    u, u2, u3 = sample_max_coskew(n, seed).u
-    flip2, flip3 = u2 != u, u3 != u
+def _branch_columns(u, flip2, flip3, marginals):
+    """x1, x2 and the max- and min-branch x3 of an extremal draw's rows, in
+    the order of u: each is picked from its marginal's quantile pair at u by
+    whether the coordinate is 1 - u (flip2 and flip3 for u2 and the max
+    branch's u3; the min branch's u3 is 1 - u3_max)."""
     pairs = {m: _quantile_pair(m, u) for m in dict.fromkeys(marginals)}
-    del u, u2, u3  # free the draws before the columns are built
     (a1, _), (a2, b2), (a3, b3) = (pairs[m] for m in marginals)
     return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
+
+
+def _bins(lams, h):
+    """The sorted distinct grid points, a stable order of the rows by bin,
+    and the bin edges in that order.  Bin k holds the rows with k grid
+    points <= h, so at the g-th point bins 0..g are on the max branch
+    (h < lam) and bins g+1..G on the min branch."""
+    grid = np.unique(lams)
+    bins = np.zeros(h.size, np.min_scalar_type(grid.size))
+    for lam in grid:
+        bins += h >= lam
+    order = np.argsort(bins, kind="stable")
+    edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
+    return grid, order, edges
+
+
+def _binned_flips(lams, seed: SeedSpec, u, u2, u3):
+    """Sort the rows of the extremal draw (u, u2, u3_max) by the selector's
+    bin (:func:`_bins`).  Returns the grid and the bin edges, then u and
+    whether u2 and u3_max are 1 - u, in bin order: one float and two
+    boolean gathers."""
+    grid, order, edges = _bins(lams, substream(seed, _OFF_B).random(u.size))
+    return grid, edges, u[order], (u2 != u)[order], (u3 != u)[order]
 
 
 # 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
@@ -384,115 +414,105 @@ _RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
 
 @dataclass(frozen=True, eq=False)
 class MixtureSweep:
-    """One mixture draw over a lambda grid: the columns x1 and x2, both
-    branches' x3 and the selector h, from :func:`mixture_sweep`.
+    """One mixture draw over a lambda grid, from :func:`mixture_sweep`: the
+    columns x1 and x2 and both branches' x3, each held once, with the rows
+    sorted by selector bin.
 
-    Iterating yields (lam, TriSample) for each lambda in order; each sample
-    equals ``to_data(sample_mixture(n, lam, seed), *marginals)`` bit for
-    bit.  :meth:`moments` gives each lambda's moment accumulator and
+    ``grid`` holds the sorted distinct lambdas.  Bin k holds the rows whose
+    selector h has k grid points at or below it, rows ``edges[k]`` to
+    ``edges[k + 1]``, in draw order within the bin.  At lambda = grid[g]
+    the rows with h < lambda are bins 0..g, so that lambda's x3 is ``hi3``
+    (the max branch) on its first :meth:`max_rows` rows and ``lo3`` (the
+    min branch) on the rest.  Its sample is then the rows of
+    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin order, bit
+    for bit.  :meth:`moments` gives each lambda's moment accumulator and
     :meth:`rank_stats` its true-CDF rank statistics, without building the
     samples.
     """
 
     lams: tuple[float, ...]
+    grid: np.ndarray
+    edges: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     hi3: np.ndarray
     lo3: np.ndarray
-    h: np.ndarray
     seed: SeedSpec
 
-    def __iter__(self):
-        for lam in self.lams:
-            x = np.stack([self.x1, self.x2, np.where(self.h < lam, self.hi3, self.lo3)])
-            yield lam, TriSample(x, self.seed)
-
-    def _bins(self):
-        """The sorted distinct grid points, a stable order of the rows by
-        bin, and the bin edges in that order.  Bin k holds the rows with k
-        grid points <= h, so at the g-th point bins 0..g are on the max
-        branch (h < lam) and bins g+1..G on the min branch."""
-        grid = np.unique(self.lams)
-        bins = np.zeros(self.h.size, np.min_scalar_type(grid.size))
-        for lam in grid:
-            bins += self.h >= lam
-        order = np.argsort(bins, kind="stable")
-        edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
-        return grid, order, edges
+    def max_rows(self) -> np.ndarray:
+        """For each lambda, in order, how many leading rows take the max
+        branch's x3."""
+        return self.edges[np.searchsorted(self.grid, self.lams) + 1]
 
     def moments(self) -> list[MomentAccumulator]:
         """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
 
-        The rows are sorted by bin once (:meth:`_bins`), each nonempty bin is
-        reduced once per branch it can take, and each point's accumulator
-        merges the max-branch prefix with the min-branch suffix.  The merges
-        are shift-stable and compensated, so the values match a one-shot
-        update of each sample to ~1e-12 relative; the bits differ.
+        Each nonempty bin is reduced once per branch it can take, and each
+        point's accumulator merges the max-branch prefix with the min-branch
+        suffix.  The merges are shift-stable and compensated, so the values
+        match a one-shot update of each sample to ~1e-12 relative; the bits
+        differ.
         """
-        grid, order, edges = self._bins()
-        g_max = grid.size
-        cols = np.empty((4, self.h.size))
-        for row, col in zip(cols, (self.x1, self.x2, self.hi3, self.lo3)):
-            np.take(col, order, out=row)
-        del order
+        edges, g_max = self.edges, self.grid.size
 
-        def reduce(branch, k):
-            return MomentAccumulator(3).update(cols[branch, edges[k]:edges[k + 1]])
+        def reduce(x3, k):
+            rows = slice(edges[k], edges[k + 1])
+            return MomentAccumulator(3).update(np.stack([self.x1[rows], self.x2[rows], x3[rows]]))
 
         suffix = [MomentAccumulator(3)]
         for k in range(g_max, 0, -1):
             acc = MomentAccumulator(3).merge(suffix[-1])
-            suffix.append(acc.merge(reduce([0, 1, 3], k)))
+            suffix.append(acc.merge(reduce(self.lo3, k)))
         suffix.reverse()  # suffix[g]: the min branch over bins g+1..G
         prefix, at_point = MomentAccumulator(3), []
         for g in range(g_max):
-            prefix.merge(reduce([0, 1, 2], g))
+            prefix.merge(reduce(self.hi3, g))
             at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
-        return [at_point[g] for g in np.searchsorted(grid, self.lams)]
+        return [at_point[g] for g in np.searchsorted(self.grid, self.lams)]
 
     def rank_stats(self) -> np.ndarray:
         """True-CDF rank statistics for each lambda, in order: one row of
         (rho12_s, rho13_s, rho23_s, rs) per lambda.
 
         The true-CDF rank of F^-1(u) is u, so the rank coordinates are the
-        copula's u, u2 and u3, replayed from the seed; no marginal is
-        involved.  Each is u or 1 - u, so every centred product is
-        +-(u - 1/2)^k, and a row on the min branch flips the sign of every
-        product with u3.  Each product, taken with the max branch's u3, is
-        summed over each bin of :meth:`_bins` as one contiguous slice; at
-        the g-th point its sum over the rows is 2 * (the sum over bins
-        0..g) - (the total).  rho12_s takes no branch.  The values match
+        copula's u, u2 and u3, replayed from the seed and binned again by
+        :func:`_binned_flips`; no marginal is involved.  Each is u or 1 - u,
+        so every centred product is +-(u - 1/2)^k, and a row on the min
+        branch flips the sign of every product with u3.  Each product, taken
+        with the max branch's u3, is summed over each bin as one contiguous
+        slice; at the g-th point its sum over the rows is 2 * (the sum over
+        bins 0..g) - (the total).  rho12_s takes no branch.  The values match
         spearman_rho and rank_coskewness of each lambda's ranks to ~1e-15.
         """
-        grid, order, edges = self._bins()
-        n = self.h.size
-        a, b, c = (np.take(col, order) - 0.5 for col in _extremal_u(n, self.seed))
-        del order
+        n = self.x1.size
+        *_, a, flip2, flip3 = _binned_flips(self.lams, self.seed, *_extremal_u(n, self.seed))
+        a -= 0.5  # u - 1/2; a flipped coordinate 1 - u centres to -a, exactly
+        b, c = np.where(flip2, -a, a), np.where(flip3, -a, a)
         bin_sums = np.array([
             [np.sum(a[s] * b[s]), np.sum(a[s] * c[s]), np.sum(b[s] * c[s]),
              np.sum(a[s] * b[s] * c[s])]
-            for s in map(slice, edges[:-1], edges[1:])
+            for s in map(slice, self.edges[:-1], self.edges[1:])
         ])
         total = bin_sums.sum(axis=0)
         sums = 2.0 * np.cumsum(bin_sums, axis=0)[:-1] - total
         sums[:, 0] = total[0]
-        return sums[np.searchsorted(grid, self.lams)] * _RANK_SCALE / n
+        return sums[np.searchsorted(self.grid, self.lams)] * _RANK_SCALE / n
 
 
 def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> MixtureSweep:
     """Data-space mixture samples over a lambda grid, drawn once.
 
-    The uniforms and the selector are drawn once, and each distinct
-    marginal is inverted once, at u, for the pair (F^-1(u), F^-1(1 - u)):
-    a symmetric marginal reflects it, 2*mean - F^-1(u), and a
-    non-symmetric one inverts 1 - u as well.  x1, x2 and both branches' x3
-    are picked from those pairs by whether the coordinate is 1 - u.  Each
-    lambda's sample only stacks x1, x2 and the x3 its selector picks, and
-    its moments come from merged per-bin accumulators
-    (:meth:`MixtureSweep.moments`).  A lambda outside [0, 1] raises
-    DomainError, as in sample_mixture, before anything is drawn.
+    The extremal draw (:func:`sample_max_coskew`) and the selector are drawn
+    once, and the rows are sorted by selector bin right away
+    (:func:`_binned_flips`), gathering only u and whether u2 and u3_max
+    are 1 - u.  Each distinct marginal is then inverted once, at the
+    bin-ordered u, for the pair (F^-1(u), F^-1(1 - u)): a symmetric
+    marginal reflects it, 2*mean - F^-1(u), and a non-symmetric one inverts
+    1 - u as well.  x1, x2 and both branches' x3 are picked from those
+    pairs, already in bin order, and held once by the returned
+    :class:`MixtureSweep`.  A lambda outside [0, 1] raises DomainError, as
+    in sample_mixture, before anything is drawn.
     """
     lams = tuple(_check_lam(lam) for lam in lams)
-    x1, x2, hi3, lo3 = _branch_columns(n, marginals, seed)
-    h = substream(seed, _OFF_B).random(n)
-    return MixtureSweep(lams, x1, x2, hi3, lo3, h, seed)
+    grid, edges, u, flip2, flip3 = _binned_flips(lams, seed, *sample_max_coskew(n, seed).u)
+    return MixtureSweep(lams, grid, edges, *_branch_columns(u, flip2, flip3, marginals), seed)

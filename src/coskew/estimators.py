@@ -13,13 +13,16 @@ sample means:
 Moments come from a streaming accumulator that centers within each chunk
 and merges chunk summaries with shift-stable update formulas plus Neumaier
 compensation, so results are accurate to ~1e-12 relative up to n = 1e7 and
-bit-stable for a fixed chunking.  The third moments are symmetric, so the
-accumulator keeps only the distinct ones, one per index triple
-i <= j <= k (10 for three columns).  A chunk's third moments come from
-blocks of rows: each block's pairwise products z_i z_j are multiplied by
-the block's columns in one matrix product.  A mixture sweep builds each
-lambda's accumulator by merging per-bin accumulators of the selector (see
-:meth:`coskew.copulas.MixtureSweep.moments`), under the same contract.
+bit-stable for a fixed chunking.  A chunk's second moments are its
+d(d+1)/2 distinct row dot products z_i . z_j, each written to both (i, j)
+and (j, i), so the matrix is exactly symmetric.  The third moments are
+symmetric too, so the accumulator keeps only the distinct ones, one per
+index triple i <= j <= k (10 for three columns).  A chunk's third moments
+come from blocks of rows: each block's pairwise products z_i z_j are
+multiplied by the block's columns in one matrix product.  A mixture sweep
+builds each lambda's accumulator by merging per-bin accumulators of the
+selector (see :meth:`coskew.copulas.MixtureSweep.moments`), under the same
+contract.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     DomainError,
     InsufficientEventRowsError,
 )
-from .marginals import Marginal
+from .marginals import Marginal, token_number
 from .samples import TriSample
 
 __all__ = [
@@ -110,12 +113,13 @@ class MomentAccumulator:
     the data.  Accumulators can also be merged pairwise; merging in a fixed
     chunk order gives bit-identical results.
 
-    The third moments are stored packed, one per index triple i <= j <= k
-    (d(d+1)(d+2)/6 of them), and unpacked into an exactly symmetric
-    (d, d, d) tensor when read.  ``update`` forms them in blocks of
-    ``_BLOCK`` rows: the block's pairwise products z_i z_j (i <= j) fill one
-    preallocated array, whose product with the block's columns adds
-    sum z_i z_j z_k for every k.
+    The second moments of a chunk are its row dot products z_i . z_j, one
+    per pair i <= j, mirrored.  The third moments are stored packed, one
+    per index triple i <= j <= k (d(d+1)(d+2)/6 of them), and unpacked into
+    an exactly symmetric (d, d, d) tensor when read.  ``update`` forms them
+    in blocks of ``_BLOCK`` rows: the block's pairwise products z_i z_j
+    (i <= j) fill one preallocated array, whose product with the block's
+    columns adds sum z_i z_j z_k for every k.
     """
 
     def __init__(self, d: int):
@@ -144,7 +148,9 @@ class MomentAccumulator:
         other.n = m
         other.mean = chunk.mean(axis=1)
         z = chunk - other.mean[:, None]
-        other._m2 = z @ z.T
+        other._m2 = np.empty((self.d, self.d))
+        for i, j in zip(pk.pair_i, pk.pair_j):
+            other._m2[i, j] = other._m2[j, i] = z[i] @ z[j]
         sums = np.zeros((pk.pair_i.size, self.d))  # sum z_i z_j z_k, pair (i, j) by k
         products = np.empty((pk.pair_i.size, min(m, _BLOCK)))
         for start in range(0, m, _BLOCK):
@@ -346,7 +352,7 @@ class EventSpec:
     def token(self) -> str:
         if self.kind == "downside":
             return "downside"
-        return f"{self.kind}:{self.p:g}"
+        return f"{self.kind}:{token_number(self.p)}"
 
     def __str__(self) -> str:
         return self.token

@@ -6,15 +6,18 @@ The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
 
     1. draw u, v uniform and the Bernoulli selector h from fixed substreams
     2. build the max- and min-coskewness copulas from (u, v); every
-       coordinate is u or 1 - u, so invert each distinct marginal once, at
-       u, and take both branches' columns from (F^-1(u), F^-1(1 - u))
-    3. x3 is the max branch's where h < lambda: sort the rows once into
-       bins of h between grid points, and reduce each bin once for each
-       branch it can take
+       coordinate is u or 1 - u.  Sort the rows once into bins of h between
+       grid points, gathering only u and which coordinates are 1 - u, then
+       invert each distinct marginal once, at the sorted u, and take both
+       branches' columns, in bin order, from (F^-1(u), F^-1(1 - u))
+    3. x3 is the max branch's where h < lambda, which in bin order is a
+       prefix of the rows; reduce each bin once for each branch it can take
     4. per lambda, merge the max-branch bins below it with the min-branch
        bins above it, and compute pairwise correlations and the coskewness
-       with population-normalized standard deviations; an event's
-       conditional correlations come from one accumulator over its rows
+       with population-normalized standard deviations.  An event's
+       conditional correlations come from one accumulator over its rows,
+       with the event mask built on one bin-ordered (3, n) buffer whose
+       third row is refilled per lambda from the two branches
     5. rank statistics use true-CDF ranks, and the true-CDF rank of
        F^-1(u) is u, so the ranks are the copula coordinates themselves and
        no marginal is applied; equal to the ranks of any continuous
@@ -44,7 +47,7 @@ from .marginals import (
     standard_normal,
     student_t,
 )
-from .samples import SeedSpec, substream
+from .samples import SeedSpec, TriSample, substream
 
 __all__ = [
     "DEFAULT_N",
@@ -162,9 +165,15 @@ def _sweep_rows(sweep, marginals, bounds=None, event=None) -> list[dict]:
             row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
         rows.append(row)
     if event is not None:
-        for row, (_, ts) in zip(rows, sweep):
-            mask = estimators.build_event_mask(ts, event, marginals)
-            acc = estimators.conditional_moments(ts.x, mask)
+        # one (3, n) buffer in the sweep's bin order: per lambda its third
+        # row takes the max branch on the leading rows and the min branch on
+        # the rest, and TriSample wraps it without a copy
+        x = np.stack([sweep.x1, sweep.x2, sweep.lo3])
+        for row, cut in zip(rows, sweep.max_rows()):
+            x[2, :cut] = sweep.hi3[:cut]
+            x[2, cut:] = sweep.lo3[cut:]
+            mask = estimators.build_event_mask(TriSample(x, sweep.seed), event, marginals)
+            acc = estimators.conditional_moments(x, mask)
             row["event_fraction"] = float(mask.mean())
             row["cond_rho12"] = acc.corr(0, 1)
             row["cond_rho13"] = acc.corr(0, 2)

@@ -42,6 +42,14 @@ def norm_cdf(x):
     return special.ndtr(x)
 
 
+def token_number(x: float) -> str:
+    """x as it appears in a token: the ``g`` text (6 significant digits)
+    wherever it reads back as x, so "mixture:1", "t:5" and "1e-07" keep
+    their bytes, and otherwise the shortest text that does (``repr``)."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def _check_prob_open(p, name="p"):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -203,9 +211,9 @@ class Marginal:
     @property
     def token(self) -> str:
         if self.family == "t":
-            return f"t:{self.df:g}"
+            return f"t:{token_number(self.df)}"
         if self.family == "exp":
-            return f"exp:{self.rate:g}"
+            return f"exp:{token_number(self.rate)}"
         return self.family
 
     def __str__(self) -> str:

@@ -133,22 +133,43 @@ class TestMixture:
 
 class TestMixtureSweep:
     GRID = (0.0, 0.1, 0.25, 0.5, 0.5, 0.8, 0.999, 1.0)
+    MARGIN_SETS = [
+        "normal,normal,normal", "t:5,t:5,t:5", "laplace,laplace,laplace",
+        "exp:2,exp:2,exp:2", "uniform,uniform,uniform", "t:5,laplace,exp:2",
+        "t:3.05,normal,t:3.05",
+    ]
 
-    @pytest.mark.parametrize(
-        "margins",
-        ["normal,normal,normal", "t:5,t:5,t:5", "laplace,laplace,laplace",
-         "exp:2,exp:2,exp:2", "uniform,uniform,uniform", "t:5,laplace,exp:2",
-         "t:3.05,normal,t:3.05"],
-    )
+    @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
+        # sample_data builds one mixture sample in row order from the
+        # sweep's branch columns
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        swept = list(mixture_sweep(3000, self.GRID, m, seed))
-        assert [lam for lam, _ in swept] == list(self.GRID)
-        for lam, ts in swept:
+        for lam in self.GRID:
+            ts = sample_data(CopulaSpec("mixture", lam=lam), 3000, m, seed)
             ref = to_data(sample_mixture(3000, lam, seed), *m)
             # bytes, not values: -0.0 == 0.0 but prints as "-0"
             assert ts.x.tobytes() == ref.x.tobytes(), lam
             assert ts.seed == seed
+
+    @pytest.mark.parametrize("margins", MARGIN_SETS)
+    def test_columns_are_the_reference_in_stable_bin_order(self, margins, seed):
+        # bins counted here from the grid and the selector, independently of
+        # the sweep; both branches' x3 come from the lambda = 1 and 0 samples
+        m = tuple(parse_marginal(t) for t in margins.split(","))
+        sweep = mixture_sweep(3000, self.GRID, m, seed)
+        h = substream(seed, copulas._OFF_B).random(3000)
+        bins = (h[:, None] >= np.unique(self.GRID)).sum(axis=1)
+        order = np.argsort(bins, kind="stable")
+        hi = to_data(sample_mixture(3000, 1.0, seed), *m).x[:, order]
+        lo = to_data(sample_mixture(3000, 0.0, seed), *m).x[:, order]
+        for got, want in ((sweep.x1, hi[0]), (sweep.x2, hi[1]), (sweep.hi3, hi[2]),
+                          (sweep.lo3, lo[2])):
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(lo[:2], hi[:2])
+        for lam, cut in zip(self.GRID, sweep.max_rows()):
+            assert cut == np.count_nonzero(h < lam), lam
+            assert np.all(h[order][:cut] < lam) and np.all(h[order][cut:] >= lam)
+        assert sweep.seed == seed
 
     @pytest.mark.parametrize(
         "margins,calls",
@@ -165,13 +186,13 @@ class TestMixtureSweep:
 
         monkeypatch.setattr(Marginal, "quantile", counted)
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        list(mixture_sweep(3000, self.GRID, m, seed))
+        mixture_sweep(3000, self.GRID, m, seed)
         assert len(made) == calls
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_lambda_domain(self, bad, seed):
         with pytest.raises(DomainError):
-            list(mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed))
+            mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed)
 
 
 def _assert_moments_match(acc, ref):
@@ -192,7 +213,7 @@ class TestSweepMoments:
     N = 1000
     SEED = SeedSpec(11, 2)
     MARGINS = (standard_normal(),) * 3
-    H = mixture_sweep(N, (), MARGINS, SEED).h
+    H = substream(SEED, copulas._OFF_B).random(N)  # the sweep's selector
     POINT = st.one_of(
         st.sampled_from([0.0, 1.0, 0.5]),
         st.floats(0.0, 1.0),
@@ -218,12 +239,15 @@ class TestSweepMoments:
             _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
 
     def test_heavy_tails_at_a_million_rows(self):
-        # the sweep's samples equal the per-lambda path bit for bit
-        # (TestMixtureSweep); reducing them in one shot is the oracle here
+        # the sweep's columns are the per-lambda path's in bin order
+        # (TestMixtureSweep); reducing each lambda's rows in one shot is the
+        # oracle here
         m = (parse_marginal("t:3.05"),) * 3
         sweep = mixture_sweep(1_000_000, (0.0, 0.25, 0.5, 0.5, 1.0, 0.75), m, self.SEED)
-        for (_, ts), acc in zip(sweep, sweep.moments()):
-            _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
+        for cut, acc in zip(sweep.max_rows(), sweep.moments()):
+            x3 = np.concatenate([sweep.hi3[:cut], sweep.lo3[cut:]])
+            _assert_moments_match(acc, MomentAccumulator(3).update(
+                np.stack([sweep.x1, sweep.x2, x3])))
 
 
 class TestSweepRankStats:
@@ -471,6 +495,28 @@ class TestSpecParsing:
     def test_tokens_roundtrip(self):
         for token in ALL_TOKENS:
             assert parse_copula(token).token == token
+
+    RHO = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+    @given(spec=st.one_of(
+        st.sampled_from([CopulaSpec(kind) for kind in
+                         ("comonotonic", "independence", "max", "min", "mixingsum")]),
+        st.floats(0.0, 1.0).map(lambda lam: CopulaSpec("mixture", lam=lam)),
+        st.tuples(RHO, RHO, RHO)
+        .filter(lambda r: 1.0 - r[0]**2 - r[1]**2 - r[2]**2 + 2.0 * r[0] * r[1] * r[2] >= 0.0)
+        .map(lambda r: CopulaSpec("gaussian", gaussian=GaussianParams(*r))),
+    ))
+    @example(spec=CopulaSpec("mixture", lam=0.1234567))
+    @example(spec=CopulaSpec("gaussian", gaussian=GaussianParams(0.1 + 0.2, 0.5, -1 / 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_token_reparses_to_the_same_spec(self, spec):
+        assert parse_copula(spec.token) == spec
+
+    def test_short_parameters_keep_their_g_text(self):
+        # the 6-digit g text, "mixture:0.123457", would not read back
+        assert CopulaSpec("mixture", lam=0.1234567).token == "mixture:0.1234567"
+        assert [parse_copula(t).token for t in ("mixture:1", "mixture:0", "mixture:1e-07")] == \
+            ["mixture:1", "mixture:0", "mixture:1e-07"]
 
     def test_rejects_bad_tokens(self):
         for bad in ("clayton", "mixture", "gaussian:0.5", "mixture:2"):

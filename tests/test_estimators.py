@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
@@ -307,6 +307,22 @@ class TestEventMask:
         with pytest.raises(DomainError):
             EventSpec("exceed-upper", p=1.5)
 
+    @given(ev=st.one_of(
+        st.just(EventSpec("downside")),
+        st.builds(EventSpec, st.sampled_from(["exceed-upper", "exceed-lower"]),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    ))
+    @example(ev=EventSpec("exceed-upper", 0.1234567))
+    @settings(max_examples=200, deadline=None)
+    def test_token_reparses_to_the_same_event(self, ev):
+        assert parse_event(ev.token) == ev
+
+    def test_short_probabilities_keep_their_g_text(self):
+        # the 6-digit g text, "exceed-upper:0.123457", would not read back
+        assert EventSpec("exceed-upper", 0.1234567).token == "exceed-upper:0.1234567"
+        assert EventSpec("exceed-lower", 0.9).token == "exceed-lower:0.9"
+        assert EventSpec("exceed-upper", 1e-7).token == "exceed-upper:1e-07"
+
 
 class TestMomentAccumulator:
     @staticmethod
@@ -385,7 +401,9 @@ class TestMomentAccumulator:
     )
     @settings(max_examples=60, deadline=None)
     def test_packed_third_moments_match_fsum_oracle(self, d, n, cuts, seed):
-        # skewed, mixed and shifted columns; repeated cuts give empty chunks.
+        # the second moments (row dot products) and the packed third moments
+        # against fsum; skewed, mixed and shifted columns; repeated cuts give
+        # empty chunks.
         # Mixing weights of at least 1/2 and shifts of at most 10 keep each
         # column's mean within ~40 of its spread, so centering, in the oracle
         # as in the accumulator, rounds far below the tolerance
@@ -398,8 +416,14 @@ class TestMomentAccumulator:
             warnings.simplefilter("error")
             for a, b in zip(edges, edges[1:]):
                 acc.update(x[:, a:b])
-        got = acc.third_central()
         c = x - np.array([math.fsum(col) / n for col in x])[:, None]
+        got2 = acc.second_central()
+        for i, j in itertools.product(range(d), repeat=2):
+            terms = c[i] * c[j]
+            scale = math.fsum(np.abs(terms)) / n
+            assert abs(got2[i, j] - math.fsum(terms) / n) <= 1e-12 * scale, (i, j)
+        assert got2.tobytes() == got2.T.tobytes()  # symmetric bit for bit
+        got = acc.third_central()
         for i, j, k in itertools.product(range(d), repeat=3):
             terms = c[i] * c[j] * c[k]
             # 1e-12 relative to E|z_i z_j z_k|, the scale the sum cancels from

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coskew import analytic, copulas, experiments
 from coskew.errors import DomainError, InsufficientEventRowsError
@@ -28,6 +30,8 @@ from coskew.experiments import (
 )
 from coskew.marginals import exponential, laplace, standard_normal, uniform01
 from coskew.samples import SeedSpec, substream
+
+import test_copulas  # TestSweepMoments' draw and grid points
 
 NORMAL_BOUND = 1.5957691216057308
 
@@ -146,19 +150,34 @@ class TestFigure2:
 
 
 class TestEventMoments:
-    # figure2 takes its three conditional correlations from one 3-column
-    # accumulator over the event rows; each must match conditional_corr
+    # figure2 takes each lambda's event mask from the sweep's bin-ordered
+    # buffer and its three conditional correlations from one 3-column
+    # accumulator over the event rows.  The oracle is the row-order path:
+    # the lambda's own sample, its mask and conditional_corr per pair.  The
+    # grids share TestSweepMoments' draw and points: duplicates, empty bins
+    # and rows exactly on a bin edge
+    N = test_copulas.TestSweepMoments.N
+    SEED = test_copulas.TestSweepMoments.SEED
+    H = test_copulas.TestSweepMoments.H
+    MARGINS = (laplace(),) * 3
+
     @pytest.mark.parametrize("token", ["downside", "exceed-upper:0.75",
                                        "exceed-lower:0.3"])
-    def test_matches_conditional_corr(self, token, seed):
+    @given(grid=st.lists(test_copulas.TestSweepMoments.POINT, min_size=1, max_size=6))
+    @example(grid=[0.0, 0.3, 0.3, 1.0])
+    @example(grid=[0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9])  # empty bins
+    @example(grid=[float(H[0]), 0.5, float(H[1])])  # a row on each bin edge
+    @settings(max_examples=40, deadline=None)
+    def test_matches_conditional_corr(self, token, grid):
         event = parse_event(token)
-        cfg = ExperimentConfig(n=5000, lambda_grid=(0.0, 0.3, 0.3, 1.0),
-                               marginals=(laplace(),) * 3, seed=seed, event=event)
+        cfg = ExperimentConfig(n=self.N, lambda_grid=sorted(grid), marginals=self.MARGINS,
+                               seed=self.SEED, event=event)
         rows = run_figure2(cfg).rows
-        sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, seed)
-        for row, (lam, ts) in zip(rows, sweep):
-            mask = build_event_mask(ts, event, cfg.marginals)
-            assert row["event_fraction"] == mask.mean()
+        assert len(rows) == len(grid)
+        for row, lam in zip(rows, cfg.lambda_grid):
+            ts = copulas.to_data(copulas.sample_mixture(self.N, lam, self.SEED), *self.MARGINS)
+            mask = build_event_mask(ts, event, self.MARGINS)
+            assert row["event_fraction"] == mask.mean(), lam
             for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
                                 ((1, 2), "cond_rho23")):
                 ref = conditional_corr(ts.x[i], ts.x[j], mask)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -191,6 +191,23 @@ class TestConstruction:
     def test_parse_roundtrip(self):
         for token in ("normal", "uniform", "laplace", "t:5", "exp:1"):
             assert parse_marginal(token).token == token
+
+    @given(m=st.one_of(
+        st.sampled_from([standard_normal(), uniform01(), laplace()]),
+        st.floats(3.0, 1e300, exclude_min=True).map(student_t),
+        st.floats(0.0, 1e300, exclude_min=True).map(exponential),
+    ))
+    @example(m=student_t(5.1234567))
+    @example(m=exponential(0.1 + 0.2))
+    @settings(max_examples=200, deadline=None)
+    def test_token_reparses_to_the_same_marginal(self, m):
+        assert parse_marginal(m.token) == m
+
+    def test_short_parameters_keep_their_g_text(self):
+        # the 6-digit g text, "t:5.12346", would not read back
+        assert student_t(5.1234567).token == "t:5.1234567"
+        assert [student_t(5).token, student_t(3.05).token] == ["t:5", "t:3.05"]
+        assert [exponential().token, exponential(1e-7).token] == ["exp:1", "exp:1e-07"]
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(DomainError):
