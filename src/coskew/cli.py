@@ -28,8 +28,10 @@ from .errors import CoskewError, DomainError
 from .marginals import parse_marginal
 from .samples import SeedSpec, TriSample
 
-_CSV_ROW = "%.17g,%.17g,%.17g\n"  # 17 significant digits read back exactly
-_CSV_CHUNK = 4096  # rows per pass; bounds the Python floats alive, so peak memory
+_CSV_ROW = b"%.17g,%.17g,%.17g\n"  # 17 significant digits read back exactly
+# rows per block; bounds the Python floats alive and the bytes held before
+# each write, so peak memory does not grow with n
+_CSV_CHUNK = 4096
 _DEFAULT_GRID_TEXT = ",".join(
     f"{lam:g}" for lam in experiments.ExperimentConfig.lambda_grid)
 
@@ -190,14 +192,14 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
     }
     if fmt == "csv":
         _echo_config(meta)
-        chunks = ["x1,x2,x3\n"]
-        for i in range(0, ts.n, _CSV_CHUNK):
-            rows = zip(*ts.x[:, i:i + _CSV_CHUNK].tolist())
-            chunks.append("".join(map(_CSV_ROW.__mod__, rows)))
-        _emit("".join(chunks), output)
+        with click.open_file(output, "wb") as fh:
+            fh.write(b"x1,x2,x3\n")
+            for i in range(0, ts.n, _CSV_CHUNK):
+                block = ts.x[:, i:i + _CSV_CHUNK]
+                fh.write(_CSV_ROW * block.shape[1] % tuple(block.T.ravel().tolist()))
     else:
         payload = {"metadata": meta,
-                   "columns": {f"x{j+1}": list(ts.x[j]) for j in range(3)}}
+                   "columns": {f"x{j+1}": ts.x[j].tolist() for j in range(3)}}
         _emit(json.dumps(payload) + "\n", output)
 
 

@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import coskew
-from coskew.cli import main
+from coskew.cli import _CSV_CHUNK, main
+from coskew.copulas import sample_data
 from coskew.experiments import DEFAULT_SEED
 
 
@@ -20,6 +21,12 @@ def runner():
 
 def _data_lines(output: str):
     return [l for l in output.splitlines() if l and not l.startswith("#")]
+
+
+def _sample_x(spec: str, margs: str, n: int, seed):
+    """The (3, n) data `coskew sample` draws for these tokens."""
+    marginals = tuple(map(coskew.parse_marginal, margs.split(",")))
+    return sample_data(coskew.parse_copula(spec), n, marginals, seed).x
 
 
 class TestSample:
@@ -73,6 +80,44 @@ class TestSample:
         want = coskew.to_data(us, *(coskew.parse_marginal(t) for t in margs.split(",")))
         assert np.array_equal(cells.T, want.x)
         assert lines[1] == ",".join(format(v, ".17g") for v in want.x[:, 0])
+
+    @pytest.mark.parametrize("n", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                   2 * _CSV_CHUNK + 3])
+    def test_csv_bytes_match_per_value_oracle(self, runner, tmp_path, n):
+        # the writer formats a block per call; the oracle formats value by value
+        spec, margs = "mixture:0.75", "t:5,laplace,exp:2"
+        args = ["sample", "--copula", spec, "--marginals", margs, "--n", str(n),
+                "--seed", "11", "--stream", "2"]
+        x = _sample_x(spec, margs, n, coskew.SeedSpec(11, 2))
+        want = "x1,x2,x3\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in x.T)
+        path = tmp_path / "s.csv"
+        to_file = runner.invoke(main, [*args, "--output", str(path)])
+        to_stdout = runner.invoke(main, args)
+        assert to_file.exit_code == to_stdout.exit_code == 0
+        assert path.read_bytes() == want.encode()
+        assert to_stdout.stdout_bytes == want.encode()
+
+    def test_failed_draw_creates_no_file(self, runner, tmp_path):
+        path = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sample", "--copula", "max", "--n", "0",
+                                   "--output", str(path)])
+        assert res.exit_code == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("spec", ["mixture:0.75", "gaussian:0.8,0.5,0.3"])
+    @pytest.mark.parametrize("margs", ["t:3.05,laplace,exp:2", "normal,normal,normal"])
+    def test_csv_reads_back_bit_for_bit(self, runner, tmp_path, spec, margs):
+        # the 17 significant digits README promises: loadtxt, as `stats` reads
+        n = 2 * _CSV_CHUNK + 3
+        path = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sample", "--copula", spec, "--marginals", margs,
+                                   "--n", str(n), "--seed", "5", "--output", str(path)])
+        assert res.exit_code == 0
+        x = _sample_x(spec, margs, n, coskew.SeedSpec(5, 0))
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert back.shape == (n, 3)
+        assert back.tobytes() == x.T.tobytes()
 
 
 class TestBounds:
