@@ -29,8 +29,8 @@ from .marginals import parse_marginal
 from .samples import SeedSpec, TriSample
 
 _CSV_ROW = b"%.17g,%.17g,%.17g\n"  # 17 significant digits read back exactly
-# rows per block; bounds the Python floats alive and the bytes held before
-# each write, so peak memory does not grow with n
+# rows per block of the CSV and JSON writers; bounds the Python floats alive
+# and the bytes held before each write, so peak memory does not grow with n
 _CSV_CHUNK = 4096
 _DEFAULT_GRID_TEXT = ",".join(
     f"{lam:g}" for lam in experiments.ExperimentConfig.lambda_grid)
@@ -198,9 +198,16 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
                 block = ts.x[:, i:i + _CSV_CHUNK]
                 fh.write(_CSV_ROW * block.shape[1] % tuple(block.T.ravel().tolist()))
     else:
-        payload = {"metadata": meta,
-                   "columns": {f"x{j+1}": ts.x[j].tolist() for j in range(3)}}
-        _emit(json.dumps(payload) + "\n", output)
+        # json.dumps of {"metadata": meta, "columns": {"x1": [...], ...}},
+        # written a block of each column at a time
+        with click.open_file(output, "w") as fh:
+            fh.write(f'{{"metadata": {json.dumps(meta)}, "columns": {{')
+            for j, col in enumerate(ts.x):
+                fh.write(f'{", " * bool(j)}"x{j+1}": [')
+                for i in range(0, ts.n, _CSV_CHUNK):
+                    fh.write(", " * bool(i) + json.dumps(col[i:i + _CSV_CHUNK].tolist())[1:-1])
+                fh.write("]")
+            fh.write("}}\n")
 
 
 @main.command("stats")

@@ -17,20 +17,21 @@ lambda.  It sorts the draw's rows once, right after drawing, into bins by
 how many grid points lie at or below their selector value, so each
 lambda's sample is a run of bins on the max branch followed by a run on
 the min branch.  Every coordinate of these copulas is U or 1-U, so the
-sort gathers only U and which coordinates are flipped, and each distinct
-marginal is inverted once, at the sorted U, for the pair
-(F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds x1, x2 and both
-branches' x3 once, in bin order; each lambda's moments merge the
-max-branch bins below it with the min-branch bins above it, and an event
-pass refills one buffer's third row with a prefix of one branch and a
-suffix of the other.  For a symmetric marginal F^-1(1-U) is the reflection
-2*mean - F^-1(U), which equals the direct quantile bit for bit on the
-samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own ends, so
-it moves no sampled value.  :func:`sample_data` builds one max, min or
-mixture sample, as ``coskew sample`` draws it, from the same branch
-columns in row order.  A sweep's true-CDF rank statistics need no marginal
-at all: the rank of F^-1(U) is U, so :meth:`MixtureSweep.rank_stats` sums
-the copula coordinates' centred products over the same bins.
+sort gathers only U and which coordinates are flipped.  That sorted draw,
+a :class:`MixtureDraw`, holds no marginal, so it serves every marginal
+triple of a seed: each distinct marginal is inverted once, at the sorted
+U, for the pair (F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds
+x1, x2 and both branches' x3 once, in bin order; each lambda's moments
+merge the max-branch bins below it with the min-branch bins above it, and
+an event pass refills one buffer's third row with a prefix of one branch
+and a suffix of the other.  For a symmetric marginal F^-1(1-U) is the
+reflection 2*mean - F^-1(U), which equals the direct quantile bit for bit
+on the samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own
+ends, so it moves no sampled value.  :func:`sample_data` builds one max,
+min or mixture sample, as ``coskew sample`` draws it, from the same branch
+columns in row order.  True-CDF rank statistics need no marginal at all:
+the rank of F^-1(U) is U, so :meth:`MixtureDraw.rank_stats` sums the held
+copula coordinates' centred products over the same bins.
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_ope
 __all__ = [
     "CopulaSpec",
     "GaussianParams",
+    "MixtureDraw",
     "MixtureSweep",
     "extremal_coords",
+    "gaussian_correlate",
     "gaussian_scores",
+    "gaussian_z",
     "mixing_sum_coords",
+    "mixture_draw",
     "mixture_sweep",
     "parse_copula",
     "sample",
@@ -284,23 +289,22 @@ def sample_mixing_sum(n: int, seed: SeedSpec = SeedSpec()) -> USample:
     return USample(np.stack([u, u2, u3]), seed)
 
 
-def gaussian_scores(
-    n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()
-) -> np.ndarray:
+def gaussian_z(n: int, seed: SeedSpec = SeedSpec()) -> np.ndarray:
+    """Independent standard normal rows Z, (3, n), for :func:`gaussian_correlate`."""
+    return substream(seed, 0).standard_normal((3, _check_n(n)))
+
+
+def gaussian_correlate(z: np.ndarray, params: GaussianParams) -> np.ndarray:
     """Correlated standard normal scores (H1, H2, H3) as a (3, n) array,
-    built from three independent standard normals:
+    built from the independent standard normal rows z:
 
         H1 = Z1
         H2 = rho12 Z1 + a Z2
         H3 = rho13 Z1 + (rho23 - rho12 rho13)/a Z2 + (b/a) Z3
-
-    They are the Gaussian copula's data under standard normal margins.
     """
-    n = _check_n(n)
     a = params.a
     if a == 0.0:
         raise InvalidCorrelationError("rho12 = +-1 degenerates the construction")
-    z = substream(seed, 0).standard_normal((3, n))
     h1 = z[0]
     h2 = params.rho12 * z[0] + a * z[1]
     h3 = (
@@ -309,6 +313,11 @@ def gaussian_scores(
         + params.b / a * z[2]
     )
     return np.stack([h1, h2, h3])
+
+
+def gaussian_scores(n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()) -> np.ndarray:
+    """The Gaussian copula's data under standard normal margins, (3, n)."""
+    return gaussian_correlate(gaussian_z(n, seed), params)
 
 
 def sample_gaussian(
@@ -384,29 +393,6 @@ def _branch_columns(u, flip2, flip3, marginals):
     return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
 
 
-def _bins(lams, h):
-    """The sorted distinct grid points, a stable order of the rows by bin,
-    and the bin edges in that order.  Bin k holds the rows with k grid
-    points <= h, so at the g-th point bins 0..g are on the max branch
-    (h < lam) and bins g+1..G on the min branch."""
-    grid = np.unique(lams)
-    bins = np.zeros(h.size, np.min_scalar_type(grid.size))
-    for lam in grid:
-        bins += h >= lam
-    order = np.argsort(bins, kind="stable")
-    edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
-    return grid, order, edges
-
-
-def _binned_flips(lams, seed: SeedSpec, u, u2, u3):
-    """Sort the rows of the extremal draw (u, u2, u3_max) by the selector's
-    bin (:func:`_bins`).  Returns the grid and the bin edges, then u and
-    whether u2 and u3_max are 1 - u, in bin order: one float and two
-    boolean gathers."""
-    grid, order, edges = _bins(lams, substream(seed, _OFF_B).random(u.size))
-    return grid, edges, u[order], (u2 != u)[order], (u3 != u)[order]
-
-
 # 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
 # coskewness, as in coskew.estimators
 _RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
@@ -414,20 +400,16 @@ _RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
 
 @dataclass(frozen=True, eq=False)
 class MixtureSweep:
-    """One mixture draw over a lambda grid, from :func:`mixture_sweep`: the
-    columns x1 and x2 and both branches' x3, each held once, with the rows
-    sorted by selector bin.
+    """The data columns of a :class:`MixtureDraw` under one marginal
+    triple (:meth:`MixtureDraw.with_marginals`): x1 and x2 and both
+    branches' x3, each held once, in the draw's bin order.
 
-    ``grid`` holds the sorted distinct lambdas.  Bin k holds the rows whose
-    selector h has k grid points at or below it, rows ``edges[k]`` to
-    ``edges[k + 1]``, in draw order within the bin.  At lambda = grid[g]
-    the rows with h < lambda are bins 0..g, so that lambda's x3 is ``hi3``
-    (the max branch) on its first :meth:`max_rows` rows and ``lo3`` (the
-    min branch) on the rest.  Its sample is then the rows of
-    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin order, bit
-    for bit.  :meth:`moments` gives each lambda's moment accumulator and
-    :meth:`rank_stats` its true-CDF rank statistics, without building the
-    samples.
+    At lambda = grid[g] the rows with h < lambda are bins 0..g, so that
+    lambda's x3 is ``hi3`` (the max branch) on its first :meth:`max_rows`
+    rows and ``lo3`` (the min branch) on the rest.  Its sample is then the
+    rows of ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin
+    order, bit for bit.  :meth:`moments` gives each lambda's moment
+    accumulator without building the samples.
     """
 
     lams: tuple[float, ...]
@@ -470,24 +452,47 @@ class MixtureSweep:
             at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
         return [at_point[g] for g in np.searchsorted(self.grid, self.lams)]
 
+
+@dataclass(frozen=True, eq=False)
+class MixtureDraw:
+    """One mixture draw over a lambda grid, from :func:`mixture_draw`, with
+    no marginal applied: u and whether u2 and u3_max are 1 - u (``flip2``,
+    ``flip3``), with the rows sorted by selector bin.
+
+    ``grid`` holds the sorted distinct lambdas.  Bin k holds the rows whose
+    selector h has k grid points at or below it, rows ``edges[k]`` to
+    ``edges[k + 1]``, in draw order within the bin.
+    """
+
+    lams: tuple[float, ...]
+    grid: np.ndarray
+    edges: np.ndarray
+    u: np.ndarray
+    flip2: np.ndarray
+    flip3: np.ndarray
+    seed: SeedSpec
+
+    def with_marginals(self, marginals) -> MixtureSweep:
+        """The draw's data columns under marginals (:func:`_branch_columns`)."""
+        cols = _branch_columns(self.u, self.flip2, self.flip3, marginals)
+        return MixtureSweep(self.lams, self.grid, self.edges, *cols, self.seed)
+
     def rank_stats(self) -> np.ndarray:
         """True-CDF rank statistics for each lambda, in order: one row of
         (rho12_s, rho13_s, rho23_s, rs) per lambda.
 
         The true-CDF rank of F^-1(u) is u, so the rank coordinates are the
-        copula's u, u2 and u3, replayed from the seed and binned again by
-        :func:`_binned_flips`; no marginal is involved.  Each is u or 1 - u,
-        so every centred product is +-(u - 1/2)^k, and a row on the min
-        branch flips the sign of every product with u3.  Each product, taken
-        with the max branch's u3, is summed over each bin as one contiguous
-        slice; at the g-th point its sum over the rows is 2 * (the sum over
-        bins 0..g) - (the total).  rho12_s takes no branch.  The values match
-        spearman_rho and rank_coskewness of each lambda's ranks to ~1e-15.
+        copula's u, u2 and u3, read from the held u and flips; no marginal
+        is involved.  Each is u or 1 - u, so every centred product is
+        +-(u - 1/2)^k, and a row on the min branch flips the sign of every
+        product with u3.  Each product, taken with the max branch's u3, is
+        summed over each bin as one contiguous slice; at the g-th point its
+        sum over the rows is 2 * (the sum over bins 0..g) - (the total).
+        rho12_s takes no branch.  The values match spearman_rho and
+        rank_coskewness of each lambda's ranks to ~1e-15.
         """
-        n = self.x1.size
-        *_, a, flip2, flip3 = _binned_flips(self.lams, self.seed, *_extremal_u(n, self.seed))
-        a -= 0.5  # u - 1/2; a flipped coordinate 1 - u centres to -a, exactly
-        b, c = np.where(flip2, -a, a), np.where(flip3, -a, a)
+        a = self.u - 0.5  # a flipped coordinate 1 - u centres to -a, exactly
+        b, c = np.where(self.flip2, -a, a), np.where(self.flip3, -a, a)
         bin_sums = np.array([
             [np.sum(a[s] * b[s]), np.sum(a[s] * c[s]), np.sum(b[s] * c[s]),
              np.sum(a[s] * b[s] * c[s])]
@@ -496,23 +501,27 @@ class MixtureSweep:
         total = bin_sums.sum(axis=0)
         sums = 2.0 * np.cumsum(bin_sums, axis=0)[:-1] - total
         sums[:, 0] = total[0]
-        return sums[np.searchsorted(self.grid, self.lams)] * _RANK_SCALE / n
+        return sums[np.searchsorted(self.grid, self.lams)] * _RANK_SCALE / self.u.size
+
+
+def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:
+    """The extremal draw (:func:`sample_max_coskew`) and the selector h,
+    drawn once, with the rows sorted stably by how many grid points are at
+    or below their h.  A lambda outside [0, 1] raises DomainError, as in
+    sample_mixture, before anything is drawn."""
+    lams = tuple(_check_lam(lam) for lam in lams)
+    grid = np.unique(lams)
+    u, u2, u3 = sample_max_coskew(n, seed).u
+    h = substream(seed, _OFF_B).random(u.size)
+    bins = np.zeros(h.size, np.min_scalar_type(grid.size))
+    for lam in grid:
+        bins += h >= lam
+    order = np.argsort(bins, kind="stable")
+    edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
+    return MixtureDraw(lams, grid, edges, u[order], (u2 != u)[order], (u3 != u)[order], seed)
 
 
 def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> MixtureSweep:
-    """Data-space mixture samples over a lambda grid, drawn once.
-
-    The extremal draw (:func:`sample_max_coskew`) and the selector are drawn
-    once, and the rows are sorted by selector bin right away
-    (:func:`_binned_flips`), gathering only u and whether u2 and u3_max
-    are 1 - u.  Each distinct marginal is then inverted once, at the
-    bin-ordered u, for the pair (F^-1(u), F^-1(1 - u)): a symmetric
-    marginal reflects it, 2*mean - F^-1(u), and a non-symmetric one inverts
-    1 - u as well.  x1, x2 and both branches' x3 are picked from those
-    pairs, already in bin order, and held once by the returned
-    :class:`MixtureSweep`.  A lambda outside [0, 1] raises DomainError, as
-    in sample_mixture, before anything is drawn.
-    """
-    lams = tuple(_check_lam(lam) for lam in lams)
-    grid, edges, u, flip2, flip3 = _binned_flips(lams, seed, *sample_max_coskew(n, seed).u)
-    return MixtureSweep(lams, grid, edges, *_branch_columns(u, flip2, flip3, marginals), seed)
+    """Data-space mixture samples over a lambda grid, drawn once:
+    ``mixture_draw(n, lams, seed).with_marginals(marginals)``."""
+    return mixture_draw(n, lams, seed).with_marginals(marginals)

@@ -22,7 +22,8 @@ The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
        F^-1(u) is u, so the ranks are the copula coordinates themselves and
        no marginal is applied; equal to the ranks of any continuous
        marginal up to rounding.  A sweep's come from per-bin sums over the
-       bins of step 3 (:meth:`~coskew.copulas.MixtureSweep.rank_stats`)
+       bins of step 3 (:meth:`~coskew.copulas.MixtureDraw.rank_stats`),
+       read from step 2's draw, which serves every marginal triple
 
 Every lambda shares the same draws, so curves are variance-reduced and
 pathwise comparable across grid points.
@@ -274,15 +275,15 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
     return ExperimentReport("example1", rows, meta)
 
 
-def _gauss_stats(n, triple, seed):
-    """Moment statistics and |rank coskewness| of one Gaussian copula draw.
+def _gauss_stats(z, triple):
+    """Moment statistics and |rank coskewness| of one Gaussian copula on z.
 
     The moments are the scores H's, which are the data under standard
     normal margins.  The ranks are the copula coordinates norm_cdf(H),
     which equal the true-CDF ranks of any continuous marginal up to
     rounding.
     """
-    h = copulas.gaussian_scores(n, copulas.GaussianParams(*triple), seed)
+    h = copulas.gaussian_correlate(z, copulas.GaussianParams(*triple))
     stats = _moment_stats(estimators.MomentAccumulator(3).update(h))
     return stats, abs(estimators.rank_coskewness(*norm_cdf(h)))
 
@@ -334,13 +335,21 @@ def verify_propositions(
     normal3 = (standard_normal(),) * 3
     bounds_n = analytic.coskew_bound(*normal3)
 
-    # P1, P3, P6 and P7 share one normal sweep; P2, P5 and P8 share one
-    # Gaussian copula draw per triple
-    sweep = copulas.mixture_sweep(n, _VERIFY_GRID, normal3, seed)
-    mix_n = {row["lambda"]: row for row in _sweep_rows(sweep, normal3, bounds_n)}
-    mix_ranks = sweep.rank_stats()
-    del sweep
-    gauss_n, gauss_rs = zip(*[_gauss_stats(n, t, seed) for t in _GAUSS_TRIPLES])
+    # One mixture draw serves P1, P3, P4 and P6/P7; it is freed before the
+    # one draw of normals Z that P2, P5 and P8's triples combine
+    draw = copulas.mixture_draw(n, _VERIFY_GRID, seed)
+    mix_n = {row["lambda"]: row
+             for row in _sweep_rows(draw.with_marginals(normal3), normal3, bounds_n)}
+    mix_ranks = draw.rank_stats()
+    worst_rho_p4 = max(
+        _max_abs_rho(st)
+        for m in ((laplace(),) * 3, (student_t(5),) * 3)
+        for st in _sweep_rows(draw.with_marginals(m), m)
+        if st["lambda"] in (0.0, 0.5, 1.0)
+    )
+    del draw
+    z = copulas.gaussian_z(n, seed)
+    gauss_n, gauss_rs = zip(*[_gauss_stats(z, t) for t in _GAUSS_TRIPLES])
 
     # P1: symmetric marginals, mixture structure: coskewness spans the whole
     # range while every pairwise correlation stays at zero.
@@ -373,14 +382,9 @@ def verify_propositions(
     ))
 
     # P4: correlations stay zero for other symmetric marginals too.
-    worst_rho = max(
-        _max_abs_rho(st)
-        for m in ((laplace(),) * 3, (student_t(5),) * 3)
-        for st in _sweep_rows(copulas.mixture_sweep(n, (0.0, 0.5, 1.0), m, seed), m)
-    )
     records.append(_record(
         "P4", "zero correlations persist for Laplace and Student-t margins",
-        ("max |rho|", worst_rho, 0.02, ".4f"),
+        ("max |rho|", worst_rho_p4, 0.02, ".4f"),
     ))
 
     # P5: Gaussian coskewness is zero whatever the correlations.
@@ -393,7 +397,7 @@ def verify_propositions(
     # P6/P7: with arbitrary continuous marginals the mixture keeps all rank
     # correlations at zero while rank coskewness sweeps [-1, 1] as 2l-1.
     # True-CDF ranks are the copula coordinates whatever the marginals, so
-    # they come from the normal sweep's draw.
+    # they come from the shared draw.
     rho_s, rs = mix_ranks[:, :3], mix_ranks[:, 3]
     worst_rho_s = float(np.max(np.abs(rho_s)))
     worst_rs = float(np.max(np.abs(rs - (2.0 * np.array(_VERIFY_GRID) - 1.0))))

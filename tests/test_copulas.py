@@ -7,13 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from coskew import copulas
+from coskew import copulas, experiments
 from coskew.copulas import (
     CopulaSpec,
     GaussianParams,
     extremal_coords,
+    gaussian_correlate,
     gaussian_scores,
+    gaussian_z,
     mixing_sum_coords,
+    mixture_draw,
     mixture_sweep,
     parse_copula,
     sample,
@@ -194,6 +197,24 @@ class TestMixtureSweep:
         with pytest.raises(DomainError):
             mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed)
 
+    def test_one_draw_serves_every_marginal_triple(self, seed):
+        # each triple's columns from one shared draw equal a sweep of its
+        # own, bit for bit, and neither the columns nor the ranks read
+        # between them alter the held draw
+        draw = mixture_draw(3000, self.GRID, seed)
+        held = [draw.u.copy(), draw.flip2.copy(), draw.flip3.copy()]
+        ranks = draw.rank_stats()
+        for margins in ("normal,normal,normal", "t:5,t:5,t:5", "exp:1,exp:1,exp:1"):
+            m = tuple(parse_marginal(t) for t in margins.split(","))
+            got, want = draw.with_marginals(m), mixture_sweep(3000, self.GRID, m, seed)
+            assert got.lams == want.lams and got.seed == want.seed
+            for field in ("grid", "edges", "x1", "x2", "hi3", "lo3"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (margins, field)
+            assert draw.rank_stats().tobytes() == ranks.tobytes()
+        for a, b in zip(held, (draw.u, draw.flip2, draw.flip3)):
+            assert a.tobytes() == b.tobytes()
+
 
 def _assert_moments_match(acc, ref):
     # 1e-12 relative; the absolute floor serves a lambda whose coskewness
@@ -273,10 +294,10 @@ class TestSweepRankStats:
     @example(grid=[float(TestSweepMoments.H[0]), 0.5, float(TestSweepMoments.H[1])])
     @settings(max_examples=60, deadline=None)
     def test_matches_per_lambda_ranks(self, grid):
-        sweep = mixture_sweep(self.N, grid, (standard_normal(),) * 3, self.SEED)
+        draw = mixture_draw(self.N, grid, self.SEED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty bin must sum silently
-            stats = sweep.rank_stats()
+            stats = draw.rank_stats()
         assert stats.shape == (len(grid), 4)
         for lam, row in zip(grid, stats):
             np.testing.assert_allclose(row, self.oracle(lam), rtol=0, atol=1e-13)
@@ -284,7 +305,7 @@ class TestSweepRankStats:
     def test_rank_coskewness_spans_its_range(self):
         # at a million rows the ends sit within a few standard errors of -1
         # and +1, and the rank correlations of zero
-        stats = mixture_sweep(10**6, (0.0, 1.0), self.EXP3, self.SEED).rank_stats()
+        stats = mixture_draw(10**6, (0.0, 1.0), self.SEED).rank_stats()
         np.testing.assert_allclose(stats[:, 3], [-1.0, 1.0], atol=0.01)
         np.testing.assert_allclose(stats[:, :3], 0.0, atol=0.01)
 
@@ -370,6 +391,18 @@ class TestGaussian:
                 + (params.rho23 - params.rho12 * params.rho13) / params.a * z[1]
                 + params.b / params.a * z[2]]
         assert h.tobytes() == np.stack(want).tobytes()
+
+    def test_one_z_serves_every_triple(self):
+        # verify combines one draw of Z for all its triples; each must equal
+        # the triple's own gaussian_scores bit for bit, and leave Z as drawn
+        seed = SeedSpec(7, 3)
+        z = gaussian_z(2000, seed)
+        drawn = z.copy()
+        for rho in experiments._GAUSS_TRIPLES:
+            params = GaussianParams(*rho)
+            got = gaussian_correlate(z, params)
+            assert got.tobytes() == gaussian_scores(2000, params, seed).tobytes(), rho
+        assert z.tobytes() == drawn.tobytes()
 
     def test_recovers_requested_correlations(self, seed):
         rho = (0.8, 0.5, 0.3)

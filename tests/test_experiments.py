@@ -28,7 +28,7 @@ from coskew.experiments import (
     run_figure2,
     verify_propositions,
 )
-from coskew.marginals import exponential, laplace, standard_normal, uniform01
+from coskew.marginals import exponential, laplace, standard_normal, student_t, uniform01
 from coskew.samples import SeedSpec, substream
 
 import test_copulas  # TestSweepMoments' draw and grid points
@@ -285,7 +285,7 @@ class TestCopulaRanks:
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("triple", experiments._GAUSS_TRIPLES)
     def test_gauss_stats_match_the_data_path(self, spec, triple):
-        stats, abs_rs = experiments._gauss_stats(100_000, triple, spec)
+        stats, abs_rs = experiments._gauss_stats(copulas.gaussian_z(100_000, spec), triple)
         us = copulas.sample_gaussian(100_000, copulas.GaussianParams(*triple), spec)
         normal3 = (standard_normal(),) * 3
         acc = MomentAccumulator(3).update(copulas.to_data(us, *normal3).x)
@@ -319,6 +319,27 @@ class TestVerifyPropositions:
                 want.append(r)
         got = experiments._valid_corr_triples(substream(spec, 8), 1000)
         assert np.array_equal(got, np.array(want))
+
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_p4_from_the_shared_draw_matches_separate_sweeps(self, stream):
+        # verify reads P4's three grid points from the draw over its whole
+        # grid; a sweep over those points alone bins and merges differently,
+        # so the two agree to rounding, not bit for bit
+        n, seed, ends = 20_000, SeedSpec(7, stream), (0.0, 0.5, 1.0)
+        draw = copulas.mixture_draw(n, experiments._VERIFY_GRID, seed)
+        worst = 0.0
+        for m in ((laplace(),) * 3, (student_t(5),) * 3):
+            shared = [experiments._max_abs_rho(st)
+                      for st in experiments._sweep_rows(draw.with_marginals(m), m)
+                      if st["lambda"] in ends]
+            separate = [experiments._max_abs_rho(st) for st in experiments._sweep_rows(
+                copulas.mixture_sweep(n, ends, m, seed), m)]
+            np.testing.assert_allclose(shared, separate, rtol=0, atol=1e-12)
+            worst = max(worst, *separate)
+        p4 = verify_propositions(n, seed)[3]
+        assert p4["proposition"] == "P4"
+        assert p4["observed"] == f"max |rho| = {worst:.4f}"
 
 
 class TestReports:

@@ -3,7 +3,9 @@
 The reference file pins the primary output of the experiment drivers and
 the sample writer at n = 2000, seed 7, so a refactor can show that it keeps
 the statistics.  Floats compare within 1e-12 absolute and everything else
-(keys, strings, flags, the CSV header) compares exactly.
+(keys, strings, flags, the CSV header) compares exactly.  It also pins the
+bytes of verify's records and example1's CSV on streams 0-4 at n = 20000,
+seed 7, as sha256 digests.
 
 Regenerate the reference (only when an output change is intended and stated):
 
@@ -12,6 +14,7 @@ Regenerate the reference (only when an output change is intended and stated):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -22,6 +25,7 @@ from coskew.cli import main
 from coskew.estimators import parse_event
 from coskew.experiments import (
     ExperimentConfig,
+    run_example1,
     run_figure1,
     run_figure2,
     verify_propositions,
@@ -34,6 +38,14 @@ ATOL = 1e-12
 N, SEED = 2000, SeedSpec(7, 0)
 SAMPLE_ARGS = ["sample", "--copula", "mixture:0.75", "--marginals",
                "t:5,laplace,exp:2", "--n", "200", "--seed", "7"]
+
+
+def _verify_digest(stream: int) -> str:
+    """sha256 of verify's records, serialized as the benchmark does, followed
+    by example1's CSV."""
+    seed = SeedSpec(7, stream)
+    text = json.dumps(verify_propositions(20_000, seed), sort_keys=True)
+    return hashlib.sha256((text + run_example1(20_000, seed).to_csv()).encode()).hexdigest()
 
 
 def _cfg(marginals="normal,normal,normal", event=None):
@@ -55,6 +67,7 @@ def current_outputs() -> dict:
             _cfg("laplace,normal,exp:2", "exceed-upper:0.9")).rows,
         "verify": verify_propositions(N, SEED),
         "sample_csv": res.stdout,
+        "verify_example1_sha256": [_verify_digest(stream) for stream in range(5)],
     }
 
 
