@@ -258,7 +258,7 @@ def _stat_records(ts, margs, event):
         rec(f"sd{j+1}", acc.sds()[j])
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         rec(f"pearson{i+1}{j+1}", acc.corr(i, j))
-    rec("coskewness", acc.coskew(0, 1, 2))
+    rec("coskewness", acc.coskew())
     ranks = [
         estimators.rank_transform(ts.x[j], margs[j] if margs else None)
         for j in range(3)

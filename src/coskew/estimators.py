@@ -11,26 +11,22 @@ sample means:
     rank_coskewness  32 * mean((u - 1/2)(v - 1/2)(w - 1/2))
 
 Moments come from a streaming accumulator that centers within each chunk
-and merges chunk summaries with shift-stable update formulas plus Neumaier
-compensation, so results are accurate to ~1e-12 relative up to n = 1e7 and
-bit-stable for a fixed chunking.  A chunk's second moments are its
-d(d+1)/2 distinct row dot products z_i . z_j, each written to both (i, j)
-and (j, i), so the matrix is exactly symmetric.  The third moments are
-symmetric too, so the accumulator keeps only the distinct ones, one per
-index triple i <= j <= k (10 for three columns).  A chunk's third moments
-come from blocks of rows: each block's pairwise products z_i z_j are
-multiplied by the block's columns in one matrix product.  A mixture sweep
-builds each lambda's accumulator by merging per-bin accumulators of the
-selector (see :meth:`coskew.copulas.MixtureSweep.moments`), under the same
-contract.
+and merges chunk summaries with shift-stable update formulas (Pebay 2008)
+plus Neumaier compensation, so results are accurate to ~1e-12 relative up
+to n = 1e7 and bit-stable for a fixed chunking.  It keeps only what the
+statistics read: the means, the second moments and, for three columns, the
+one mixed third moment sum z_0 z_1 z_2.  Every sum over rows is numpy's
+pairwise ``np.add.reduce`` of an elementwise product, never a BLAS call,
+so the bits do not depend on the CPU kernel or the thread count.  Each
+second moment is written to both (i, j) and (j, i), so the matrix is
+exactly symmetric.  A mixture sweep builds each lambda's accumulator by
+merging per-bin accumulators of the selector (see
+:meth:`coskew.copulas.MixtureSweep.moments`), under the same contract.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,44 +64,10 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> np.n
     return new
 
 
-_BLOCK = 8192  # rows per block of pairwise products; bounds their memory
-
-
-class _Packing(NamedTuple):
-    """Index arrays of the packed third moments of d columns.  Entry t holds
-    the moment of columns (i[t], j[t], k[t]), the triples i <= j <= k in
-    lexicographic order; ``pair_i``/``pair_j`` list the pairs i <= j in the
-    same order, ``pair`` gives each triple's row in that list, and
-    ``full[a, b, c]`` is the entry holding columns a, b, c in any order."""
-
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
-    pair: np.ndarray
-    full: np.ndarray
-
-
-@functools.cache
-def _packing(d: int) -> _Packing:
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    triples = [(i, j, k) for i, j in pairs for k in range(j, d)]
-    entry = {t: n for n, t in enumerate(triples)}
-    full = [entry[tuple(sorted(t))] for t in itertools.product(range(d), repeat=3)]
-    arrays = (
-        *np.array(pairs).T,
-        *np.array(triples).T,
-        np.repeat(np.arange(len(pairs)), [d - j for _, j in pairs]),
-        np.array(full).reshape(d, d, d),
-    )
-    for a in arrays:  # shared by every accumulator of this dimension
-        a.flags.writeable = False
-    return _Packing(*arrays)
-
-
 class MomentAccumulator:
-    """Streaming accumulator of central cross-moments up to order three.
+    """Streaming accumulator of the central moments that coskew reads: the
+    column means, the (d, d) second moments and, for three columns, the
+    mixed third moment sum z_0 z_1 z_2.
 
     Feed data once, in chunks of shape (d, m); each chunk is centered on its
     own mean and folded in with merge formulas that never subtract large
@@ -113,13 +75,10 @@ class MomentAccumulator:
     the data.  Accumulators can also be merged pairwise; merging in a fixed
     chunk order gives bit-identical results.
 
-    The second moments of a chunk are its row dot products z_i . z_j, one
-    per pair i <= j, mirrored.  The third moments are stored packed, one
-    per index triple i <= j <= k (d(d+1)(d+2)/6 of them), and unpacked into
-    an exactly symmetric (d, d, d) tensor when read.  ``update`` forms them
-    in blocks of ``_BLOCK`` rows: the block's pairwise products z_i z_j
-    (i <= j) fill one preallocated array, whose product with the block's
-    columns adds sum z_i z_j z_k for every k.
+    ``update`` forms each product z_i z_j (i <= j) of a chunk in one reused
+    row and sums it with numpy's pairwise ``np.add.reduce``, writing the sum
+    to both (i, j) and (j, i).  For d = 3 the (0, 1) product is then
+    multiplied in place by z_2 and summed again for the third moment.
     """
 
     def __init__(self, d: int):
@@ -130,9 +89,8 @@ class MomentAccumulator:
         self.mean = np.zeros(d)
         self._m2 = np.zeros((d, d))
         self._m2c = np.zeros((d, d))
-        size = d * (d + 1) * (d + 2) // 6
-        self._m3 = np.zeros(size)
-        self._m3c = np.zeros(size)
+        self._m3 = np.zeros(())  # sum z_0 z_1 z_2; stays 0 unless d = 3
+        self._m3c = np.zeros(())
 
     def update(self, chunk: np.ndarray) -> "MomentAccumulator":
         # a C-contiguous copy: a strided or F-ordered chunk reduces slower
@@ -143,23 +101,18 @@ class MomentAccumulator:
         m = chunk.shape[1]
         if m == 0:
             return self
-        pk = _packing(self.d)
         other = MomentAccumulator(self.d)
         other.n = m
         other.mean = chunk.mean(axis=1)
         z = chunk - other.mean[:, None]
-        other._m2 = np.empty((self.d, self.d))
-        for i, j in zip(pk.pair_i, pk.pair_j):
-            other._m2[i, j] = other._m2[j, i] = z[i] @ z[j]
-        sums = np.zeros((pk.pair_i.size, self.d))  # sum z_i z_j z_k, pair (i, j) by k
-        products = np.empty((pk.pair_i.size, min(m, _BLOCK)))
-        for start in range(0, m, _BLOCK):
-            block = z[:, start:start + _BLOCK]
-            w = products[:, :block.shape[1]]
-            for row, i, j in zip(w, pk.pair_i, pk.pair_j):
-                np.multiply(block[i], block[j], out=row)
-            sums += w @ block.T
-        other._m3 = sums[pk.pair, pk.k]
+        w = np.empty(m)
+        for i in range(self.d):
+            for j in range(i, self.d):
+                np.multiply(z[i], z[j], out=w)
+                other._m2[i, j] = other._m2[j, i] = np.add.reduce(w)
+                if self.d == 3 and (i, j) == (0, 1):
+                    w *= z[2]
+                    other._m3 = np.add.reduce(w)
         self.merge(other)
         return self
 
@@ -184,21 +137,20 @@ class MomentAccumulator:
         m2a = self._m2 + self._m2c
         m2b = other._m2 + other._m2c
 
-        # third order first: its update uses the pre-merge second moments
-        pk = _packing(self.d)
-        di, dj, dk = delta[pk.i], delta[pk.j], delta[pk.k]
+        if self.d == 3:  # before the second moments: it reads the pre-merge ones
+            d0, d1, d2 = delta
 
-        def cross(m2):  # d_i m2_jk + d_j m2_ik + d_k m2_ij
-            return di * m2[pk.j, pk.k] + dj * m2[pk.i, pk.k] + dk * m2[pk.i, pk.j]
+            def cross(m2):  # d_0 m2_12 + d_1 m2_02 + d_2 m2_01
+                return d0 * m2[1, 2] + d1 * m2[0, 2] + d2 * m2[0, 1]
 
-        m3_term = (
-            other._m3
-            + other._m3c
-            + di * dj * dk * (na * nb * (na - nb) / n**2)
-            + cross(m2b) * (na / n)
-            - cross(m2a) * (nb / n)
-        )
-        self._m3 = _neumaier_add(self._m3, self._m3c, m3_term)
+            m3_term = (
+                other._m3
+                + other._m3c
+                + d0 * d1 * d2 * (na * nb * (na - nb) / n**2)
+                + cross(m2b) * (na / n)
+                - cross(m2a) * (nb / n)
+            )
+            self._m3 = _neumaier_add(self._m3, self._m3c, m3_term)
 
         m2_term = m2b + np.outer(delta, delta) * (na * nb / n)
         self._m2 = _neumaier_add(self._m2, self._m2c, m2_term)
@@ -212,10 +164,6 @@ class MomentAccumulator:
     def second_central(self) -> np.ndarray:
         """(d, d) matrix of mean-centered second moments, divided by n."""
         return (self._m2 + self._m2c) / self.n
-
-    def third_central(self) -> np.ndarray:
-        """(d, d, d) tensor of mean-centered third moments, divided by n."""
-        return ((self._m3 + self._m3c) / self.n)[_packing(self.d).full]
 
     def sds(self) -> np.ndarray:
         """Population standard deviations."""
@@ -237,11 +185,12 @@ class MomentAccumulator:
         s = self._checked_sds()
         return float(self.second_central()[i, j] / (s[i] * s[j]))
 
-    def coskew(self, i: int = 0, j: int = 1, k: int = 2) -> float:
+    def coskew(self) -> float:
+        """Coskewness of the three columns: E[z_0 z_1 z_2] / (s_0 s_1 s_2)."""
+        if self.d != 3:
+            raise DomainError(f"coskewness needs three columns, got d = {self.d}")
         s = self._checked_sds()
-        t = _packing(self.d).full[i, j, k]
-        a, b, c = sorted((i, j, k))  # the packed entry's own column order
-        return float((self._m3[t] + self._m3c[t]) / self.n / (s[a] * s[b] * s[c]))
+        return float((self._m3 + self._m3c) / self.n / (s[0] * s[1] * s[2]))
 
 
 def _columns(*cols) -> np.ndarray:
@@ -261,7 +210,7 @@ def pearson_corr(x, y) -> float:
 
 def coskewness(x, y, z) -> float:
     """Standardized third cross-moment of three columns."""
-    return MomentAccumulator(3).update(_columns(x, y, z)).coskew(0, 1, 2)
+    return MomentAccumulator(3).update(_columns(x, y, z)).coskew()
 
 
 def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:

@@ -147,7 +147,7 @@ def _base_metadata(name: str, cfg: ExperimentConfig) -> dict:
 
 def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
     return {
-        "coskewness_hat": acc.coskew(0, 1, 2),
+        "coskewness_hat": acc.coskew(),
         "rho12_hat": acc.corr(0, 1),
         "rho13_hat": acc.corr(0, 2),
         "rho23_hat": acc.corr(1, 2),

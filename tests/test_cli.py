@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -337,6 +338,48 @@ def test_no_command_loads_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+_DIGESTS = """if True:
+    import hashlib
+    from click.testing import CliRunner
+    import coskew.cli
+
+    def run(*args, **kw):
+        res = CliRunner().invoke(coskew.cli.main, list(args), **kw)
+        assert res.exit_code in (0, 1), res.output  # verify exits 1 on a failed claim
+        print(args[0], res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest())
+        return res
+
+    run("figure1", "--deterministic")
+    run("figure2", "--event", "downside", "--deterministic")
+    csv = run("sample", "--copula", "mixture:0.75", "--n", "100000").stdout_bytes
+    run("stats", "--event", "downside", input=csv)
+    run("verify", "--n", "20000")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
+    # numpy's OpenBLAS picks its kernel per CPU at load time, and
+    # OPENBLAS_CORETYPE forces one, so one host stands in for several CPUs.
+    # Moments are pairwise numpy sums, never BLAS, so no output byte moves
+    src = os.path.dirname(os.path.dirname(coskew.__file__))
+    digests = set()
+    for coretype in (None, "Haswell", "Prescott"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = subprocess.run([sys.executable, "-c", _DIGESTS], env=env,
+                                 capture_output=True, text=True, check=True)
+            lines = out.stdout.splitlines()
+            assert [l.split()[0] for l in lines] == ["figure1", "figure2", "sample",
+                                                     "stats", "verify"]
+            digests.add(tuple(lines))
+    assert len(digests) == 1, sorted(zip(*digests))
 
 
 class TestFigureCommands:

@@ -222,7 +222,7 @@ def _assert_moments_match(acc, ref):
     # reduction round differently by ~1e-16
     assert acc.n == ref.n
     close = dict(rel=1e-12, abs=1e-13)
-    assert acc.coskew(0, 1, 2) == pytest.approx(ref.coskew(0, 1, 2), **close)
+    assert acc.coskew() == pytest.approx(ref.coskew(), **close)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert acc.corr(i, j) == pytest.approx(ref.corr(i, j), **close)
 
