@@ -268,6 +268,13 @@ def uniform_product_moment_gaussian(rho: float) -> float:
     return math.asin(rho / 2.0) / (2.0 * math.pi) + 0.25
 
 
+def corr_det(r12, r13, r23):
+    """Determinant of the correlation matrix with off-diagonals r12, r13 and
+    r23, 1 - r12^2 - r13^2 - r23^2 + 2 r12 r13 r23, elementwise; negative
+    when the triple is not a valid correlation matrix."""
+    return 1.0 - r12**2 - r13**2 - r23**2 + 2.0 * r12 * r13 * r23
+
+
 def _check_corr_triple(r12, r13, r23) -> tuple[np.ndarray, ...]:
     """The triple as broadcast float arrays (0-d for scalars), each entry in
     [-1, 1] and each triple a valid correlation matrix."""
@@ -276,8 +283,7 @@ def _check_corr_triple(r12, r13, r23) -> tuple[np.ndarray, ...]:
         outside = r[~((-1.0 <= r) & (r <= 1.0))]
         if outside.size:
             raise DomainError(f"r{k} must lie in [-1, 1], got {outside[0]}")
-    det = 1.0 - rs[0] ** 2 - rs[1] ** 2 - rs[2] ** 2 + 2.0 * rs[0] * rs[1] * rs[2]
-    invalid = np.flatnonzero(det < -1e-12)
+    invalid = np.flatnonzero(corr_det(*rs) < -1e-12)
     if invalid.size:
         r12, r13, r23 = (float(np.ravel(r)[invalid[0]]) for r in rs)
         raise InvalidCorrelationError(

@@ -181,7 +181,7 @@ def main():
 @_format_option
 def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
     """Draw a seeded sample and emit it as CSV (x1,x2,x3) or JSON."""
-    ts = copulas.sample_data(spec, n, marginals, SeedSpec(seed, stream))
+    ts = copulas.to_data(copulas.sample(spec, n, SeedSpec(seed, stream)), *marginals)
     meta = {
         "command": "sample",
         "copula": spec.token,
@@ -345,7 +345,12 @@ def example1_cmd(n, seed, stream, fmt, output, deterministic):
 @click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
 @_seed_options
 def verify_cmd(n, seed, stream):
-    """Check the eight dependence/coskewness claims; exit 1 on any failure."""
+    """Check the eight dependence/coskewness claims; exit 1 on any failure.
+
+    The pass tolerances are fixed numbers, sized for the default n = 100000.
+    They do not scale with --n, so at a smaller n a FAIL can be sampling
+    noise.
+    """
     records = experiments.verify_propositions(n, SeedSpec(seed, stream))
     failed = 0
     for rec in records:

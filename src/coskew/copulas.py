@@ -27,11 +27,9 @@ an event pass refills one buffer's third row with a prefix of one branch
 and a suffix of the other.  For a symmetric marginal F^-1(1-U) is the
 reflection 2*mean - F^-1(U), which equals the direct quantile bit for bit
 on the samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own
-ends, so it moves no sampled value.  :func:`sample_data` builds one max,
-min or mixture sample, as ``coskew sample`` draws it, from the same branch
-columns in row order.  True-CDF rank statistics need no marginal at all:
-the rank of F^-1(U) is U, so :meth:`MixtureDraw.rank_stats` sums the held
-copula coordinates' centred products over the same bins.
+ends, so it moves no sampled value.  True-CDF rank statistics need no
+marginal at all: the rank of F^-1(U) is U, so :meth:`MixtureDraw.rank_stats`
+sums the held copula coordinates' centred products over the same bins.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import corr_det
 from .errors import DomainError, InvalidCorrelationError
 from .estimators import MomentAccumulator
 from .marginals import Marginal, norm_cdf, token_number
@@ -61,7 +60,6 @@ __all__ = [
     "parse_copula",
     "sample",
     "sample_comonotonic",
-    "sample_data",
     "sample_independence",
     "sample_max_coskew",
     "sample_min_coskew",
@@ -106,13 +104,7 @@ class GaussianParams:
 
     @property
     def b_squared(self) -> float:
-        return (
-            1.0
-            - self.rho12**2
-            - self.rho13**2
-            - self.rho23**2
-            + 2.0 * self.rho12 * self.rho13 * self.rho23
-        )
+        return corr_det(self.rho12, self.rho13, self.rho23)
 
     @property
     def b(self) -> float:
@@ -358,39 +350,12 @@ def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
     return TriSample(np.stack(cols), us.seed)
 
 
-def sample_data(spec: CopulaSpec, n: int, marginals, seed: SeedSpec = SeedSpec()) -> TriSample:
-    """Data-space sample of a copula, equal to
-    ``to_data(sample(spec, n, seed), *marginals)`` bit for bit.  The max and
-    min copulas and their mixture invert each distinct marginal once
-    (:func:`_branch_columns`) and take each row's x3 from the branch its
-    selector picks; max and min are the mixture's lambda = 1 and lambda = 0
-    ends."""
-    if spec.kind not in ("max", "min", "mixture"):
-        return to_data(sample(spec, n, seed), *marginals)
-    lam = {"max": 1.0, "min": 0.0}.get(spec.kind, spec.lam)
-    u, u2, u3 = sample_max_coskew(n, seed).u
-    x1, x2, hi3, lo3 = _branch_columns(u, u2 != u, u3 != u, marginals)
-    del u, u2, u3  # free the draw before the sample is built
-    h = substream(seed, _OFF_B).random(x1.size)
-    return TriSample(np.stack([x1, x2, np.where(h < lam, hi3, lo3)]), seed)
-
-
 def _quantile_pair(m: Marginal, u):
     """(F^-1(u), F^-1(1 - u)) for u on the samplers' k/2^53 grid, each equal
     to to_data's quantile bit for bit.  A symmetric marginal reflects the
     first, 2*mean - F^-1(u); a non-symmetric one inverts 1 - u as well."""
     x = m.quantile(u)
     return x, 2.0 * m.mean - x if m.symmetric else m.quantile(1.0 - u)
-
-
-def _branch_columns(u, flip2, flip3, marginals):
-    """x1, x2 and the max- and min-branch x3 of an extremal draw's rows, in
-    the order of u: each is picked from its marginal's quantile pair at u by
-    whether the coordinate is 1 - u (flip2 and flip3 for u2 and the max
-    branch's u3; the min branch's u3 is 1 - u3_max)."""
-    pairs = {m: _quantile_pair(m, u) for m in dict.fromkeys(marginals)}
-    (a1, _), (a2, b2), (a3, b3) = (pairs[m] for m in marginals)
-    return a1, np.where(flip2, b2, a2), np.where(flip3, b3, a3), np.where(flip3, a3, b3)
 
 
 # 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
@@ -473,9 +438,15 @@ class MixtureDraw:
     seed: SeedSpec
 
     def with_marginals(self, marginals) -> MixtureSweep:
-        """The draw's data columns under marginals (:func:`_branch_columns`)."""
-        cols = _branch_columns(self.u, self.flip2, self.flip3, marginals)
-        return MixtureSweep(self.lams, self.grid, self.edges, *cols, self.seed)
+        """The draw's data columns under marginals: x1, x2 and both
+        branches' x3, each picked from its marginal's quantile pair at u by
+        whether the coordinate is 1 - u (the min branch's u3 is
+        1 - u3_max)."""
+        pairs = {m: _quantile_pair(m, self.u) for m in dict.fromkeys(marginals)}
+        (a1, _), (a2, b2), (a3, b3) = (pairs[m] for m in marginals)
+        hi3, lo3 = np.where(self.flip3, b3, a3), np.where(self.flip3, a3, b3)
+        return MixtureSweep(self.lams, self.grid, self.edges, a1,
+                            np.where(self.flip2, b2, a2), hi3, lo3, self.seed)
 
     def rank_stats(self) -> np.ndarray:
         """True-CDF rank statistics for each lambda, in order: one row of

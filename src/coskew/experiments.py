@@ -306,16 +306,12 @@ def _record(prop: str, claim: str, *checks) -> dict:
 
 def _valid_corr_triples(rng, count: int) -> np.ndarray:
     """The first count draws r of uniform(-1, 1, size=3) that form a valid
-    correlation matrix, 1 - r.r + 2 r1 r2 r3 >= 0, as rows.
-
-    Drawn in blocks; each row's dot product is taken as r @ r, so the test
-    keeps the bits it has for one draw at a time.
-    """
+    correlation matrix (``analytic.corr_det`` >= 0), as rows, drawn in
+    blocks."""
     triples = np.empty((0, 3))
     while len(triples) < count:
         r = rng.uniform(-1.0, 1.0, size=(2048, 3))
-        rr = (r[:, None, :] @ r[:, :, None]).ravel()
-        triples = np.concatenate([triples, r[1.0 - rr + 2.0 * r.prod(axis=1) >= 0.0]])
+        triples = np.concatenate([triples, r[analytic.corr_det(*r.T) >= 0.0]])
     return triples[:count]
 
 

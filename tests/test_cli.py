@@ -12,8 +12,9 @@ from click.testing import CliRunner
 
 import coskew
 from coskew.cli import _CSV_CHUNK, main
-from coskew.copulas import sample_data
 from coskew.experiments import DEFAULT_SEED
+
+from test_copulas import ALL_TOKENS
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def _data_lines(output: str):
 def _sample_x(spec: str, margs: str, n: int, seed):
     """The (3, n) data `coskew sample` draws for these tokens."""
     marginals = tuple(map(coskew.parse_marginal, margs.split(",")))
-    return sample_data(coskew.parse_copula(spec), n, marginals, seed).x
+    return coskew.to_data(coskew.sample(coskew.parse_copula(spec), n, seed), *marginals).x
 
 
 class TestSample:
@@ -83,11 +84,17 @@ class TestSample:
         assert np.array_equal(cells.T, want.x)
         assert lines[1] == ",".join(format(v, ".17g") for v in want.x[:, 0])
 
-    @pytest.mark.parametrize("n", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
-                                   2 * _CSV_CHUNK + 3])
-    def test_csv_bytes_match_per_value_oracle(self, runner, tmp_path, n):
+    # mixture:0.75 at sizes around the writer's blocks (ids: the size), and
+    # every copula at one row and at three blocks
+    @pytest.mark.parametrize("spec, n", [
+        *(pytest.param("mixture:0.75", n, id=str(n)) for n in
+          (1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3)),
+        *(pytest.param(spec, n, id=f"{spec}-{n}") for spec in ALL_TOKENS
+          for n in (1, 2 * _CSV_CHUNK + 3)),
+    ])
+    def test_csv_bytes_match_per_value_oracle(self, runner, tmp_path, spec, n):
         # the writer formats a block per call; the oracle formats value by value
-        spec, margs = "mixture:0.75", "t:5,laplace,exp:2"
+        margs = "t:5,laplace,exp:2"
         args = ["sample", "--copula", spec, "--marginals", margs, "--n", str(n),
                 "--seed", "11", "--stream", "2"]
         x = _sample_x(spec, margs, n, coskew.SeedSpec(11, 2))

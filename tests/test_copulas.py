@@ -21,7 +21,6 @@ from coskew.copulas import (
     parse_copula,
     sample,
     sample_comonotonic,
-    sample_data,
     sample_gaussian,
     sample_independence,
     sample_max_coskew,
@@ -144,15 +143,17 @@ class TestMixtureSweep:
 
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
-        # sample_data builds one mixture sample in row order from the
-        # sweep's branch columns
+        # each lambda's sample, built from the sweep's columns as MixtureSweep
+        # describes, is that lambda's reference sample in stable bin order
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        for lam in self.GRID:
-            ts = sample_data(CopulaSpec("mixture", lam=lam), 3000, m, seed)
-            ref = to_data(sample_mixture(3000, lam, seed), *m)
+        sweep = mixture_sweep(3000, self.GRID, m, seed)
+        h = substream(seed, copulas._OFF_B).random(3000)
+        order = np.argsort((h[:, None] >= np.unique(self.GRID)).sum(axis=1), kind="stable")
+        for lam, cut in zip(self.GRID, sweep.max_rows()):
+            x3 = np.concatenate([sweep.hi3[:cut], sweep.lo3[cut:]])
+            ref = to_data(sample_mixture(3000, lam, seed), *m).x[:, order]
             # bytes, not values: -0.0 == 0.0 but prints as "-0"
-            assert ts.x.tobytes() == ref.x.tobytes(), lam
-            assert ts.seed == seed
+            assert np.stack([sweep.x1, sweep.x2, x3]).tobytes() == ref.tobytes(), lam
 
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_columns_are_the_reference_in_stable_bin_order(self, margins, seed):
@@ -496,32 +497,6 @@ class TestToData:
         us = sample_comonotonic(10, seed)
         ts = to_data(us, uniform01(), uniform01(), uniform01())
         assert ts.seed == seed
-
-
-class TestSampleData:
-    @pytest.mark.parametrize("margins", ["normal,normal,normal", "uniform,uniform,uniform",
-                                         "t:5,laplace,exp:2"])
-    @pytest.mark.parametrize("token", ALL_TOKENS)
-    def test_equals_to_data_bit_for_bit(self, token, margins, seed):
-        spec = parse_copula(token)
-        m = tuple(parse_marginal(t) for t in margins.split(","))
-        ts = sample_data(spec, 3000, m, seed)
-        ref = to_data(sample(spec, 3000, seed), *m)
-        assert ts.x.tobytes() == ref.x.tobytes()
-        assert ts.seed == seed
-
-    @pytest.mark.parametrize("token", ["max", "min", "mixture:0.75"])
-    def test_extremal_copulas_invert_a_shared_marginal_once(self, token, seed, monkeypatch):
-        made = []
-        quantile = Marginal.quantile
-
-        def counted(m, p):
-            made.append(m)
-            return quantile(m, p)
-
-        monkeypatch.setattr(Marginal, "quantile", counted)
-        sample_data(parse_copula(token), 3000, (standard_normal(),) * 3, seed)
-        assert len(made) == 1
 
 
 class TestSpecParsing:
