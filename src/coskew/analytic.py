@@ -157,10 +157,12 @@ def _integrand(margins, t):
 
 
 def _gauss_legendre(margins, a, b):
-    """The 20-point rule over each panel [a_k, b_k], one integrand call."""
+    """The 20-point rule over each panel [a_k, b_k], one integrand call.
+    The weighted sum is numpy's own reduction, not a BLAS dot product, so
+    its bits do not depend on the BLAS kernel or thread count."""
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return half * (_integrand(margins, t) @ _GL_WEIGHTS)
+    return half * np.add.reduce(_integrand(margins, t) * _GL_WEIGHTS, axis=1)
 
 
 def _panel_quadrature(margins, tail: float) -> tuple[float, float, int]:

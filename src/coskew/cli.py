@@ -75,12 +75,15 @@ def _names_dir(output: str) -> bool:
 def _output_check(dir_ok: bool):
     """``--output`` callback: stdout, or a path whose parent directory
     exists.  Report commands (``dir_ok``) also take a directory, which need
-    not exist yet if its parent does; file outputs refuse one."""
+    not exist yet if its parent does, but may not be an existing file; file
+    outputs refuse one."""
     def callback(ctx, param, output):
         if output == "-" or (dir_ok and Path(output).is_dir()):
             return output
         if not dir_ok and _names_dir(output):
             raise click.BadParameter(f"{output!r} names a directory")
+        if _names_dir(output) and Path(output).exists():
+            raise click.BadParameter(f"{output!r} names a directory, but is a file")
         parent = Path(output).parent
         if not parent.is_dir():
             raise click.BadParameter(f"directory '{parent}' does not exist")

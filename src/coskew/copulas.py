@@ -11,7 +11,7 @@ The mixture structure draws a Bernoulli(lambda) selector per row from its
 own substream and takes the max-branch third coordinate where it fires.
 Because the selector compares a shared uniform draw against lambda, sweeps
 over lambda are coupled pathwise: raising lambda only ever flips rows from
-the min branch to the max branch.  :func:`mixture_sweep` uses this to run a
+the min branch to the max branch.  :func:`mixture_draw` uses this to run a
 whole lambda grid from one draw, and to reduce it without a pass per
 lambda.  It sorts the draw's rows once, right after drawing, into bins by
 how many grid points lie at or below their selector value, so each
@@ -23,13 +23,14 @@ triple of a seed: each distinct marginal is inverted once, at the sorted
 U, for the pair (F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds
 x1, x2 and both branches' x3 once, in bin order; each lambda's moments
 merge the max-branch bins below it with the min-branch bins above it, and
-an event pass refills one buffer's third row with a prefix of one branch
-and a suffix of the other.  For a symmetric marginal F^-1(1-U) is the
-reflection 2*mean - F^-1(U), which equals the direct quantile bit for bit
-on the samplers' k/2^53 grid; :func:`to_data` clamps to that grid's own
-ends, so it moves no sampled value.  True-CDF rank statistics need no
-marginal at all: the rank of F^-1(U) is U, so :meth:`MixtureDraw.rank_stats`
-sums the held copula coordinates' centred products over the same bins.
+:meth:`MixtureSweep.samples` refills one buffer's third row with a prefix
+of one branch and a suffix of the other.  For a symmetric marginal
+F^-1(1-U) is the reflection 2*mean - F^-1(U), which equals the direct
+quantile bit for bit on the samplers' k/2^53 grid; :func:`to_data` clamps
+to that grid's own ends, so it moves no sampled value.  True-CDF rank
+statistics need no marginal at all: the rank of F^-1(U) is U, so
+:meth:`MixtureDraw.rank_stats` sums the held copula coordinates' centred
+products over the same bins.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "gaussian_z",
     "mixing_sum_coords",
     "mixture_draw",
-    "mixture_sweep",
     "parse_copula",
     "sample",
     "sample_comonotonic",
@@ -115,9 +115,9 @@ class GaussianParams:
 class CopulaSpec:
     """Tagged description of one dependence structure.
 
-    kind is one of "comonotonic", "independence", "max", "min", "mixture",
-    "mixingsum", "gaussian".  lam applies to "mixture"; gaussian carries its
-    GaussianParams.
+    kind is one of the copula kinds (the keys of ``_SAMPLERS``).  lam is
+    set for "mixture" only, and gaussian, its GaussianParams, for
+    "gaussian" only.
     """
 
     kind: str
@@ -125,22 +125,18 @@ class CopulaSpec:
     gaussian: GaussianParams | None = None
 
     def __post_init__(self):
-        kinds = (
-            "comonotonic",
-            "independence",
-            "max",
-            "min",
-            "mixture",
-            "mixingsum",
-            "gaussian",
-        )
-        if self.kind not in kinds:
+        if self.kind not in _SAMPLERS:
             raise DomainError(f"unknown copula kind {self.kind!r}")
         if self.kind == "mixture":
             if self.lam is None or not 0.0 <= self.lam <= 1.0:
                 raise DomainError("mixture needs lambda in [0, 1]")
-        if self.kind == "gaussian" and self.gaussian is None:
-            raise DomainError("gaussian copula needs correlation parameters")
+        elif self.lam is not None:
+            raise DomainError(f"{self.kind} copula takes no lambda")
+        if self.kind == "gaussian":
+            if self.gaussian is None:
+                raise DomainError("gaussian copula needs correlation parameters")
+        elif self.gaussian is not None:
+            raise DomainError(f"{self.kind} copula takes no correlation parameters")
 
     @property
     def token(self) -> str:
@@ -156,11 +152,10 @@ class CopulaSpec:
 
 
 def parse_copula(token: str) -> CopulaSpec:
-    """Parse a CLI token such as "mixture:0.25" or "gaussian:0.8,0.5,0.3"."""
+    """Parse a CLI token such as "max", "mixture:0.25" or
+    "gaussian:0.8,0.5,0.3".  A kind without parameters takes no ":"."""
     token = token.strip().lower()
-    name, _, arg = token.partition(":")
-    if name in ("comonotonic", "independence", "max", "min", "mixingsum"):
-        return CopulaSpec(name)
+    name, colon, arg = token.partition(":")
     if name == "mixture":
         if not arg:
             raise DomainError("mixture token needs a lambda, e.g. 'mixture:0.25'")
@@ -173,7 +168,11 @@ def parse_copula(token: str) -> CopulaSpec:
             )
         r12, r13, r23 = (float(s) for s in parts)
         return CopulaSpec("gaussian", gaussian=GaussianParams(r12, r13, r23))
-    raise DomainError(f"unknown copula token {token!r}")
+    if name not in _SAMPLERS:
+        raise DomainError(f"unknown copula token {token!r}")
+    if colon:
+        raise DomainError(f"copula {name!r} takes no parameter, got {token!r}")
+    return CopulaSpec(name)
 
 
 def _check_n(n: int) -> int:
@@ -319,21 +318,25 @@ def sample_gaussian(
     return USample(norm_cdf(gaussian_scores(n, params, seed)), seed)
 
 
+# The copula kinds and their samplers.  "mixture" samples at its
+# CopulaSpec's lam and "gaussian" at its GaussianParams; the rest take n and
+# the seed alone.
+_SAMPLERS = {
+    "comonotonic": sample_comonotonic,
+    "independence": sample_independence,
+    "max": sample_max_coskew,
+    "min": sample_min_coskew,
+    "mixture": sample_mixture,
+    "mixingsum": sample_mixing_sum,
+    "gaussian": sample_gaussian,
+}
+
+
 def sample(spec: CopulaSpec, n: int, seed: SeedSpec = SeedSpec()) -> USample:
-    """Dispatch on a CopulaSpec."""
-    if spec.kind == "comonotonic":
-        return sample_comonotonic(n, seed)
-    if spec.kind == "independence":
-        return sample_independence(n, seed)
-    if spec.kind == "max":
-        return sample_max_coskew(n, seed)
-    if spec.kind == "min":
-        return sample_min_coskew(n, seed)
-    if spec.kind == "mixture":
-        return sample_mixture(n, spec.lam, seed)
-    if spec.kind == "mixingsum":
-        return sample_mixing_sum(n, seed)
-    return sample_gaussian(n, spec.gaussian, seed)
+    """Dispatch on a CopulaSpec: its kind's sampler, given its parameter if
+    it has one."""
+    params = [p for p in (spec.lam, spec.gaussian) if p is not None]
+    return _SAMPLERS[spec.kind](n, *params, seed)
 
 
 def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:
@@ -370,26 +373,32 @@ class MixtureSweep:
     branches' x3, each held once, in the draw's bin order.
 
     At lambda = grid[g] the rows with h < lambda are bins 0..g, so that
-    lambda's x3 is ``hi3`` (the max branch) on its first :meth:`max_rows`
-    rows and ``lo3`` (the min branch) on the rest.  Its sample is then the
-    rows of ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin
-    order, bit for bit.  :meth:`moments` gives each lambda's moment
-    accumulator without building the samples.
+    lambda's x3 is ``hi3`` (the max branch) on its leading rows, up to
+    ``draw.edges[g + 1]``, and ``lo3`` (the min branch) on the rest.
+    :meth:`samples` gives each lambda's sample, which is the rows of
+    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin order, bit
+    for bit; :meth:`moments` gives each lambda's moment accumulator without
+    building the samples.
     """
 
-    lams: tuple[float, ...]
-    grid: np.ndarray
-    edges: np.ndarray
+    draw: MixtureDraw
+    marginals: tuple[Marginal, Marginal, Marginal]
     x1: np.ndarray
     x2: np.ndarray
     hi3: np.ndarray
     lo3: np.ndarray
-    seed: SeedSpec
 
-    def max_rows(self) -> np.ndarray:
-        """For each lambda, in order, how many leading rows take the max
-        branch's x3."""
-        return self.edges[np.searchsorted(self.grid, self.lams) + 1]
+    def samples(self):
+        """Each lambda's sample, in order, as a TriSample in bin order.
+
+        Every sample wraps the same (3, n) buffer, whose third row is
+        refilled for the next lambda, so read each before taking the next.
+        """
+        x = np.stack([self.x1, self.x2, self.lo3])
+        for cut in self.draw.edges[self.draw.points + 1]:
+            x[2, :cut] = self.hi3[:cut]
+            x[2, cut:] = self.lo3[cut:]
+            yield TriSample(x, self.draw.seed)
 
     def moments(self) -> list[MomentAccumulator]:
         """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
@@ -400,7 +409,7 @@ class MixtureSweep:
         match a one-shot update of each sample to ~1e-12 relative; the bits
         differ.
         """
-        edges, g_max = self.edges, self.grid.size
+        edges, g_max = self.draw.edges, self.draw.grid.size
 
         def reduce(x3, k):
             rows = slice(edges[k], edges[k + 1])
@@ -415,7 +424,7 @@ class MixtureSweep:
         for g in range(g_max):
             prefix.merge(reduce(self.hi3, g))
             at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
-        return [at_point[g] for g in np.searchsorted(self.grid, self.lams)]
+        return [at_point[g] for g in self.draw.points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,13 +433,15 @@ class MixtureDraw:
     no marginal applied: u and whether u2 and u3_max are 1 - u (``flip2``,
     ``flip3``), with the rows sorted by selector bin.
 
-    ``grid`` holds the sorted distinct lambdas.  Bin k holds the rows whose
-    selector h has k grid points at or below it, rows ``edges[k]`` to
-    ``edges[k + 1]``, in draw order within the bin.
+    ``grid`` holds the sorted distinct lambdas, and ``points`` the index in
+    ``grid`` of each of ``lams``.  Bin k holds the rows whose selector h has
+    k grid points at or below it, rows ``edges[k]`` to ``edges[k + 1]``, in
+    draw order within the bin.
     """
 
     lams: tuple[float, ...]
     grid: np.ndarray
+    points: np.ndarray
     edges: np.ndarray
     u: np.ndarray
     flip2: np.ndarray
@@ -445,8 +456,7 @@ class MixtureDraw:
         pairs = {m: _quantile_pair(m, self.u) for m in dict.fromkeys(marginals)}
         (a1, _), (a2, b2), (a3, b3) = (pairs[m] for m in marginals)
         hi3, lo3 = np.where(self.flip3, b3, a3), np.where(self.flip3, a3, b3)
-        return MixtureSweep(self.lams, self.grid, self.edges, a1,
-                            np.where(self.flip2, b2, a2), hi3, lo3, self.seed)
+        return MixtureSweep(self, marginals, a1, np.where(self.flip2, b2, a2), hi3, lo3)
 
     def rank_stats(self) -> np.ndarray:
         """True-CDF rank statistics for each lambda, in order: one row of
@@ -472,14 +482,15 @@ class MixtureDraw:
         total = bin_sums.sum(axis=0)
         sums = 2.0 * np.cumsum(bin_sums, axis=0)[:-1] - total
         sums[:, 0] = total[0]
-        return sums[np.searchsorted(self.grid, self.lams)] * _RANK_SCALE / self.u.size
+        return sums[self.points] * _RANK_SCALE / self.u.size
 
 
 def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:
     """The extremal draw (:func:`sample_max_coskew`) and the selector h,
     drawn once, with the rows sorted stably by how many grid points are at
     or below their h.  A lambda outside [0, 1] raises DomainError, as in
-    sample_mixture, before anything is drawn."""
+    sample_mixture, before anything is drawn.  Its data columns under a
+    marginal triple come from :meth:`MixtureDraw.with_marginals`."""
     lams = tuple(_check_lam(lam) for lam in lams)
     grid = np.unique(lams)
     u, u2, u3 = sample_max_coskew(n, seed).u
@@ -489,10 +500,5 @@ def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:
         bins += h >= lam
     order = np.argsort(bins, kind="stable")
     edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
-    return MixtureDraw(lams, grid, edges, u[order], (u2 != u)[order], (u3 != u)[order], seed)
-
-
-def mixture_sweep(n: int, lams, marginals, seed: SeedSpec = SeedSpec()) -> MixtureSweep:
-    """Data-space mixture samples over a lambda grid, drawn once:
-    ``mixture_draw(n, lams, seed).with_marginals(marginals)``."""
-    return mixture_draw(n, lams, seed).with_marginals(marginals)
+    return MixtureDraw(lams, grid, np.searchsorted(grid, lams), edges,
+                       u[order], (u2 != u)[order], (u3 != u)[order], seed)

@@ -310,8 +310,10 @@ class EventSpec:
 def parse_event(token: str) -> EventSpec:
     """Parse "downside", "exceed-upper:p" or "exceed-lower:p"."""
     token = token.strip().lower()
-    name, _, arg = token.partition(":")
+    name, colon, arg = token.partition(":")
     if name == "downside":
+        if colon:
+            raise DomainError(f"the downside event takes no parameter, got {token!r}")
         return EventSpec("downside")
     if name in ("exceed-upper", "exceed-lower"):
         if not arg:

@@ -2,28 +2,14 @@
 downside-risk reproductions, the worked copula examples, and a
 proposition-by-proposition verification suite.
 
-The core pipeline (per sweep, :func:`coskew.copulas.mixture_sweep`) is:
-
-    1. draw u, v uniform and the Bernoulli selector h from fixed substreams
-    2. build the max- and min-coskewness copulas from (u, v); every
-       coordinate is u or 1 - u.  Sort the rows once into bins of h between
-       grid points, gathering only u and which coordinates are 1 - u, then
-       invert each distinct marginal once, at the sorted u, and take both
-       branches' columns, in bin order, from (F^-1(u), F^-1(1 - u))
-    3. x3 is the max branch's where h < lambda, which in bin order is a
-       prefix of the rows; reduce each bin once for each branch it can take
-    4. per lambda, merge the max-branch bins below it with the min-branch
-       bins above it, and compute pairwise correlations and the coskewness
-       with population-normalized standard deviations.  An event's
-       conditional correlations come from one accumulator over its rows,
-       with the event mask built on one bin-ordered (3, n) buffer whose
-       third row is refilled per lambda from the two branches
-    5. rank statistics use true-CDF ranks, and the true-CDF rank of
-       F^-1(u) is u, so the ranks are the copula coordinates themselves and
-       no marginal is applied; equal to the ranks of any continuous
-       marginal up to rounding.  A sweep's come from per-bin sums over the
-       bins of step 3 (:meth:`~coskew.copulas.MixtureDraw.rank_stats`),
-       read from step 2's draw, which serves every marginal triple
+``figure1``, ``figure2`` and Algorithm 1 share one pipeline: one mixture
+draw over the lambda grid (:func:`coskew.copulas.mixture_draw`) under the
+configured marginals, whose :class:`~coskew.copulas.MixtureSweep` gives
+each lambda's moments and, for an event, each lambda's sample.  Pairwise
+correlations and the coskewness use population-normalized standard
+deviations.  Rank statistics use true-CDF ranks, which are the copula
+coordinates themselves, so no marginal is applied
+(:meth:`~coskew.copulas.MixtureDraw.rank_stats`).
 
 Every lambda shares the same draws, so curves are variance-reduced and
 pathwise comparable across grid points.
@@ -48,7 +34,7 @@ from .marginals import (
     standard_normal,
     student_t,
 )
-from .samples import SeedSpec, TriSample, substream
+from .samples import SeedSpec, substream
 
 __all__ = [
     "DEFAULT_N",
@@ -154,27 +140,20 @@ def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
     }
 
 
-def _sweep_rows(sweep, marginals, bounds=None, event=None) -> list[dict]:
-    """One report row per lambda of a mixture sweep over marginals.  Rows
-    carry the affine prediction when bounds are given, and the event
-    fraction plus the three event-conditional correlations when an event is
-    given."""
+def _sweep_rows(sweep, bounds=None, event=None) -> list[dict]:
+    """One report row per lambda of a mixture sweep.  Rows carry the affine
+    prediction when bounds are given, and the event fraction plus the three
+    event-conditional correlations when an event is given."""
     rows = []
-    for lam, acc in zip(sweep.lams, sweep.moments()):
+    for lam, acc in zip(sweep.draw.lams, sweep.moments()):
         row = {"lambda": lam, **_moment_stats(acc)}
         if bounds is not None:
             row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
         rows.append(row)
     if event is not None:
-        # one (3, n) buffer in the sweep's bin order: per lambda its third
-        # row takes the max branch on the leading rows and the min branch on
-        # the rest, and TriSample wraps it without a copy
-        x = np.stack([sweep.x1, sweep.x2, sweep.lo3])
-        for row, cut in zip(rows, sweep.max_rows()):
-            x[2, :cut] = sweep.hi3[:cut]
-            x[2, cut:] = sweep.lo3[cut:]
-            mask = estimators.build_event_mask(TriSample(x, sweep.seed), event, marginals)
-            acc = estimators.conditional_moments(x, mask)
+        for row, ts in zip(rows, sweep.samples()):
+            mask = estimators.build_event_mask(ts, event, sweep.marginals)
+            acc = estimators.conditional_moments(ts.x, mask)
             row["event_fraction"] = float(mask.mean())
             row["cond_rho12"] = acc.corr(0, 1)
             row["cond_rho13"] = acc.corr(0, 2)
@@ -182,38 +161,40 @@ def _sweep_rows(sweep, marginals, bounds=None, event=None) -> list[dict]:
     return rows
 
 
+def _run_sweep(name: str, cfg: ExperimentConfig, lams, event=None) -> ExperimentReport:
+    """The mixture pipeline over lams under cfg's marginals, one row per
+    lambda (:func:`_sweep_rows`); the bound's prediction comes with
+    symmetric marginals.  The metadata names the event if there is one,
+    and s_max otherwise."""
+    t0 = time.perf_counter()
+    bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
+    sweep = copulas.mixture_draw(cfg.n, lams, cfg.seed).with_marginals(cfg.marginals)
+    rows = _sweep_rows(sweep, bounds, event)
+    meta = _base_metadata(name, cfg)
+    if event is not None:
+        meta["event"] = event.token
+    elif bounds is not None:
+        meta["s_max"] = bounds.s_max
+    meta["runtime_s"] = time.perf_counter() - t0
+    return ExperimentReport(name, rows, meta)
+
+
 def run_algorithm1(cfg: ExperimentConfig, lam: float) -> dict:
     """One grid point of the mixture pipeline; returns a report row."""
-    bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    sweep = copulas.mixture_sweep(cfg.n, [lam], cfg.marginals, cfg.seed)
-    return _sweep_rows(sweep, cfg.marginals, bounds)[0]
+    return _run_sweep("algorithm1", cfg, [lam]).rows[0]
 
 
 def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
     """Sweep the lambda grid; coskewness versus the affine prediction."""
     if not cfg.symmetric:
         raise DomainError("the lambda sweep needs symmetric marginals")
-    t0 = time.perf_counter()
-    bounds = analytic.coskew_bound(*cfg.marginals)
-    sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed)
-    rows = _sweep_rows(sweep, cfg.marginals, bounds)
-    meta = _base_metadata("figure1", cfg)
-    meta["s_max"] = bounds.s_max
-    meta["runtime_s"] = time.perf_counter() - t0
-    return ExperimentReport("figure1", rows, meta)
+    return _run_sweep("figure1", cfg, cfg.lambda_grid)
 
 
 def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
     """Per lambda: coskewness plus the three event-conditional correlations."""
-    event = cfg.event or estimators.EventSpec("downside")
-    t0 = time.perf_counter()
-    bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    sweep = copulas.mixture_sweep(cfg.n, cfg.lambda_grid, cfg.marginals, cfg.seed)
-    rows = _sweep_rows(sweep, cfg.marginals, bounds, event)
-    meta = _base_metadata("figure2", cfg)
-    meta["event"] = event.token
-    meta["runtime_s"] = time.perf_counter() - t0
-    return ExperimentReport("figure2", rows, meta)
+    return _run_sweep("figure2", cfg, cfg.lambda_grid,
+                      cfg.event or estimators.EventSpec("downside"))
 
 
 # Rank correlations printed alongside the mixing copula in the worked example
@@ -335,12 +316,12 @@ def verify_propositions(
     # one draw of normals Z that P2, P5 and P8's triples combine
     draw = copulas.mixture_draw(n, _VERIFY_GRID, seed)
     mix_n = {row["lambda"]: row
-             for row in _sweep_rows(draw.with_marginals(normal3), normal3, bounds_n)}
+             for row in _sweep_rows(draw.with_marginals(normal3), bounds_n)}
     mix_ranks = draw.rank_stats()
     worst_rho_p4 = max(
         _max_abs_rho(st)
         for m in ((laplace(),) * 3, (student_t(5),) * 3)
-        for st in _sweep_rows(draw.with_marginals(m), m)
+        for st in _sweep_rows(draw.with_marginals(m))
         if st["lambda"] in (0.0, 0.5, 1.0)
     )
     del draw

@@ -241,19 +241,20 @@ def exponential(rate: float = 1.0) -> Marginal:
 
 
 def parse_marginal(token: str) -> Marginal:
-    """Parse a CLI token: "normal", "uniform", "laplace", "t:5", "exp:1"."""
+    """Parse a CLI token: "normal", "uniform", "laplace", "t:5", "exp:1".
+    "exp" alone has rate 1; the other families without a parameter take no
+    ":"."""
     token = token.strip().lower()
-    name, _, arg = token.partition(":")
-    if name == "normal":
-        return standard_normal()
-    if name == "uniform":
-        return uniform01()
-    if name == "laplace":
-        return laplace()
+    name, colon, arg = token.partition(":")
     if name == "t":
         if not arg:
             raise DomainError("t marginal needs degrees of freedom, e.g. 't:5'")
         return student_t(float(arg))
     if name == "exp":
         return exponential(float(arg) if arg else 1.0)
-    raise DomainError(f"unknown marginal token {token!r}")
+    plain = {"normal": standard_normal, "uniform": uniform01, "laplace": laplace}
+    if name not in plain:
+        raise DomainError(f"unknown marginal token {token!r}")
+    if colon:
+        raise DomainError(f"marginal {name!r} takes no parameter, got {token!r}")
+    return plain[name]()

@@ -268,6 +268,9 @@ class TestStats:
 # (exit 2); a library error on valid tokens is a failure (exit 1).
 _ERROR_CASES = [
     (["sample", "--copula", "clayton"], 2),
+    (["sample", "--copula", "max:0.7"], 2),
+    (["sample", "--copula", "max", "--marginals", "laplace:2,normal,normal"], 2),
+    (["sample", "--copula", "max", "--marginals", "normal,normal:9,uniform:x"], 2),
     (["sample", "--copula", "max", "--seed", "-1"], 2),
     (["sample", "--copula", "max", "--output", "{tmp}"], 2),
     (["sample", "--copula", "max", "--output", "{tmp}/missing/x.csv"], 2),
@@ -293,6 +296,10 @@ _ERROR_CASES = [
     (["figure1", "--n", "2000", "--marginals", "exp:1,normal,normal"], 1),
     (["figure2", "--event", "bogus"], 2),
     (["figure2", "--event", ""], 2),
+    (["figure2", "--event", "downside:junk"], 2),
+    (["stats", "--event", "downside:junk"], 2),
+    (["figure1", "--output", "{tmp}/file/"], 2),
+    (["example1", "--output", "{tmp}/file/"], 2),
     (["figure2", "--seed", "-1"], 2),
     (["example1", "--stream", str(2**64)], 2),
     (["example1", "--n", "0"], 1),
@@ -305,6 +312,7 @@ _ERROR_CASES = [
                          ids=[" ".join(args) for args, _ in _ERROR_CASES])
 def test_error_policy(runner, tmp_path, args, code):
     csv = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.7\n0.9,0.1,0.5\n"  # valid stats input
+    (tmp_path / "file").write_text("")  # a regular file where a directory is named
     res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args], input=csv)
     assert res.exit_code == code
     assert isinstance(res.exception, SystemExit)  # a message, never a traceback
@@ -363,6 +371,8 @@ _DIGESTS = """if True:
     csv = run("sample", "--copula", "mixture:0.75", "--n", "100000").stdout_bytes
     run("stats", "--event", "downside", input=csv)
     run("verify", "--n", "20000")
+    run("bounds", "--marginals", "normal,normal,uniform")
+    run("figure1", "--marginals", "t:5,t:5,t:5", "--deterministic")
 """
 
 
@@ -371,7 +381,8 @@ _DIGESTS = """if True:
 def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
     # numpy's OpenBLAS picks its kernel per CPU at load time, and
     # OPENBLAS_CORETYPE forces one, so one host stands in for several CPUs.
-    # Moments are pairwise numpy sums, never BLAS, so no output byte moves
+    # Moments and the bound's quadrature sums are pairwise numpy sums, never
+    # BLAS, so no output byte moves
     src = os.path.dirname(os.path.dirname(coskew.__file__))
     digests = set()
     for coretype in (None, "Haswell", "Prescott"):
@@ -384,7 +395,8 @@ def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
                                  capture_output=True, text=True, check=True)
             lines = out.stdout.splitlines()
             assert [l.split()[0] for l in lines] == ["figure1", "figure2", "sample",
-                                                     "stats", "verify"]
+                                                     "stats", "verify", "bounds",
+                                                     "figure1"]
             digests.add(tuple(lines))
     assert len(digests) == 1, sorted(zip(*digests))
 

@@ -17,7 +17,6 @@ from coskew.copulas import (
     gaussian_z,
     mixing_sum_coords,
     mixture_draw,
-    mixture_sweep,
     parse_copula,
     sample,
     sample_comonotonic,
@@ -143,24 +142,27 @@ class TestMixtureSweep:
 
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
-        # each lambda's sample, built from the sweep's columns as MixtureSweep
-        # describes, is that lambda's reference sample in stable bin order
+        # each lambda's sample from the sweep is that lambda's reference
+        # sample in stable bin order
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        sweep = mixture_sweep(3000, self.GRID, m, seed)
+        sweep = mixture_draw(3000, self.GRID, seed).with_marginals(m)
         h = substream(seed, copulas._OFF_B).random(3000)
         order = np.argsort((h[:, None] >= np.unique(self.GRID)).sum(axis=1), kind="stable")
-        for lam, cut in zip(self.GRID, sweep.max_rows()):
-            x3 = np.concatenate([sweep.hi3[:cut], sweep.lo3[cut:]])
+        count = 0
+        for lam, ts in zip(self.GRID, sweep.samples()):
             ref = to_data(sample_mixture(3000, lam, seed), *m).x[:, order]
             # bytes, not values: -0.0 == 0.0 but prints as "-0"
-            assert np.stack([sweep.x1, sweep.x2, x3]).tobytes() == ref.tobytes(), lam
+            assert ts.x.tobytes() == ref.tobytes(), lam
+            assert ts.seed == seed
+            count += 1
+        assert count == len(self.GRID)
 
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_columns_are_the_reference_in_stable_bin_order(self, margins, seed):
         # bins counted here from the grid and the selector, independently of
         # the sweep; both branches' x3 come from the lambda = 1 and 0 samples
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        sweep = mixture_sweep(3000, self.GRID, m, seed)
+        sweep = mixture_draw(3000, self.GRID, seed).with_marginals(m)
         h = substream(seed, copulas._OFF_B).random(3000)
         bins = (h[:, None] >= np.unique(self.GRID)).sum(axis=1)
         order = np.argsort(bins, kind="stable")
@@ -170,10 +172,14 @@ class TestMixtureSweep:
                           (sweep.lo3, lo[2])):
             assert got.tobytes() == want.tobytes()
         assert np.array_equal(lo[:2], hi[:2])
-        for lam, cut in zip(self.GRID, sweep.max_rows()):
-            assert cut == np.count_nonzero(h < lam), lam
+        for lam, ts in zip(self.GRID, sweep.samples()):
+            # x3 is the max branch's on exactly the count(h < lam) leading
+            # rows, which hold the rows with h < lam
+            cut = np.count_nonzero(h < lam)
+            assert ts.x[2, :cut].tobytes() == sweep.hi3[:cut].tobytes(), lam
+            assert ts.x[2, cut:].tobytes() == sweep.lo3[cut:].tobytes(), lam
             assert np.all(h[order][:cut] < lam) and np.all(h[order][cut:] >= lam)
-        assert sweep.seed == seed
+        assert sweep.draw.seed == seed and sweep.marginals == m
 
     @pytest.mark.parametrize(
         "margins,calls",
@@ -190,26 +196,30 @@ class TestMixtureSweep:
 
         monkeypatch.setattr(Marginal, "quantile", counted)
         m = tuple(parse_marginal(t) for t in margins.split(","))
-        mixture_sweep(3000, self.GRID, m, seed)
+        mixture_draw(3000, self.GRID, seed).with_marginals(m)
         assert len(made) == calls
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_lambda_domain(self, bad, seed):
         with pytest.raises(DomainError):
-            mixture_sweep(10, (0.5, bad), (standard_normal(),) * 3, seed)
+            mixture_draw(10, (0.5, bad), seed)
 
     def test_one_draw_serves_every_marginal_triple(self, seed):
-        # each triple's columns from one shared draw equal a sweep of its
-        # own, bit for bit, and neither the columns nor the ranks read
-        # between them alter the held draw
+        # each triple's columns from one shared draw equal those of a draw
+        # of its own, bit for bit, and neither the columns nor the ranks
+        # read between them alter the held draw
         draw = mixture_draw(3000, self.GRID, seed)
         held = [draw.u.copy(), draw.flip2.copy(), draw.flip3.copy()]
         ranks = draw.rank_stats()
         for margins in ("normal,normal,normal", "t:5,t:5,t:5", "exp:1,exp:1,exp:1"):
             m = tuple(parse_marginal(t) for t in margins.split(","))
-            got, want = draw.with_marginals(m), mixture_sweep(3000, self.GRID, m, seed)
-            assert got.lams == want.lams and got.seed == want.seed
-            for field in ("grid", "edges", "x1", "x2", "hi3", "lo3"):
+            got = draw.with_marginals(m)
+            want = mixture_draw(3000, self.GRID, seed).with_marginals(m)
+            assert got.draw.lams == want.draw.lams and got.draw.seed == want.draw.seed
+            for field in ("grid", "points", "edges"):
+                a, b = getattr(got.draw, field), getattr(want.draw, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (margins, field)
+            for field in ("x1", "x2", "hi3", "lo3"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (margins, field)
             assert draw.rank_stats().tobytes() == ranks.tobytes()
@@ -251,7 +261,7 @@ class TestSweepMoments:
     @example(grid=[float(H[0]), 0.5, float(H[1])])  # a row on each bin edge
     @settings(max_examples=60, deadline=None)
     def test_matches_one_shot_reduction(self, grid):
-        sweep = mixture_sweep(self.N, grid, self.MARGINS, self.SEED)
+        sweep = mixture_draw(self.N, grid, self.SEED).with_marginals(self.MARGINS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty bin must reduce silently
             accs = sweep.moments()
@@ -265,11 +275,10 @@ class TestSweepMoments:
         # (TestMixtureSweep); reducing each lambda's rows in one shot is the
         # oracle here
         m = (parse_marginal("t:3.05"),) * 3
-        sweep = mixture_sweep(1_000_000, (0.0, 0.25, 0.5, 0.5, 1.0, 0.75), m, self.SEED)
-        for cut, acc in zip(sweep.max_rows(), sweep.moments()):
-            x3 = np.concatenate([sweep.hi3[:cut], sweep.lo3[cut:]])
-            _assert_moments_match(acc, MomentAccumulator(3).update(
-                np.stack([sweep.x1, sweep.x2, x3])))
+        sweep = mixture_draw(1_000_000, (0.0, 0.25, 0.5, 0.5, 1.0, 0.75), self.SEED) \
+            .with_marginals(m)
+        for ts, acc in zip(sweep.samples(), sweep.moments()):
+            _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
 
 
 class TestSweepRankStats:
@@ -426,6 +435,23 @@ class TestMarginUniformity:
             assert abs(col.var() - 1 / 12) < tol_v
 
 
+class TestDispatch:
+    DIRECT = {
+        "comonotonic": sample_comonotonic,
+        "independence": sample_independence,
+        "max": sample_max_coskew,
+        "min": sample_min_coskew,
+        "mixture:0.3": lambda n, s: sample_mixture(n, 0.3, s),
+        "mixingsum": sample_mixing_sum,
+        "gaussian:0.8,0.5,0.3": lambda n, s: sample_gaussian(n, GaussianParams(0.8, 0.5, 0.3), s),
+    }
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_each_kind_dispatches_to_its_own_sampler(self, token, seed):
+        got = sample(parse_copula(token), 500, seed)
+        assert got.u.tobytes() == self.DIRECT[token](500, seed).u.tobytes()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("token", ALL_TOKENS)
     def test_same_seed_bit_identical(self, token):
@@ -527,15 +553,27 @@ class TestSpecParsing:
             ["mixture:1", "mixture:0", "mixture:1e-07"]
 
     def test_rejects_bad_tokens(self):
-        for bad in ("clayton", "mixture", "gaussian:0.5", "mixture:2"):
+        for bad in ("clayton", "clayton:2", "mixture", "gaussian:0.5", "mixture:2"):
             with pytest.raises(DomainError):
                 parse_copula(bad)
 
+    @pytest.mark.parametrize("token", ["max:0.7", "min:1", "comonotonic:x",
+                                       "independence:", "mixingsum:0.5"])
+    def test_rejects_a_parameter_on_a_parameterless_kind(self, token):
+        with pytest.raises(DomainError, match="takes no parameter"):
+            parse_copula(token)
+
     def test_spec_validation(self):
+        with pytest.raises(DomainError):
+            CopulaSpec("clayton")
         with pytest.raises(DomainError):
             CopulaSpec("mixture", lam=None)
         with pytest.raises(DomainError):
             CopulaSpec("gaussian")
+        with pytest.raises(DomainError):
+            CopulaSpec("max", lam=0.5)
+        with pytest.raises(DomainError):
+            CopulaSpec("mixture", lam=0.5, gaussian=GaussianParams(0.0, 0.0, 0.0))
 
     def test_invalid_n(self, seed):
         with pytest.raises(DomainError):

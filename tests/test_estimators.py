@@ -306,6 +306,9 @@ class TestEventMask:
             parse_event("exceed-upper")
         with pytest.raises(DomainError):
             EventSpec("exceed-upper", p=1.5)
+        for bad in ("downside:junk", "downside:0.5", "downside:"):
+            with pytest.raises(DomainError, match="takes no parameter"):
+                parse_event(bad)
 
     @given(ev=st.one_of(
         st.just(EventSpec("downside")),

@@ -331,10 +331,10 @@ class TestVerifyPropositions:
         worst = 0.0
         for m in ((laplace(),) * 3, (student_t(5),) * 3):
             shared = [experiments._max_abs_rho(st)
-                      for st in experiments._sweep_rows(draw.with_marginals(m), m)
+                      for st in experiments._sweep_rows(draw.with_marginals(m))
                       if st["lambda"] in ends]
             separate = [experiments._max_abs_rho(st) for st in experiments._sweep_rows(
-                copulas.mixture_sweep(n, ends, m, seed), m)]
+                copulas.mixture_draw(n, ends, seed).with_marginals(m))]
             np.testing.assert_allclose(shared, separate, rtol=0, atol=1e-12)
             worst = max(worst, *separate)
         p4 = verify_propositions(n, seed)[3]

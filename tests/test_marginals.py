@@ -213,6 +213,14 @@ class TestConstruction:
         with pytest.raises(DomainError):
             parse_marginal("cauchy")
 
+    @pytest.mark.parametrize("token", ["normal:9", "uniform:x", "laplace:2", "laplace:"])
+    def test_parse_rejects_a_parameter_on_a_parameterless_family(self, token):
+        with pytest.raises(DomainError, match="takes no parameter"):
+            parse_marginal(token)
+
+    def test_exp_without_a_rate_has_rate_one(self):
+        assert parse_marginal("exp") == parse_marginal("exp:") == exponential(1.0)
+
     def test_student_t_sd(self):
         assert student_t(5).sd == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-15)
 
