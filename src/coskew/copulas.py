@@ -24,10 +24,14 @@ U, for the pair (F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds
 x1, x2 and both branches' x3 once, in bin order; each lambda's moments
 merge the max-branch bins below it with the min-branch bins above it, and
 :meth:`MixtureSweep.samples` refills one buffer's third row with a prefix
-of one branch and a suffix of the other.  For a symmetric marginal
-F^-1(1-U) is the reflection 2*mean - F^-1(U), which equals the direct
-quantile bit for bit on the samplers' k/2^53 grid; :func:`to_data` clamps
-to that grid's own ends, so it moves no sampled value.  True-CDF rank
+of one branch and a suffix of the other.  An event's conditional moments
+(:meth:`MixtureSweep.event_moments`) take the same per-bin merges over the
+rows whose event membership never moves with lambda, plus one small
+reduction per lambda of the band of rows whose membership does.  For a
+symmetric marginal F^-1(1-U) is the reflection 2*mean - F^-1(U), which
+equals the direct quantile bit for bit on the samplers' k/2^53 grid;
+:func:`to_data` clamps to that grid's own ends, so it moves no sampled
+value.  True-CDF rank
 statistics need no marginal at all: the rank of F^-1(U) is U, so
 :meth:`MixtureDraw.rank_stats` sums the held copula coordinates' centred
 products over the same bins.
@@ -42,8 +46,8 @@ import numpy as np
 
 from .analytic import corr_det
 from .errors import DomainError, InvalidCorrelationError
-from .estimators import MomentAccumulator
-from .marginals import Marginal, norm_cdf, token_number
+from .estimators import EventSpec, MomentAccumulator, build_event_mask, count_event_rows
+from .marginals import Marginal, norm_cdf, token_float, token_number
 from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_open
 
 __all__ = [
@@ -159,14 +163,14 @@ def parse_copula(token: str) -> CopulaSpec:
     if name == "mixture":
         if not arg:
             raise DomainError("mixture token needs a lambda, e.g. 'mixture:0.25'")
-        return CopulaSpec("mixture", lam=float(arg))
+        return CopulaSpec("mixture", lam=token_float(arg, token))
     if name == "gaussian":
         parts = re.split(r"[,;]", arg) if arg else []
         if len(parts) != 3:
             raise DomainError(
                 "gaussian token needs three correlations, e.g. 'gaussian:0.8,0.5,0.3'"
             )
-        r12, r13, r23 = (float(s) for s in parts)
+        r12, r13, r23 = (token_float(s, token) for s in parts)
         return CopulaSpec("gaussian", gaussian=GaussianParams(r12, r13, r23))
     if name not in _SAMPLERS:
         raise DomainError(f"unknown copula token {token!r}")
@@ -378,7 +382,8 @@ class MixtureSweep:
     :meth:`samples` gives each lambda's sample, which is the rows of
     ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin order, bit
     for bit; :meth:`moments` gives each lambda's moment accumulator without
-    building the samples.
+    building the samples, and :meth:`event_moments` each lambda's
+    accumulator of an event's rows, reducing each bin once as well.
     """
 
     draw: MixtureDraw
@@ -394,8 +399,12 @@ class MixtureSweep:
         Every sample wraps the same (3, n) buffer, whose third row is
         refilled for the next lambda, so read each before taking the next.
         """
+        return self._samples(self.draw.points)
+
+    def _samples(self, points):
+        """The samples at the given grid indices, over one reused buffer."""
         x = np.stack([self.x1, self.x2, self.lo3])
-        for cut in self.draw.edges[self.draw.points + 1]:
+        for cut in self.draw.edges[points + 1]:
             x[2, :cut] = self.hi3[:cut]
             x[2, cut:] = self.lo3[cut:]
             yield TriSample(x, self.draw.seed)
@@ -409,22 +418,73 @@ class MixtureSweep:
         match a one-shot update of each sample to ~1e-12 relative; the bits
         differ.
         """
+        at_point = self._point_moments()
+        return [at_point[g] for g in self.draw.points]
+
+    def _point_moments(self, hi_keep=None, lo_keep=None) -> list[MomentAccumulator]:
+        """One accumulator per grid point, merged from per-bin ones.  With
+        row masks, a bin's max-branch rows are those in hi_keep and its
+        min-branch rows those in lo_keep."""
         edges, g_max = self.draw.edges, self.draw.grid.size
 
-        def reduce(x3, k):
+        def reduce(x3, keep, k):
             rows = slice(edges[k], edges[k + 1])
-            return MomentAccumulator(3).update(np.stack([self.x1[rows], self.x2[rows], x3[rows]]))
+            chunk = np.stack([self.x1[rows], self.x2[rows], x3[rows]])
+            if keep is not None:
+                chunk = np.compress(keep[rows], chunk, axis=1)
+            return MomentAccumulator(3).update(chunk)
 
         suffix = [MomentAccumulator(3)]
         for k in range(g_max, 0, -1):
             acc = MomentAccumulator(3).merge(suffix[-1])
-            suffix.append(acc.merge(reduce(self.lo3, k)))
+            suffix.append(acc.merge(reduce(self.lo3, lo_keep, k)))
         suffix.reverse()  # suffix[g]: the min branch over bins g+1..G
         prefix, at_point = MomentAccumulator(3), []
         for g in range(g_max):
-            prefix.merge(reduce(self.hi3, g))
+            prefix.merge(reduce(self.hi3, hi_keep, g))
             at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
-        return [at_point[g] for g in self.draw.points]
+        return at_point
+
+    def event_moments(self, event: EventSpec) -> list[tuple[float, MomentAccumulator]]:
+        """The event fraction and a 3-column accumulator of the event rows
+        for each lambda, in order.
+
+        Each distinct grid point's mask comes from ``build_event_mask`` on
+        its sample (:meth:`samples`) under ``marginals``, and must select
+        MIN_EVENT_ROWS rows (``count_event_rows``).  A row's reference
+        membership is, on the max branch, its mask at its own bin's point,
+        the first that puts it there, and on the min branch its mask at the
+        first point.  The band is the rows whose mask ever differs from
+        their reference.  Every other row in the event by its reference is
+        reduced once per branch, in its bin, by the per-bin merges of
+        :meth:`moments`; each point's accumulator then merges in one
+        reduction of the band rows in its event.  An exceedance event does
+        not depend on lambda, so its band is empty.  The fractions are each
+        mask's mean, bit for bit; the correlations match a one-shot
+        reduction of each event's rows to ~1e-15.
+        """
+        edges, n = self.draw.edges, self.x1.size
+        fractions, flips = [], []
+        for g, ts in enumerate(self._samples(np.arange(self.draw.grid.size))):
+            mask = build_event_mask(ts, event, self.marginals)
+            fractions.append(count_event_rows(mask) / n)
+            if g == 0:
+                lo_ref, ref = mask.copy(), mask.copy()
+            # ref: each row's reference at this point, the max branch's on
+            # bins 0..g and the min branch's above
+            ref[edges[g]:edges[g + 1]] = mask[edges[g]:edges[g + 1]]
+            flips.append(np.flatnonzero(mask != ref))
+        if not flips:
+            return []
+        band = np.unique(np.concatenate(flips))
+        band_hi, band_lo = ref[band], lo_ref[band]
+        ref[band] = lo_ref[band] = False  # the core: rows that never move
+        at_point = self._point_moments(ref, lo_ref)
+        for acc, cut, flip in zip(at_point, edges[1:], flips):
+            rows = band[np.where(band < cut, band_hi, band_lo) != np.isin(band, flip)]
+            x3 = np.where(rows < cut, self.hi3[rows], self.lo3[rows])
+            acc.merge(MomentAccumulator(3).update(np.stack([self.x1[rows], self.x2[rows], x3])))
+        return [(fractions[g], at_point[g]) for g in self.draw.points]
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,11 @@ second moment is written to both (i, j) and (j, i), so the matrix is
 exactly symmetric.  A mixture sweep builds each lambda's accumulator by
 merging per-bin accumulators of the selector (see
 :meth:`coskew.copulas.MixtureSweep.moments`), under the same contract.
+Its event-conditional accumulators merge per-bin accumulators of the rows
+whose event membership never moves with lambda with one reduction of the
+rows whose membership does (:meth:`coskew.copulas.MixtureSweep.event_moments`);
+each mask still comes from :func:`build_event_mask` and each event still
+needs MIN_EVENT_ROWS rows (:func:`count_event_rows`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     DomainError,
     InsufficientEventRowsError,
 )
-from .marginals import Marginal, token_number
+from .marginals import Marginal, token_float, token_number
 from .samples import TriSample
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "rank_coskewness",
     "conditional_corr",
     "conditional_moments",
+    "count_event_rows",
     "build_event_mask",
     "MIN_EVENT_ROWS",
 ]
@@ -253,6 +259,17 @@ def rank_coskewness(u, v, w) -> float:
     return float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
 
 
+def count_event_rows(mask) -> int:
+    """The number of rows an event mask selects; InsufficientEventRowsError
+    when it is below MIN_EVENT_ROWS."""
+    rows = int(np.count_nonzero(mask))
+    if rows < MIN_EVENT_ROWS:
+        raise InsufficientEventRowsError(
+            f"event selects {rows} rows; need at least {MIN_EVENT_ROWS}"
+        )
+    return rows
+
+
 def conditional_moments(cols, mask) -> MomentAccumulator:
     """Moment accumulator of the columns restricted to the rows where mask
     is true.  ``cols`` is a sequence of 1-d columns (a (d, n) array works);
@@ -261,11 +278,7 @@ def conditional_moments(cols, mask) -> MomentAccumulator:
     mask = np.asarray(mask, dtype=bool).ravel()
     if any(c.size != mask.size for c in cols):
         raise DomainError("columns and mask must share a common length")
-    rows = int(np.count_nonzero(mask))
-    if rows < MIN_EVENT_ROWS:
-        raise InsufficientEventRowsError(
-            f"event selects {rows} rows; need at least {MIN_EVENT_ROWS}"
-        )
+    rows = count_event_rows(mask)
     chunk = np.empty((len(cols), rows))
     for row, c in zip(chunk, cols):
         np.compress(mask, c, out=row)
@@ -293,9 +306,11 @@ class EventSpec:
     def __post_init__(self):
         if self.kind not in ("downside", "exceed-upper", "exceed-lower"):
             raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind != "downside":
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise DomainError("exceedance events need p in (0, 1)")
+        if self.kind == "downside":
+            if self.p is not None:
+                raise DomainError("the downside event takes no p")
+        elif self.p is None or not 0.0 < self.p < 1.0:
+            raise DomainError("exceedance events need p in (0, 1)")
 
     @property
     def token(self) -> str:
@@ -318,7 +333,7 @@ def parse_event(token: str) -> EventSpec:
     if name in ("exceed-upper", "exceed-lower"):
         if not arg:
             raise DomainError(f"{name} needs a probability, e.g. '{name}:0.9'")
-        return EventSpec(name, p=float(arg))
+        return EventSpec(name, p=token_float(arg, token))
     raise DomainError(f"unknown event token {token!r}")
 
 

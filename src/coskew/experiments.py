@@ -5,7 +5,12 @@ proposition-by-proposition verification suite.
 ``figure1``, ``figure2`` and Algorithm 1 share one pipeline: one mixture
 draw over the lambda grid (:func:`coskew.copulas.mixture_draw`) under the
 configured marginals, whose :class:`~coskew.copulas.MixtureSweep` gives
-each lambda's moments and, for an event, each lambda's sample.  Pairwise
+each lambda's moments and, for an event, each lambda's event fraction and
+event-conditional moments.  Those come from one mask per distinct lambda
+(``estimators.build_event_mask``), per-bin accumulators of the rows whose
+membership never moves with lambda, and a per-lambda reduction of the few
+rows whose membership does
+(:meth:`~coskew.copulas.MixtureSweep.event_moments`).  Pairwise
 correlations and the coskewness use population-normalized standard
 deviations.  Rank statistics use true-CDF ranks, which are the copula
 coordinates themselves, so no marginal is applied
@@ -151,10 +156,8 @@ def _sweep_rows(sweep, bounds=None, event=None) -> list[dict]:
             row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
         rows.append(row)
     if event is not None:
-        for row, ts in zip(rows, sweep.samples()):
-            mask = estimators.build_event_mask(ts, event, sweep.marginals)
-            acc = estimators.conditional_moments(ts.x, mask)
-            row["event_fraction"] = float(mask.mean())
+        for row, (fraction, acc) in zip(rows, sweep.event_moments(event)):
+            row["event_fraction"] = fraction
             row["cond_rho12"] = acc.corr(0, 1)
             row["cond_rho13"] = acc.corr(0, 2)
             row["cond_rho23"] = acc.corr(1, 2)

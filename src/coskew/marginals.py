@@ -50,6 +50,15 @@ def token_number(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
+def token_float(text: str, token: str) -> float:
+    """The number a token's parameter text spells; DomainError naming the
+    token when it spells none."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{text.strip()!r} in token {token!r} is not a number") from None
+
+
 def _check_prob_open(p, name="p"):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -249,9 +258,9 @@ def parse_marginal(token: str) -> Marginal:
     if name == "t":
         if not arg:
             raise DomainError("t marginal needs degrees of freedom, e.g. 't:5'")
-        return student_t(float(arg))
+        return student_t(token_float(arg, token))
     if name == "exp":
-        return exponential(float(arg) if arg else 1.0)
+        return exponential(token_float(arg, token) if arg else 1.0)
     plain = {"normal": standard_normal, "uniform": uniform01, "laplace": laplace}
     if name not in plain:
         raise DomainError(f"unknown marginal token {token!r}")

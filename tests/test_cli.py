@@ -49,6 +49,17 @@ class TestSample:
         res = runner.invoke(main, ["sample", "--copula", "clayton", "--n", "10"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["sample", "--copula", "mixture:x"],
+        ["sample", "--copula", "max", "--marginals", "t:x,normal,normal"],
+        ["stats", "--event", "exceed-upper:x"],
+    ])
+    def test_non_number_parameter_is_usage_error(self, runner, args):
+        res = runner.invoke(main, [*args, "--n", "10"] if args[0] == "sample" else args,
+                            input="x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        assert res.exit_code == 2
+        assert "is not a number" in res.output
+
     def test_bad_marginal_count_is_usage_error(self, runner):
         res = runner.invoke(
             main, ["sample", "--copula", "max", "--marginals", "normal,normal"]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -561,6 +562,12 @@ class TestSpecParsing:
                                        "independence:", "mixingsum:0.5"])
     def test_rejects_a_parameter_on_a_parameterless_kind(self, token):
         with pytest.raises(DomainError, match="takes no parameter"):
+            parse_copula(token)
+
+    @pytest.mark.parametrize("token", ["mixture:x", "mixture:0.5.1", "gaussian:0.1,y,0.2",
+                                       "gaussian:0.1,0.2,"])
+    def test_rejects_a_parameter_that_is_not_a_number(self, token):
+        with pytest.raises(DomainError, match=re.escape(repr(token))):
             parse_copula(token)
 
     def test_spec_validation(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -309,6 +310,33 @@ class TestEventMask:
         for bad in ("downside:junk", "downside:0.5", "downside:"):
             with pytest.raises(DomainError, match="takes no parameter"):
                 parse_event(bad)
+
+    @pytest.mark.parametrize("token", ["exceed-upper:x", "exceed-lower:0.3.1",
+                                       "exceed-upper:0.9%"])
+    def test_parse_rejects_a_probability_that_is_not_a_number(self, token):
+        with pytest.raises(DomainError, match=re.escape(repr(token))):
+            parse_event(token)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, float("nan")])
+    def test_downside_takes_no_p(self, p):
+        with pytest.raises(DomainError, match="takes no p"):
+            EventSpec("downside", p=p)
+
+    @given(kind=st.sampled_from(["downside", "exceed-upper", "exceed-lower"]),
+           p=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)))
+    @example(kind="downside", p=None)
+    @example(kind="downside", p=0.5)
+    @example(kind="exceed-lower", p=0.1234567)
+    @settings(max_examples=300, deadline=None)
+    def test_every_valid_spec_reparses_from_its_token(self, kind, p):
+        # valid: downside with no p, an exceedance with p in (0, 1)
+        valid = p is None if kind == "downside" else p is not None and 0.0 < p < 1.0
+        if not valid:
+            with pytest.raises(DomainError):
+                EventSpec(kind, p)
+            return
+        spec = EventSpec(kind, p)
+        assert parse_event(spec.token) == spec
 
     @given(ev=st.one_of(
         st.just(EventSpec("downside")),

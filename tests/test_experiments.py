@@ -28,10 +28,19 @@ from coskew.experiments import (
     run_figure2,
     verify_propositions,
 )
-from coskew.marginals import exponential, laplace, standard_normal, student_t, uniform01
+from coskew.marginals import (
+    exponential,
+    laplace,
+    parse_marginal,
+    standard_normal,
+    student_t,
+    uniform01,
+)
 from coskew.samples import SeedSpec, substream
 
 import test_copulas  # TestSweepMoments' draw and grid points
+
+_DEFAULT_GRID = ExperimentConfig.lambda_grid
 
 NORMAL_BOUND = 1.5957691216057308
 
@@ -182,6 +191,75 @@ class TestEventMoments:
                                 ((1, 2), "cond_rho23")):
                 ref = conditional_corr(ts.x[i], ts.x[j], mask)
                 assert row[key] == pytest.approx(ref, abs=1e-13), (lam, key)
+
+    # heavy and asymmetric tails at n = 2e5, on a grid with a duplicate
+    # lambda and on one whose middle bins are empty; the oracle draws each
+    # distinct lambda's sample once and checks every grid and event on it
+    BIG_N = 200_000
+    BIG_GRIDS = ((0.0, 0.3, 0.3, 1.0), (0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9))
+    BIG_EVENTS = ("downside", "exceed-lower:0.3")
+
+    @pytest.mark.parametrize("margins", ["t:3.05,t:3.05,t:3.05", "t:5,laplace,exp:2"])
+    def test_matches_conditional_corr_at_200k_rows(self, margins):
+        m = tuple(map(parse_marginal, margins.split(",")))
+        edges = copulas.mixture_draw(self.BIG_N, self.BIG_GRIDS[1], self.SEED).edges
+        assert np.any(np.diff(edges) == 0)  # the second grid has empty bins
+        rows = {
+            (token, grid): run_figure2(ExperimentConfig(
+                n=self.BIG_N, lambda_grid=grid, marginals=m, seed=self.SEED,
+                event=parse_event(token))).rows
+            for token in self.BIG_EVENTS for grid in self.BIG_GRIDS
+        }
+        checked = 0
+        for lam in sorted(set(sum(self.BIG_GRIDS, ()))):
+            ts = copulas.to_data(copulas.sample_mixture(self.BIG_N, lam, self.SEED), *m)
+            for token in self.BIG_EVENTS:
+                mask = build_event_mask(ts, parse_event(token), m)
+                refs = {key: conditional_corr(ts.x[i], ts.x[j], mask)
+                        for (i, j), key in (((0, 1), "cond_rho12"), ((0, 2), "cond_rho13"),
+                                            ((1, 2), "cond_rho23"))}
+                for grid in self.BIG_GRIDS:
+                    for row in rows[token, grid]:
+                        if row["lambda"] != lam:
+                            continue
+                        assert row["event_fraction"] == mask.mean(), (token, lam)
+                        for key, ref in refs.items():
+                            assert row[key] == pytest.approx(ref, abs=1e-13), (token, lam, key)
+                        checked += 1
+        assert checked == len(self.BIG_EVENTS) * sum(map(len, self.BIG_GRIDS))
+
+    @pytest.mark.parametrize("token", ["downside", "exceed-lower:0.3"])
+    def test_event_pass_reduces_no_more_than_a_bin_plus_the_band(self, token, monkeypatch):
+        # the band, counted here from every grid point's mask: the rows whose
+        # membership ever differs from their reference, which is the mask at
+        # their own bin's point on the max branch and at the first point on
+        # the min branch
+        m = tuple(map(parse_marginal, "t:5,laplace,exp:2".split(",")))
+        event = parse_event(token)
+        sweep = copulas.mixture_draw(self.BIG_N, _DEFAULT_GRID, self.SEED).with_marginals(m)
+        edges = sweep.draw.edges
+        masks = np.array([build_event_mask(ts, event, m) for ts in sweep.samples()])
+        bins = np.repeat(np.arange(edges.size - 1), np.diff(edges))
+        points = np.arange(len(_DEFAULT_GRID))[:, None]
+        hi_ref = masks[np.minimum(bins, len(_DEFAULT_GRID) - 1), np.arange(self.BIG_N)]
+        ref = np.where(bins <= points, hi_ref, masks[0])
+        band = int(np.count_nonzero(np.any(masks != ref, axis=0)))
+        if token != "downside":
+            assert band == 0  # exceedance thresholds do not move with lambda
+
+        sizes = []
+        update = MomentAccumulator.update
+
+        def counted(acc, chunk):
+            sizes.append(np.shape(chunk)[1])
+            return update(acc, chunk)
+
+        monkeypatch.setattr(MomentAccumulator, "update", counted)
+        sweep.event_moments(event)
+        assert sizes and max(sizes) <= np.diff(edges).max() + band
+        # each row is reduced at most once per branch, and each band row
+        # at most once per point
+        assert sum(sizes) <= 2 * self.BIG_N + len(_DEFAULT_GRID) * band
 
     def test_too_few_event_rows(self, seed):
         cfg = ExperimentConfig(n=1000, lambda_grid=(0.5,), seed=seed,

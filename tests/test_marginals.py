@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,11 @@ class TestConstruction:
     @pytest.mark.parametrize("token", ["normal:9", "uniform:x", "laplace:2", "laplace:"])
     def test_parse_rejects_a_parameter_on_a_parameterless_family(self, token):
         with pytest.raises(DomainError, match="takes no parameter"):
+            parse_marginal(token)
+
+    @pytest.mark.parametrize("token", ["t:x", "t:5,", "exp:abc", "exp:1e"])
+    def test_parse_rejects_a_parameter_that_is_not_a_number(self, token):
+        with pytest.raises(DomainError, match=re.escape(repr(token))):
             parse_marginal(token)
 
     def test_exp_without_a_rate_has_rate_one(self):
