@@ -21,13 +21,17 @@ sort gathers only U and which coordinates are flipped.  That sorted draw,
 a :class:`MixtureDraw`, holds no marginal, so it serves every marginal
 triple of a seed: each distinct marginal is inverted once, at the sorted
 U, for the pair (F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds
-x1, x2 and both branches' x3 once, in bin order; each lambda's moments
-merge the max-branch bins below it with the min-branch bins above it, and
+x1, x2 and both branches' x3 once, in bin order.  Each bin is summed once
+per branch around the marginals' population means, and each lambda's
+moments add the max-branch sums of the bins below it to the min-branch
+sums of the bins above it, centred once: every correlation and coskewness
+lies within 1e-12 of a one-shot reduction of that lambda's sample.
 :meth:`MixtureSweep.samples` refills one buffer's third row with a prefix
 of one branch and a suffix of the other.  An event's conditional moments
-(:meth:`MixtureSweep.event_moments`) take the same per-bin merges over the
-rows whose event membership never moves with lambda, plus one small
-reduction per lambda of the band of rows whose membership does.  For a
+(:meth:`MixtureSweep.event_moments`) take the same per-bin sums, around
+those rows' own means, over the rows whose event membership never moves
+with lambda, plus one small reduction per lambda of the band of rows
+whose membership does.  For a
 symmetric marginal F^-1(1-U) is the reflection 2*mean - F^-1(U), which
 equals the direct quantile bit for bit on the samplers' k/2^53 grid;
 :func:`to_data` clamps to that grid's own ends, so it moves no sampled
@@ -365,6 +369,43 @@ def _quantile_pair(m: Marginal, u):
     return x, 2.0 * m.mean - x if m.symmetric else m.quantile(1.0 - u)
 
 
+# The moment kernel's scratch rows, summed over each block of a bin: first
+# y1y1, y2y2, y1, y2 and y1y2, which take no x3, so both branches of an
+# unmasked block share them; then y3, y1y3, y2y3, y1y2y3 and y3y3.  Rows
+# 2-5 hold y1, y2, y1y2 and y3, so one product by y3 fills rows 6-9.
+# _SQUARE_ROWS places the six products in a (3, 3) matrix.  The scratch is
+# (10, _BLOCK) floats, 320 KB.
+_PAIR_ROWS, _SUM_ROWS = 5, 10
+_SQUARE_ROWS = np.array([[0, 4, 6], [4, 1, 7], [6, 7, 9]])
+_BLOCK = 4096
+
+
+def _pair_rows(y, x1, x2, shift):
+    """Fill the scratch view y's x1/x2 rows from one block of x1 and x2."""
+    np.subtract(x1, shift[0], out=y[2])
+    np.subtract(x2, shift[1], out=y[3])
+    np.multiply(y[2:4], y[2:4], out=y[0:2])
+    np.multiply(y[2], y[3], out=y[4])
+
+
+def _third_rows(y, x3, shift):
+    """Fill the scratch view y's x3 rows from one block of x3, once its x1/x2
+    rows hold the same block's."""
+    np.subtract(x3, shift[2], out=y[5])
+    np.multiply(y[2:6], y[5], out=y[6:10])
+
+
+def _kept_shift(cols, keep):
+    """Each column's mean over the kept rows within one block of the first:
+    a shift near the rows of an event, which may sit far from the marginal's
+    mean.  Zeros when no row is kept."""
+    first = int(np.argmax(keep))
+    if not keep[first]:
+        return np.zeros(len(cols))
+    rows = np.flatnonzero(keep[first:first + _BLOCK]) + first
+    return np.array([c[rows].mean() for c in cols])
+
+
 # 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
 # coskewness, as in coskew.estimators
 _RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
@@ -412,38 +453,85 @@ class MixtureSweep:
     def moments(self) -> list[MomentAccumulator]:
         """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
 
-        Each nonempty bin is reduced once per branch it can take, and each
-        point's accumulator merges the max-branch prefix with the min-branch
-        suffix.  The merges are shift-stable and compensated, so the values
-        match a one-shot update of each sample to ~1e-12 relative; the bits
-        differ.
+        Each bin is summed once per branch it can take, around the
+        marginals' population means, and each point's sums are the
+        max-branch prefix plus the min-branch suffix, centred once
+        (:meth:`_point_moments`).  Every corr and coskew lies within 1e-12
+        of a one-shot update of each sample; the bits differ.
         """
         at_point = self._point_moments()
         return [at_point[g] for g in self.draw.points]
 
     def _point_moments(self, hi_keep=None, lo_keep=None) -> list[MomentAccumulator]:
-        """One accumulator per grid point, merged from per-bin ones.  With
+        """One accumulator per grid point, from per-bin shifted sums.  With
         row masks, a bin's max-branch rows are those in hi_keep and its
-        min-branch rows those in lo_keep."""
+        min-branch rows those in lo_keep.
+
+        Each branch shifts every column by one value in all its bins, so
+        bin sums add without correction.  Each bin is walked in blocks of
+        at most _BLOCK rows: a block's shifted columns and their products
+        fill one reused scratch, whose rows are summed pairwise, and a bin's
+        block sums are summed pairwise again.  A point's sums are then a
+        cumulative sum over the max-branch bins 0..g plus one over the
+        min-branch bins g+1..G, and
+        :meth:`~coskew.estimators.MomentAccumulator.from_shifted_sums`
+        centres them.
+
+        Without masks the shift is the marginals' population means in both
+        branches, so the two sums add, and both branches share the x1/x2
+        rows of a block.  With masks each branch compresses its kept rows
+        first and is shifted by their own mean (:func:`_kept_shift`): an
+        event's rows may sit far from the marginals' means with a small
+        spread, as in a tail exceedance, where a fixed shift cancels away
+        the digits of every moment.  Each point then merges its two
+        branches' accumulators.
+        """
         edges, g_max = self.draw.edges, self.draw.grid.size
+        x1, x2 = self.x1, self.x2
+        if hi_keep is None:
+            shifts = [np.array([m.mean for m in self.marginals])] * 2
+        else:
+            shifts = [_kept_shift((x1, x2, x3), keep)
+                      for x3, keep in ((self.hi3, hi_keep), (self.lo3, lo_keep))]
+        scratch = np.empty((_SUM_ROWS, _BLOCK))
+        sums = np.zeros((2, g_max + 1, _SUM_ROWS))  # [branch, bin, row]
+        counts = np.zeros((2, g_max + 1), np.int64)
+        # bin 0 is never on the min branch and bin G never on the max branch
+        branches = [(0, self.hi3, hi_keep, range(g_max)),
+                    (1, self.lo3, lo_keep, range(1, g_max + 1))]
+        for k in range(g_max + 1):
+            live = [b for b in branches if k in b[3]]
+            starts = range(edges[k], edges[k + 1], _BLOCK)
+            part = np.zeros((2, _SUM_ROWS, len(starts)))
+            for j, a in enumerate(starts):
+                block = slice(a, min(a + _BLOCK, edges[k + 1]))
+                paired = None  # the branch whose x1/x2 rows the scratch holds
+                for br, x3, keep, _ in live:
+                    rows = block if keep is None else np.flatnonzero(keep[block]) + a
+                    y = scratch[:, :block.stop - a if keep is None else rows.size]
+                    first = 0
+                    if keep is None and paired is not None:  # the same rows: share them
+                        first = _PAIR_ROWS
+                        part[br, :first, j] = part[paired, :first, j]
+                    else:
+                        _pair_rows(y, x1[rows], x2[rows], shifts[br])
+                    paired = br
+                    _third_rows(y, x3[rows], shifts[br])
+                    np.add.reduce(y[first:], axis=1, out=part[br, first:, j])
+                    counts[br, k] += y.shape[1]
+            np.add.reduce(part, axis=2, out=sums[:, k])
+        # at point g: the max branch over bins 0..g, the min branch over g+1..G
+        hi, n_hi = np.cumsum(sums[0, :g_max], axis=0), np.cumsum(counts[0, :g_max])
+        lo, n_lo = np.cumsum(sums[1, :0:-1], axis=0)[::-1], np.cumsum(counts[1, :0:-1])[::-1]
 
-        def reduce(x3, keep, k):
-            rows = slice(edges[k], edges[k + 1])
-            chunk = np.stack([self.x1[rows], self.x2[rows], x3[rows]])
-            if keep is not None:
-                chunk = np.compress(keep[rows], chunk, axis=1)
-            return MomentAccumulator(3).update(chunk)
+        def at_points(n, shift, s):
+            return [MomentAccumulator.from_shifted_sums(m, shift, *a)
+                    for m, *a in zip(n, s[:, [2, 3, 5]], s[:, _SQUARE_ROWS], s[:, 8])]
 
-        suffix = [MomentAccumulator(3)]
-        for k in range(g_max, 0, -1):
-            acc = MomentAccumulator(3).merge(suffix[-1])
-            suffix.append(acc.merge(reduce(self.lo3, lo_keep, k)))
-        suffix.reverse()  # suffix[g]: the min branch over bins g+1..G
-        prefix, at_point = MomentAccumulator(3), []
-        for g in range(g_max):
-            prefix.merge(reduce(self.hi3, hi_keep, g))
-            at_point.append(MomentAccumulator(3).merge(prefix).merge(suffix[g]))
-        return at_point
+        if hi_keep is None:  # one shift: the branches' sums add
+            return at_points(n_hi + n_lo, shifts[0], hi + lo)
+        return [a.merge(b) for a, b in zip(at_points(n_hi, shifts[0], hi),
+                                           at_points(n_lo, shifts[1], lo))]
 
     def event_moments(self, event: EventSpec) -> list[tuple[float, MomentAccumulator]]:
         """The event fraction and a 3-column accumulator of the event rows
@@ -456,12 +544,12 @@ class MixtureSweep:
         the first that puts it there, and on the min branch its mask at the
         first point.  The band is the rows whose mask ever differs from
         their reference.  Every other row in the event by its reference is
-        reduced once per branch, in its bin, by the per-bin merges of
+        summed once per branch, in its bin, by the shifted per-bin sums of
         :meth:`moments`; each point's accumulator then merges in one
         reduction of the band rows in its event.  An exceedance event does
         not depend on lambda, so its band is empty.  The fractions are each
-        mask's mean, bit for bit; the correlations match a one-shot
-        reduction of each event's rows to ~1e-15.
+        mask's mean, bit for bit; the correlations lie within 1e-12 of a
+        one-shot reduction of each event's rows.
         """
         edges, n = self.draw.edges, self.x1.size
         fractions, flips = [], []
@@ -481,7 +569,9 @@ class MixtureSweep:
         ref[band] = lo_ref[band] = False  # the core: rows that never move
         at_point = self._point_moments(ref, lo_ref)
         for acc, cut, flip in zip(at_point, edges[1:], flips):
-            rows = band[np.where(band < cut, band_hi, band_lo) != np.isin(band, flip)]
+            moved = np.zeros(band.size, bool)
+            moved[np.searchsorted(band, flip)] = True  # flip is a sorted subset of band
+            rows = band[np.where(band < cut, band_hi, band_lo) != moved]
             x3 = np.where(rows < cut, self.hi3[rows], self.lo3[rows])
             acc.merge(MomentAccumulator(3).update(np.stack([self.x1[rows], self.x2[rows], x3])))
         return [(fractions[g], at_point[g]) for g in self.draw.points]

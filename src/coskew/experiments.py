@@ -7,7 +7,7 @@ draw over the lambda grid (:func:`coskew.copulas.mixture_draw`) under the
 configured marginals, whose :class:`~coskew.copulas.MixtureSweep` gives
 each lambda's moments and, for an event, each lambda's event fraction and
 event-conditional moments.  Those come from one mask per distinct lambda
-(``estimators.build_event_mask``), per-bin accumulators of the rows whose
+(``estimators.build_event_mask``), per-bin sums of the rows whose
 membership never moves with lambda, and a per-lambda reduction of the few
 rows whose membership does
 (:meth:`~coskew.copulas.MixtureSweep.event_moments`).  Pairwise

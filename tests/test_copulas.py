@@ -29,9 +29,13 @@ from coskew.copulas import (
     sample_mixture,
     to_data,
 )
-from coskew.errors import DomainError, InvalidCorrelationError
+from coskew.errors import DomainError, InsufficientEventRowsError, InvalidCorrelationError
 from coskew.estimators import (
+    MIN_EVENT_ROWS,
     MomentAccumulator,
+    build_event_mask,
+    conditional_moments,
+    parse_event,
     rank_coskewness,
     rank_transform,
     spearman_rho,
@@ -280,6 +284,130 @@ class TestSweepMoments:
             .with_marginals(m)
         for ts, acc in zip(sweep.samples(), sweep.moments()):
             _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
+
+
+def _stats(acc):
+    return [acc.corr(0, 1), acc.corr(0, 2), acc.corr(1, 2), acc.coskew()]
+
+
+_KERNEL_SEED = SeedSpec(5, 3)
+_KERNEL_MARGINS = ["normal,normal,normal", "exp:1,exp:1,exp:1", "t:3.05,t:3.05,t:3.05",
+                   "t:3.05,laplace,exp:2", "exp:2,uniform,t:3.05", "uniform,uniform,uniform"]
+# exceed-upper:0.99 keeps a few dozen rows far from the marginals' means
+_KERNEL_EVENTS = ["downside", "exceed-upper:0.75", "exceed-lower:0.3", "exceed-upper:0.99"]
+# the sorted selector values of a 3-block draw
+_H3 = np.sort(substream(_KERNEL_SEED, copulas._OFF_B).random(3 * copulas._BLOCK))
+
+
+@st.composite
+def _kernel_case(draw):
+    """n, a margin triple, an event and a grid for the moment kernel.  Grid
+    points may repeat, be 0 or 1, or sit just above another (an empty bin);
+    a point equal to the j-th smallest selector value puts exactly j rows
+    below it, so points at j and j + k * _BLOCK give bins of whole blocks."""
+    block = copulas._BLOCK
+    n = draw(st.one_of(st.integers(2, 3 * block), st.sampled_from([block, 2 * block, 3 * block])))
+    h = np.sort(substream(_KERNEL_SEED, copulas._OFF_B).random(n))
+    order = st.one_of(
+        st.sampled_from([j for j in (block, 2 * block, block - 1, block + 1) if j < n]
+                        or [n - 1]),
+        st.integers(0, n - 1),
+    )
+    point = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0),
+        order.map(lambda j: float(h[j])),
+        order.map(lambda j: float(np.nextafter(h[j], 2.0))),
+    )
+    grid = draw(st.lists(point, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        grid += draw(st.lists(st.sampled_from(grid), max_size=2))  # duplicate lambdas
+    return n, draw(st.sampled_from(_KERNEL_MARGINS)), draw(st.sampled_from(_KERNEL_EVENTS)), grid
+
+
+class TestMomentKernel:
+    # the shifted per-bin sums behind moments() and event_moments() against
+    # one-shot reductions of each lambda's sample (the samples() buffer, so
+    # the same rows in the same order)
+    @given(case=_kernel_case())
+    @example(case=(2, "normal,normal,normal", "downside", [0.5]))
+    @example(case=(5000, "t:3.05,t:3.05,t:3.05", "downside", [0.0]))  # one bin, min branch
+    @example(case=(5000, "exp:1,exp:1,exp:1", "exceed-upper:0.75", [1.0]))  # one bin, max branch
+    @example(case=(3 * copulas._BLOCK, "t:3.05,laplace,exp:2", "exceed-lower:0.3",
+                   [0.0, 1.0, 0.0, 0.5, 0.5]))
+    @example(case=(3 * copulas._BLOCK, "uniform,uniform,uniform", "exceed-upper:0.99",
+                   [0.0, 0.5, 1.0]))
+    @example(case=(3 * copulas._BLOCK, "exp:2,uniform,t:3.05", "downside",  # one block per bin
+                   [float(_H3[copulas._BLOCK]), float(_H3[2 * copulas._BLOCK])]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_shot_reductions(self, case):
+        n, margins, token, grid = case
+        m = tuple(map(parse_marginal, margins.split(",")))
+        event = parse_event(token)
+        sweep = mixture_draw(n, grid, _KERNEL_SEED).with_marginals(m)
+        accs = sweep.moments()
+        refs, masks = [], []
+        for ts in sweep.samples():
+            refs.append(_stats(MomentAccumulator(3).update(ts.x)))
+            masks.append(build_event_mask(ts, event, m).copy())
+            if np.count_nonzero(masks[-1]) >= MIN_EVENT_ROWS:
+                refs[-1] += _stats(conditional_moments(ts.x, masks[-1]))
+        assert len(accs) == len(refs) == len(grid)
+        for acc, ref in zip(accs, refs):
+            np.testing.assert_allclose(_stats(acc), ref[:4], rtol=0, atol=1e-12)
+        if min(map(np.count_nonzero, masks)) < MIN_EVENT_ROWS:
+            with pytest.raises(InsufficientEventRowsError):
+                sweep.event_moments(event)
+            return
+        for (fraction, acc), ref, mask in zip(sweep.event_moments(event), refs, masks):
+            assert fraction == mask.mean()
+            np.testing.assert_allclose(_stats(acc), ref[4:], rtol=0, atol=1e-12)
+
+
+def _fsum_stats(x):
+    """corr12, corr13, corr23 and coskewness of the (3, n) rows x, each sum a
+    two-pass math.fsum: the means, then the centred products."""
+    def fsum(a):  # a memoryview yields floats, which fsum takes faster than numpy scalars
+        return math.fsum(memoryview(np.ascontiguousarray(a)))
+
+    n = x.shape[1]
+    z = [c - fsum(c) / n for c in x]
+    m2 = {(i, j): fsum(z[i] * z[j]) / n for i, j in ((0, 0), (1, 1), (2, 2),
+                                                       (0, 1), (0, 2), (1, 2))}
+    s = [math.sqrt(m2[i, i]) for i in range(3)]
+    m3 = fsum(z[0] * z[1] * z[2]) / n
+    return [m2[0, 1] / (s[0] * s[1]), m2[0, 2] / (s[0] * s[2]), m2[1, 2] / (s[1] * s[2]),
+            m3 / (s[0] * s[1] * s[2])]
+
+
+def kernel_oracle_gap(n, margin, grid=(0.1, 0.5, 0.9, 1.0), checked=(0.1,),
+                      seed=SeedSpec(8, 1)):
+    """The largest |moments() - fsum oracle| over every corr and coskew, and
+    the same for event_moments() under the downside and exceed-upper:0.99
+    events, at the checked lambdas of a sweep over grid, n rows of margin^3.
+    The other grid points split the rows into more bins.  Tier-1 runs it at
+    n = 1e6; at n = 1e7 it needs about 1.2 GB and is run by hand."""
+    m = (parse_marginal(margin),) * 3
+    sweep = mixture_draw(n, grid, seed).with_marginals(m)
+    events = [parse_event("downside"), parse_event("exceed-upper:0.99")]
+    got = [[_stats(acc) for acc in sweep.moments()]]
+    got += [[_stats(acc) for _, acc in sweep.event_moments(e)] for e in events]
+    gap = 0.0
+    for g, (lam, ts) in enumerate(zip(grid, sweep.samples())):
+        if lam not in checked:
+            continue
+        rows = [ts.x] + [np.compress(build_event_mask(ts, e, m), ts.x, axis=1) for e in events]
+        for stats, x in zip(got, rows):
+            gap = max(gap, np.max(np.abs(np.subtract(stats[g], _fsum_stats(x)))))
+    return gap
+
+
+class TestMomentKernelAccuracy:
+    # every corr and coskewness of the sweep, and of its event cores,
+    # within 1e-12 of exactly rounded sums at a million rows
+    @pytest.mark.parametrize("margin", ["t:3.05", "exp:1"])
+    def test_within_1e12_of_fsum_at_a_million_rows(self, margin):
+        assert kernel_oracle_gap(10**6, margin) <= 1e-12
 
 
 class TestSweepRankStats:
