@@ -17,11 +17,17 @@ lambda.  It sorts the draw's rows once, right after drawing, into bins by
 how many grid points lie at or below their selector value, so each
 lambda's sample is a run of bins on the max branch followed by a run on
 the min branch.  Every coordinate of these copulas is U or 1-U, so the
-sort gathers only U and which coordinates are flipped.  That sorted draw,
-a :class:`MixtureDraw`, holds no marginal, so it serves every marginal
-triple of a seed: each distinct marginal is inverted once, at the sorted
-U, for the pair (F^-1(U), F^-1(1-U)).  The :class:`MixtureSweep` then holds
-x1, x2 and both branches' x3 once, in bin order.  Each bin is summed once
+sort gathers only U and which coordinates are flipped, and within a bin
+it orders the rows by that flip pattern (u2 flipped, then u3_max
+flipped): each bin holds four runs, and every later pick between a
+quantile at U and one at 1-U reads a mask that changes at most three
+times per bin.  The samplers pick between U and 1-U over random masks,
+so they blend the two arithmetically, with no branch, to the same bits.
+That sorted draw, a :class:`MixtureDraw`, holds no marginal, so it
+serves every marginal triple of a seed: each distinct marginal is
+inverted once, at the sorted U, for the pair (F^-1(U), F^-1(1-U)).  The
+:class:`MixtureSweep` then holds x1, x2 and both branches' x3 once, in
+the draw's row order.  Each bin is summed once
 per branch around the marginals' population means, and each lambda's
 moments add the max-branch sums of the bins below it to the min-branch
 sums of the bins above it, centred once: every correlation and coskewness
@@ -190,20 +196,30 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _select(mask, a, b):
+    """``np.where(mask, a, b)`` as the blend a*mask + b*~mask, which takes
+    no branch, so a random mask costs no misprediction.  It equals the
+    select bit for bit wherever a and b are finite, since x*1.0 + y*0.0
+    == x, except that a chosen -0.0 may come out as +0.0."""
+    return a * mask + b * ~mask
+
+
 def extremal_coords(u, v):
     """Second and third coordinates of the extremal constructions at (u, v).
 
     Returns (u2, u3_max); the minimum-coskewness third coordinate is the
     reflection 1 - u3_max.  Ties at exactly 1/2 fall in the I = 0 (J = 0)
-    branch, matching the strict inequality in the indicators.
+    branch, matching the strict inequality in the indicators.  Each is
+    picked from u and 1 - u by :func:`_select`, so it equals the
+    ``np.where`` select bit for bit for every finite u and v in [0, 1]
+    (a u of -0.0 aside, which may come out as +0.0).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     i = u > 0.5
     j = v > 0.5
-    u2 = np.where(j, u, 1.0 - u)
-    u3_max = np.where(i == j, u, 1.0 - u)
-    return u2, u3_max
+    w = 1.0 - u
+    return _select(j, u, w), _select(i == j, u, w)
 
 
 def mixing_sum_coords(u):
@@ -261,8 +277,7 @@ def sample_mixture(n: int, lam: float, seed: SeedSpec = SeedSpec()) -> USample:
     u, u2, u3_max = _extremal_u(n, seed)
     # coupled selector: same substream draws for every lambda
     h = substream(seed, _OFF_B).random(n)
-    b = h < lam
-    u3 = np.where(b, u3_max, 1.0 - u3_max)
+    u3 = _select(h < lam, u3_max, 1.0 - u3_max)
     return USample(np.stack([u, u2, u3]), seed)
 
 
@@ -415,16 +430,17 @@ _RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
 class MixtureSweep:
     """The data columns of a :class:`MixtureDraw` under one marginal
     triple (:meth:`MixtureDraw.with_marginals`): x1 and x2 and both
-    branches' x3, each held once, in the draw's bin order.
+    branches' x3, each held once, in the draw's row order.
 
     At lambda = grid[g] the rows with h < lambda are bins 0..g, so that
     lambda's x3 is ``hi3`` (the max branch) on its leading rows, up to
     ``draw.edges[g + 1]``, and ``lo3`` (the min branch) on the rest.
     :meth:`samples` gives each lambda's sample, which is the rows of
-    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in bin order, bit
-    for bit; :meth:`moments` gives each lambda's moment accumulator without
-    building the samples, and :meth:`event_moments` each lambda's
-    accumulator of an event's rows, reducing each bin once as well.
+    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in the draw's row
+    order (by bin, then flip pattern), bit for bit; :meth:`moments` gives
+    each lambda's moment accumulator without building the samples, and
+    :meth:`event_moments` each lambda's accumulator of an event's rows,
+    reducing each bin once as well.
     """
 
     draw: MixtureDraw
@@ -435,7 +451,8 @@ class MixtureSweep:
     lo3: np.ndarray
 
     def samples(self):
-        """Each lambda's sample, in order, as a TriSample in bin order.
+        """Each lambda's sample, in order, as a TriSample in the draw's row
+        order: by bin, then by flip pattern (:class:`MixtureDraw`).
 
         Every sample wraps the same (3, n) buffer, whose third row is
         refilled for the next lambda, so read each before taking the next.
@@ -581,12 +598,15 @@ class MixtureSweep:
 class MixtureDraw:
     """One mixture draw over a lambda grid, from :func:`mixture_draw`, with
     no marginal applied: u and whether u2 and u3_max are 1 - u (``flip2``,
-    ``flip3``), with the rows sorted by selector bin.
+    ``flip3``), with the rows sorted by selector bin, then flip pattern.
 
     ``grid`` holds the sorted distinct lambdas, and ``points`` the index in
     ``grid`` of each of ``lams``.  Bin k holds the rows whose selector h has
-    k grid points at or below it, rows ``edges[k]`` to ``edges[k + 1]``, in
-    draw order within the bin.
+    k grid points at or below it, rows ``edges[k]`` to ``edges[k + 1]``.
+    Within a bin the rows run in (flip2, flip3) order, (0, 0), (0, 1),
+    (1, 0), (1, 1), and in draw order within each run, so the flip masks
+    that :meth:`with_marginals` and :meth:`rank_stats` select by change at
+    most three times per bin.
     """
 
     lams: tuple[float, ...]
@@ -638,9 +658,10 @@ class MixtureDraw:
 def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:
     """The extremal draw (:func:`sample_max_coskew`) and the selector h,
     drawn once, with the rows sorted stably by how many grid points are at
-    or below their h.  A lambda outside [0, 1] raises DomainError, as in
-    sample_mixture, before anything is drawn.  Its data columns under a
-    marginal triple come from :meth:`MixtureDraw.with_marginals`."""
+    or below their h, then by flip2 and flip3 (:class:`MixtureDraw`).  A
+    lambda outside [0, 1] raises DomainError, as in sample_mixture, before
+    anything is drawn.  Its data columns under a marginal triple come from
+    :meth:`MixtureDraw.with_marginals`."""
     lams = tuple(_check_lam(lam) for lam in lams)
     grid = np.unique(lams)
     u, u2, u3 = sample_max_coskew(n, seed).u
@@ -648,7 +669,14 @@ def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:
     bins = np.zeros(h.size, np.min_scalar_type(grid.size))
     for lam in grid:
         bins += h >= lam
-    order = np.argsort(bins, kind="stable")
+    # the key (bin, flip2, flip3) packed into the narrowest unsigned type:
+    # up to 16 bits (G < 16384) numpy's stable sort is a radix sort
+    key = bins.astype(np.min_scalar_type(4 * grid.size + 3))
+    key <<= 2
+    key |= (u2 != u).astype(key.dtype) << 1
+    key |= u3 != u
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     edges = np.r_[0, np.cumsum(np.bincount(bins, minlength=grid.size + 1))]
     return MixtureDraw(lams, grid, np.searchsorted(grid, lams), edges,
-                       u[order], (u2 != u)[order], (u3 != u)[order], seed)
+                       u[order], (key & 2).astype(bool), (key & 1).astype(bool), seed)

@@ -80,9 +80,9 @@ class MomentAccumulator:
     mixed third moment sum z_0 z_1 z_2.
 
     Feed data once, in chunks of shape (d, m); each chunk is centered on its
-    own mean and folded in with merge formulas that never subtract large
-    raw moments, so the result is invariant (to rounding) under shifts of
-    the data.  Accumulators can also be merged pairwise; merging in a fixed
+    own mean, then on the mean of what is left, and folded in with merge
+    formulas that never subtract large raw moments, so the result is
+    invariant (to rounding) under shifts of the data.  Accumulators can also be merged pairwise; merging in a fixed
     chunk order gives bit-identical results.
 
     ``update`` forms each product z_i z_j (i <= j) of a chunk in one reused
@@ -138,8 +138,14 @@ class MomentAccumulator:
             return self
         other = MomentAccumulator(self.d)
         other.n = m
-        other.mean = chunk.mean(axis=1)
-        z = chunk - other.mean[:, None]
+        # centre on the rounded mean, then on the residual mean: when a
+        # column's spread is tiny beside its mean, the rounding of the first
+        # is not small beside the spread
+        mean = chunk.mean(axis=1)
+        z = chunk - mean[:, None]
+        r = z.mean(axis=1)
+        z -= r[:, None]
+        other.mean = mean + r
         w = np.empty(m)
         for i in range(self.d):
             for j in range(i, self.d):

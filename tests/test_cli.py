@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -117,6 +118,25 @@ class TestSample:
         assert to_file.exit_code == to_stdout.exit_code == 0
         assert path.read_bytes() == want.encode()
         assert to_stdout.stdout_bytes == want.encode()
+
+    # sha256 of the CSV: uniform margins are the identity on the samplers'
+    # grid, so these bytes need no libm and do not depend on the CPU
+    PINNED = {
+        ("max", 1): "42609d4f8e152675affa7b50a81301bdfd17e538b7bd6bbedf3e30fd6865ff0b",
+        ("max", 4097): "502819a70cf9180577361f51ba9ac60109bd7455e59f63eb659d32bcc615339b",
+        ("min", 1): "50db1cec2771282302371d757b9a6f8a88450dd70e722afa0b428286e58da9d0",
+        ("min", 4097): "46ecd375d28ffd04aa7dd6af66e58ac5a5e71582fcc8452811cdd626d650f5cf",
+        ("mixture:0.3", 1): "42609d4f8e152675affa7b50a81301bdfd17e538b7bd6bbedf3e30fd6865ff0b",
+        ("mixture:0.3", 4097):
+            "b35c929404f13b6274969eb9f3d2fa712b65d681e6d10cdaad5a291d3e670c0e",
+    }
+
+    @pytest.mark.parametrize("spec, n", list(PINNED))
+    def test_uniform_margin_bytes_are_pinned(self, runner, spec, n):
+        res = runner.invoke(main, ["sample", "--copula", spec, "--marginals",
+                                   "uniform,uniform,uniform", "--seed", "7", "--n", str(n)])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.PINNED[spec, n]
 
     def test_failed_draw_creates_no_file(self, runner, tmp_path):
         path = tmp_path / "s.csv"

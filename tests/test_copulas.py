@@ -61,6 +61,13 @@ def _moment_se(n):
     return 4 * math.sqrt(1 / 12 / n), 4 * math.sqrt(1 / 180 / n)
 
 
+# values in [0, 1]: any finite float, exact halves, and the samplers'
+# k/2^53 grid near its ends and near 1/4 and 1/2
+_GRID_K = st.sampled_from([1, 2**51, 2**52, 2**53 - 1]).flatmap(
+    lambda k: st.integers(max(0, k - 10**4), min(2**53, k + 10**4)))
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.just(0.5), _GRID_K.map(lambda k: k / 2**53))
+
+
 class TestExtremalRows:
     # hand evaluations of the indicator constructions
     @pytest.mark.parametrize(
@@ -94,6 +101,33 @@ class TestExtremalRows:
         assert (float(u2), float(u3_max)) == (0.5, 0.5)
         u2, u3_max = extremal_coords(0.3, 0.5)
         assert float(u2) == 0.7  # J = 0 flips
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
+    @example([(0.5, 0.5), (0.5, 0.7), (0.3, 0.5), (0.0, 1.0), (1.0, 0.0)])
+    @example([(1 / 2**53, 0.5), (1 - 2**-53, 0.5), (0.5 - 2**-54, 0.5 + 2**-53)])
+    def test_blend_equals_the_where_select_bytewise(self, pairs):
+        # the branch-free blends against the np.where form they replace
+        u, v = (np.array(c) for c in zip(*pairs))
+        i, j = u > 0.5, v > 0.5
+        u2, u3_max = extremal_coords(u, v)
+        assert u2.tobytes() == np.where(j, u, 1.0 - u).tobytes()
+        assert u3_max.tobytes() == np.where(i == j, u, 1.0 - u).tobytes()
+        # sample_mixture's select of u3 by the selector, with v as the mask
+        assert (copulas._select(j, u3_max, 1.0 - u3_max).tobytes()
+                == np.where(j, u3_max, 1.0 - u3_max).tobytes())
+        for k, (a, b) in enumerate(pairs):  # one 0-d input at a time
+            want = np.where(b > 0.5, a, 1.0 - a), np.where((a > 0.5) == (b > 0.5), a, 1.0 - a)
+            for got, w in zip(extremal_coords(a, b), want):
+                assert np.float64(got).tobytes() == w.tobytes(), k
+
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    def test_mixture_select_equals_the_where_select(self, lam, seed):
+        u, u2, u3_max = sample_max_coskew(5000, seed).u
+        h = substream(seed, copulas._OFF_B).random(5000)
+        got = sample_mixture(5000, lam, seed).u
+        assert got[2].tobytes() == np.where(h < lam, u3_max, 1.0 - u3_max).tobytes()
+        assert got[:2].tobytes() == np.stack([u, u2]).tobytes()
 
     def test_structure_u2_u3_in_reflection_pair(self, seed):
         for us in (
@@ -137,6 +171,16 @@ class TestMixture:
             sample_mixture(10, -0.1, seed)
 
 
+def _draw_order(n, grid, seed):
+    """The selector h and the draw's row order, computed here from h, the
+    grid and the max sample: stably by selector bin, then whether u2 is
+    flipped, then whether u3_max is."""
+    h = substream(seed, copulas._OFF_B).random(n)
+    bins = (h[:, None] >= np.unique(grid)).sum(axis=1)
+    u, u2, u3 = sample_max_coskew(n, seed).u
+    return h, np.lexsort((u3 != u, u2 != u, bins))
+
+
 class TestMixtureSweep:
     GRID = (0.0, 0.1, 0.25, 0.5, 0.5, 0.8, 0.999, 1.0)
     MARGIN_SETS = [
@@ -148,11 +192,10 @@ class TestMixtureSweep:
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_matches_per_lambda_path_bit_for_bit(self, margins, seed):
         # each lambda's sample from the sweep is that lambda's reference
-        # sample in stable bin order
+        # sample in the draw's (bin, flip2, flip3) row order
         m = tuple(parse_marginal(t) for t in margins.split(","))
         sweep = mixture_draw(3000, self.GRID, seed).with_marginals(m)
-        h = substream(seed, copulas._OFF_B).random(3000)
-        order = np.argsort((h[:, None] >= np.unique(self.GRID)).sum(axis=1), kind="stable")
+        _, order = _draw_order(3000, self.GRID, seed)
         count = 0
         for lam, ts in zip(self.GRID, sweep.samples()):
             ref = to_data(sample_mixture(3000, lam, seed), *m).x[:, order]
@@ -164,13 +207,12 @@ class TestMixtureSweep:
 
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_columns_are_the_reference_in_stable_bin_order(self, margins, seed):
-        # bins counted here from the grid and the selector, independently of
-        # the sweep; both branches' x3 come from the lambda = 1 and 0 samples
+        # the row order computed here from the grid, the selector and the
+        # flips, independently of the sweep; both branches' x3 come from the
+        # lambda = 1 and 0 samples
         m = tuple(parse_marginal(t) for t in margins.split(","))
         sweep = mixture_draw(3000, self.GRID, seed).with_marginals(m)
-        h = substream(seed, copulas._OFF_B).random(3000)
-        bins = (h[:, None] >= np.unique(self.GRID)).sum(axis=1)
-        order = np.argsort(bins, kind="stable")
+        h, order = _draw_order(3000, self.GRID, seed)
         hi = to_data(sample_mixture(3000, 1.0, seed), *m).x[:, order]
         lo = to_data(sample_mixture(3000, 0.0, seed), *m).x[:, order]
         for got, want in ((sweep.x1, hi[0]), (sweep.x2, hi[1]), (sweep.hi3, hi[2]),
@@ -203,6 +245,26 @@ class TestMixtureSweep:
         m = tuple(parse_marginal(t) for t in margins.split(","))
         mixture_draw(3000, self.GRID, seed).with_marginals(m)
         assert len(made) == calls
+
+    @pytest.mark.parametrize("g", [1, 63, 64, 16383, 16384])
+    def test_row_order_at_the_sort_key_widths(self, g):
+        # G distinct lambdas in [0, 0.9], so the rows with h >= 0.9 fill bin
+        # G and the (bin, flip2, flip3) key reaches 4G + 3: 8 bits hold it
+        # up to G = 63, 16 bits up to G = 16383.  The order is computed here
+        # from h, the grid and the lambda = 1 sample's flips
+        n, seed = 2000, SeedSpec(5, 1)
+        grid = np.linspace(0.0, 0.9, g)
+        draw = mixture_draw(n, grid, seed)
+        h = substream(seed, copulas._OFF_B).random(n)
+        bins = np.searchsorted(grid, h, side="right")
+        assert bins.max() == g
+        u, u2, u3 = sample_mixture(n, 1.0, seed).u
+        order = np.lexsort((u3 != u, u2 != u, bins))
+        assert draw.u.tobytes() == u[order].tobytes()
+        assert draw.flip2.dtype == draw.flip3.dtype == bool
+        assert np.array_equal(draw.flip2, (u2 != u)[order])
+        assert np.array_equal(draw.flip3, (u3 != u)[order])
+        assert np.array_equal(draw.edges, np.searchsorted(bins[order], np.arange(g + 2)))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_lambda_domain(self, bad, seed):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -464,6 +465,21 @@ class TestMomentAccumulator:
         s = [math.sqrt(math.fsum(col * col) / n) for col in c]
         want = math.fsum(terms) / n / (s[0] * s[1] * s[2])
         assert acc.coskew() == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_tail_event_coskew_against_an_exact_rational_oracle(self, lam):
+        # 43 rows within ~3e-5 of 1: the rounding of their mean is not small
+        # beside their spread, so update also centres on the residual mean
+        m = (uniform01(),) * 3
+        ts = copulas.to_data(copulas.sample_mixture(10**6, lam, SeedSpec(7, 3)), *m)
+        mask = build_event_mask(ts, parse_event("exceed-upper:0.9999"), m)
+        x = ts.x[:, mask]
+        assert x.shape == (3, 43)
+        z = [[Fraction(v) - sum(map(Fraction, c)) / 43 for v in c] for c in x.tolist()]
+        m3 = sum(a * b * c for a, b, c in zip(*z)) / 43
+        var = [sum(a * a for a in c) / 43 for c in z]
+        want = math.copysign(math.sqrt(m3 * m3 / (var[0] * var[1] * var[2])), m3)
+        assert abs(estimators.conditional_moments(ts.x, mask).coskew() - want) <= 1e-14
 
     def test_empty_chunk_leaves_accumulator_unchanged(self, rng):
         acc = MomentAccumulator(3).update(rng.normal(size=(3, 100)))
