@@ -32,12 +32,14 @@ per branch around the marginals' population means, and each lambda's
 moments add the max-branch sums of the bins below it to the min-branch
 sums of the bins above it, centred once: every correlation and coskewness
 lies within 1e-12 of a one-shot reduction of that lambda's sample.
-:meth:`MixtureSweep.samples` refills one buffer's third row with a prefix
-of one branch and a suffix of the other.  An event's conditional moments
-(:meth:`MixtureSweep.event_moments`) take the same per-bin sums, around
-those rows' own means, over the rows whose event membership never moves
-with lambda, plus one small reduction per lambda of the band of rows
-whose membership does.  For a
+:meth:`MixtureSweep.samples` holds each lambda's third row in one buffer,
+a prefix of one branch and a suffix of the other, and rewrites only the
+rows between one lambda's cut and the next.  An event's conditional
+moments (:meth:`MixtureSweep.event_moments`) take the same per-bin sums,
+around those rows' own means, over the rows whose event membership never
+moves with lambda.  The band of rows whose membership does has its
+products formed once per branch, and each lambda adds those of its event
+rows to its sums before they are centred.  For a
 symmetric marginal F^-1(1-U) is the reflection 2*mean - F^-1(U), which
 equals the direct quantile bit for bit on the samplers' k/2^53 grid;
 :func:`to_data` clamps to that grid's own ends, so it moves no sampled
@@ -389,10 +391,11 @@ def _quantile_pair(m: Marginal, u):
 # unmasked block share them; then y3, y1y3, y2y3, y1y2y3 and y3y3.  Rows
 # 2-5 hold y1, y2, y1y2 and y3, so one product by y3 fills rows 6-9.
 # _SQUARE_ROWS places the six products in a (3, 3) matrix.  The scratch is
-# (10, _BLOCK) floats, 320 KB.
+# (10, _BLOCK) floats, 1.3 MB: at n = 1e5 and 11 grid points a bin is one
+# block, and the scratch still stays in cache (65536 rows measured slower).
 _PAIR_ROWS, _SUM_ROWS = 5, 10
 _SQUARE_ROWS = np.array([[0, 4, 6], [4, 1, 7], [6, 7, 9]])
-_BLOCK = 4096
+_BLOCK = 16384
 
 
 def _pair_rows(y, x1, x2, shift):
@@ -454,17 +457,24 @@ class MixtureSweep:
         """Each lambda's sample, in order, as a TriSample in the draw's row
         order: by bin, then by flip pattern (:class:`MixtureDraw`).
 
-        Every sample wraps the same (3, n) buffer, whose third row is
-        refilled for the next lambda, so read each before taking the next.
+        Every sample wraps the same (3, n) buffer.  For the next lambda
+        its third row is refilled incrementally, only between the two
+        lambdas' cuts, so read each sample before taking the next, and do
+        not write into it: a change would carry over to later samples.
         """
         return self._samples(self.draw.points)
 
     def _samples(self, points):
-        """The samples at the given grid indices, over one reused buffer."""
+        """The samples at the given grid indices, over one reused buffer
+        whose third row is hi3 on its leading ``at`` rows and lo3 on the
+        rest: each point rewrites only the rows between the old cut and
+        the new one."""
         x = np.stack([self.x1, self.x2, self.lo3])
+        at = 0
         for cut in self.draw.edges[points + 1]:
-            x[2, :cut] = self.hi3[:cut]
-            x[2, cut:] = self.lo3[cut:]
+            x[2, at:cut] = self.hi3[at:cut]  # the cut moved up
+            x[2, cut:at] = self.lo3[cut:at]  # or down
+            at = cut
             yield TriSample(x, self.draw.seed)
 
     def moments(self) -> list[MomentAccumulator]:
@@ -479,10 +489,13 @@ class MixtureSweep:
         at_point = self._point_moments()
         return [at_point[g] for g in self.draw.points]
 
-    def _point_moments(self, hi_keep=None, lo_keep=None) -> list[MomentAccumulator]:
+    def _point_moments(self, hi_keep=None, lo_keep=None, band=None) -> list[MomentAccumulator]:
         """One accumulator per grid point, from per-bin shifted sums.  With
         row masks, a bin's max-branch rows are those in hi_keep and its
-        min-branch rows those in lo_keep.
+        min-branch rows those in lo_keep.  ``band`` is then (rows, hi_in,
+        lo_in): sorted rows outside both masks, and for each point, as a
+        (G, rows.size) boolean array, which of them it counts on each
+        branch.
 
         Each branch shifts every column by one value in all its bins, so
         bin sums add without correction.  Each bin is walked in blocks of
@@ -500,8 +513,12 @@ class MixtureSweep:
         first and is shifted by their own mean (:func:`_kept_shift`): an
         event's rows may sit far from the marginals' means with a small
         spread, as in a tail exceedance, where a fixed shift cancels away
-        the digits of every moment.  Each point then merges its two
-        branches' accumulators.
+        the digits of every moment.  The band rows' products are formed
+        once per branch, under that branch's shift, and each point adds
+        its own band rows to its max-branch and min-branch sums before
+        they are centred.  Each point then merges its two branches'
+        accumulators, through their shifts and residual means
+        (:meth:`~coskew.estimators.MomentAccumulator.merge`).
         """
         edges, g_max = self.draw.edges, self.draw.grid.size
         x1, x2 = self.x1, self.x2
@@ -540,6 +557,16 @@ class MixtureSweep:
         # at point g: the max branch over bins 0..g, the min branch over g+1..G
         hi, n_hi = np.cumsum(sums[0, :g_max], axis=0), np.cumsum(counts[0, :g_max])
         lo, n_lo = np.cumsum(sums[1, :0:-1], axis=0)[::-1], np.cumsum(counts[1, :0:-1])[::-1]
+        if band is not None:  # each point's own band rows, on each branch
+            rows, *inside = band
+            for x3, shift, s, count, keep in zip((self.hi3, self.lo3), shifts, (hi, lo),
+                                                 (n_hi, n_lo), inside):
+                y = np.empty((_SUM_ROWS, rows.size))
+                _pair_rows(y, x1[rows], x2[rows], shift)
+                _third_rows(y, x3[rows], shift)
+                for g, at_g in enumerate(keep):
+                    s[g] += np.add.reduce(y[:, at_g], axis=1)
+                count += np.count_nonzero(keep, axis=1)
 
         def at_points(n, shift, s):
             return [MomentAccumulator.from_shifted_sums(m, shift, *a)
@@ -555,18 +582,20 @@ class MixtureSweep:
         for each lambda, in order.
 
         Each distinct grid point's mask comes from ``build_event_mask`` on
-        its sample (:meth:`samples`) under ``marginals``, and must select
-        MIN_EVENT_ROWS rows (``count_event_rows``).  A row's reference
-        membership is, on the max branch, its mask at its own bin's point,
-        the first that puts it there, and on the min branch its mask at the
-        first point.  The band is the rows whose mask ever differs from
-        their reference.  Every other row in the event by its reference is
-        summed once per branch, in its bin, by the shifted per-bin sums of
-        :meth:`moments`; each point's accumulator then merges in one
-        reduction of the band rows in its event.  An exceedance event does
-        not depend on lambda, so its band is empty.  The fractions are each
-        mask's mean, bit for bit; the correlations lie within 1e-12 of a
-        one-shot reduction of each event's rows.
+        its sample (:meth:`samples`, refilled incrementally in grid order)
+        under ``marginals``, and must select MIN_EVENT_ROWS rows
+        (``count_event_rows``).  A row's reference membership is, on the
+        max branch, its mask at its own bin's point, the first that puts it
+        there, and on the min branch its mask at the first point.  The band
+        is the rows whose mask ever differs from their reference.  Every
+        other row in the event by its reference is summed once per branch,
+        in its bin, by the shifted per-bin sums of :meth:`moments`.  The
+        band rows' products are formed once per branch, and each point adds
+        those of the band rows in its event to its two branches' sums
+        (:meth:`_point_moments`), so no row is reduced once per lambda.  An
+        exceedance event does not depend on lambda, so its band is empty.
+        The fractions are each mask's mean, bit for bit; the correlations
+        lie within 1e-12 of a one-shot reduction of each event's rows.
         """
         edges, n = self.draw.edges, self.x1.size
         fractions, flips = [], []
@@ -582,15 +611,14 @@ class MixtureSweep:
         if not flips:
             return []
         band = np.unique(np.concatenate(flips))
-        band_hi, band_lo = ref[band], lo_ref[band]
+        moved = np.zeros((len(flips), band.size), bool)
+        for g, flip in enumerate(flips):
+            moved[g, np.searchsorted(band, flip)] = True  # flip is a sorted subset of band
+        # [point, band row]: in that point's event, on each branch
+        on_hi = band < edges[1:-1, None]
+        inside = (on_hi & (ref[band] != moved), ~on_hi & (lo_ref[band] != moved))
         ref[band] = lo_ref[band] = False  # the core: rows that never move
-        at_point = self._point_moments(ref, lo_ref)
-        for acc, cut, flip in zip(at_point, edges[1:], flips):
-            moved = np.zeros(band.size, bool)
-            moved[np.searchsorted(band, flip)] = True  # flip is a sorted subset of band
-            rows = band[np.where(band < cut, band_hi, band_lo) != moved]
-            x3 = np.where(rows < cut, self.hi3[rows], self.lo3[rows])
-            acc.merge(MomentAccumulator(3).update(np.stack([self.x1[rows], self.x2[rows], x3])))
+        at_point = self._point_moments(ref, lo_ref, (band, *inside))
         return [(fractions[g], at_point[g]) for g in self.draw.points]
 
 

@@ -26,8 +26,10 @@ centres them once (Chan, Golub & LeVeque 1983); its correlations and
 coskewness lie within 1e-12 of a one-shot update
 (:meth:`coskew.copulas.MixtureSweep.moments`).  Its event-conditional
 accumulators take the same per-bin sums over the rows whose event
-membership never moves with lambda, around those rows' own means, and
-merge in one reduction of the rows whose membership does
+membership never moves with lambda, around those rows' own means, plus
+each lambda's own rows of the band whose membership does, summed into the
+same shifted sums; each lambda then merges its two branches once, taking
+the difference of their means from their shifts and residual means
 (:meth:`coskew.copulas.MixtureSweep.event_moments`);
 each mask still comes from :func:`build_event_mask` and each event still
 needs MIN_EVENT_ROWS rows (:func:`count_event_rows`).
@@ -101,6 +103,8 @@ class MomentAccumulator:
         self._m2c = np.zeros((d, d))
         self._m3 = np.zeros(())  # sum z_0 z_1 z_2; stays 0 unless d = 3
         self._m3c = np.zeros(())
+        # the mean as shift + residual, for accumulators of shifted sums
+        self._shift = self._resid = None
 
     @classmethod
     def from_shifted_sums(cls, n, shift, s1, s2, s3=0.0) -> "MomentAccumulator":
@@ -113,12 +117,16 @@ class MomentAccumulator:
                        + 2 s1_0 s1_1 s1_2 / n^2
 
         With shift near the column means, s1 is small and nothing cancels.
+        The accumulator keeps the shift and the residual mean s1 / n, so
+        :meth:`merge` takes the difference of two such means without
+        cancelling their rounded values.
         """
         acc = cls(len(shift))
         if n == 0:
             return acc
         acc.n = int(n)
-        acc.mean = shift + s1 / n
+        acc._shift, acc._resid = shift, s1 / n
+        acc.mean = shift + acc._resid
         acc._m2 = s2 - s1[:, None] * s1 / n
         if acc.d == 3:
             a, b, c = s1
@@ -169,11 +177,15 @@ class MomentAccumulator:
             self._m2c = other._m2c.copy()
             self._m3 = other._m3.copy()
             self._m3c = other._m3c.copy()
+            self._shift, self._resid = other._shift, other._resid
             return self
 
         na, nb = self.n, other.n
         n = na + nb
-        delta = other.mean - self.mean
+        if self._shift is None or other._shift is None:
+            delta = other.mean - self.mean
+        else:  # two means far from 0 with a small spread: difference the parts
+            delta = (other._shift - self._shift) + (other._resid - self._resid)
 
         m2a = self._m2 + self._m2c
         m2b = other._m2 + other._m2c
@@ -196,7 +208,10 @@ class MomentAccumulator:
         m2_term = m2b + np.outer(delta, delta) * (na * nb / n)
         self._m2 = _neumaier_add(self._m2, self._m2c, m2_term)
 
-        self.mean = self.mean + delta * (nb / n)
+        step = delta * (nb / n)
+        self.mean = self.mean + step
+        if self._shift is not None:
+            self._resid = self._resid + step
         self.n = n
         return self
 

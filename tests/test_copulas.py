@@ -205,6 +205,19 @@ class TestMixtureSweep:
             count += 1
         assert count == len(self.GRID)
 
+    @pytest.mark.parametrize("margins", ["normal,normal,normal", "t:5,laplace,exp:2"])
+    def test_refill_serves_any_lambda_order(self, margins, seed):
+        # the buffer's third row is refilled only between the old cut and
+        # the new one, so the cut moves down, up and not at all here, over
+        # bins of more than one kernel block
+        lams = (0.7, 0.2, 0.7, 1.0, 0.0)
+        n = 2 * copulas._BLOCK + 5
+        m = tuple(parse_marginal(t) for t in margins.split(","))
+        _, order = _draw_order(n, lams, seed)
+        got = [ts.x.tobytes() for ts in mixture_draw(n, lams, seed).with_marginals(m).samples()]
+        assert got == [to_data(sample_mixture(n, lam, seed), *m).x[:, order].tobytes()
+                       for lam in lams]
+
     @pytest.mark.parametrize("margins", MARGIN_SETS)
     def test_columns_are_the_reference_in_stable_bin_order(self, margins, seed):
         # the row order computed here from the grid, the selector and the

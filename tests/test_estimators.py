@@ -481,6 +481,32 @@ class TestMomentAccumulator:
         want = math.copysign(math.sqrt(m3 * m3 / (var[0] * var[1] * var[2])), m3)
         assert abs(estimators.conditional_moments(ts.x, mask).coskew() - want) <= 1e-14
 
+    # a sweep's event accumulator merges its two branches' shifted sums; on
+    # this tail both branches' means sit within ~3e-5 of 1, so their rounded
+    # difference would carry a relative error of ~1e-11
+    TAIL_GRID = (0.0, 0.3, 0.7, 1.0)
+
+    @pytest.fixture(scope="class")
+    def tail_sweep_rows(self):
+        m = (uniform01(),) * 3
+        sweep = copulas.mixture_draw(10**6, self.TAIL_GRID, SeedSpec(7, 3)).with_marginals(m)
+        return sweep.event_moments(parse_event("exceed-upper:0.9999"))
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    def test_merged_tail_event_corr_against_an_exact_rational_oracle(self, lam, tail_sweep_rows):
+        m = (uniform01(),) * 3
+        ts = copulas.to_data(copulas.sample_mixture(10**6, lam, SeedSpec(7, 3)), *m)
+        x = ts.x[:, build_event_mask(ts, parse_event("exceed-upper:0.9999"), m)]
+        _, acc = tail_sweep_rows[self.TAIL_GRID.index(lam)]
+        assert acc.n == x.shape[1]
+        k = x.shape[1]
+        z = [[Fraction(v) - sum(map(Fraction, c)) / k for v in c] for c in x.tolist()]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            m2 = sum(a * b for a, b in zip(z[i], z[j]))
+            var = [sum(a * a for a in z[c]) for c in (i, j)]
+            want = math.copysign(math.sqrt(m2 * m2 / (var[0] * var[1])), m2)
+            assert abs(acc.corr(i, j) - want) <= 1e-14, (i, j)
+
     def test_empty_chunk_leaves_accumulator_unchanged(self, rng):
         acc = MomentAccumulator(3).update(rng.normal(size=(3, 100)))
         names = ("mean", "_m2", "_m2c", "_m3", "_m3c")

@@ -248,14 +248,16 @@ class TestEventMoments:
         if token != "downside":
             assert band == 0  # exceedance thresholds do not move with lambda
 
+        # the rows whose products the moment kernel forms, one call per
+        # block of a bin and one per branch for the band
         sizes = []
-        update = MomentAccumulator.update
+        third_rows = copulas._third_rows
 
-        def counted(acc, chunk):
-            sizes.append(np.shape(chunk)[1])
-            return update(acc, chunk)
+        def counted(y, x3, shift):
+            sizes.append(np.size(x3))
+            return third_rows(y, x3, shift)
 
-        monkeypatch.setattr(MomentAccumulator, "update", counted)
+        monkeypatch.setattr(copulas, "_third_rows", counted)
         sweep.event_moments(event)
         assert sizes and max(sizes) <= np.diff(edges).max() + band
         # each row is reduced at most once per branch, and each band row
