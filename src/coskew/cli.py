@@ -256,12 +256,13 @@ def _stat_records(ts, margs, event):
     def rec(statistic, value):
         records.append({"statistic": statistic, "value": float(value), "n": ts.n})
 
+    sds, r, coskew = acc.standardized()
     for j in range(3):
         rec(f"mean{j+1}", acc.mean[j])
-        rec(f"sd{j+1}", acc.sds()[j])
+        rec(f"sd{j+1}", sds[j])
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        rec(f"pearson{i+1}{j+1}", acc.corr(i, j))
-    rec("coskewness", acc.coskew())
+        rec(f"pearson{i+1}{j+1}", r[i, j])
+    rec("coskewness", coskew)
     ranks = [
         estimators.rank_transform(ts.x[j], margs[j] if margs else None)
         for j in range(3)

@@ -21,8 +21,12 @@ sort gathers only U and which coordinates are flipped, and within a bin
 it orders the rows by that flip pattern (u2 flipped, then u3_max
 flipped): each bin holds four runs, and every later pick between a
 quantile at U and one at 1-U reads a mask that changes at most three
-times per bin.  The samplers pick between U and 1-U over random masks,
-so they blend the two arithmetically, with no branch, to the same bits.
+times per bin.  The samplers write each flipped coordinate as
+1/2 + (U - 1/2) with the sign bit of U - 1/2 flipped, so a random flip
+pattern costs no branch.  U - 1/2 is exact on the samplers' k/2^53 grid
+(by Sterbenz's lemma for U >= 1/4, and below that because the difference
+lies in (1/4, 1/2], where doubles are 2^-54 apart), so 1/2 - (U - 1/2)
+is one rounding of the exact 1 - U: the bits of ``1.0 - U``.
 That sorted draw, a :class:`MixtureDraw`, holds no marginal, so it
 serves every marginal triple of a seed: each distinct marginal is
 inverted once, at the sorted U, for the pair (F^-1(U), F^-1(1-U)).  The
@@ -215,6 +219,10 @@ def extremal_coords(u, v):
     picked from u and 1 - u by :func:`_select`, so it equals the
     ``np.where`` select bit for bit for every finite u and v in [0, 1]
     (a u of -0.0 aside, which may come out as +0.0).
+
+    This is the reference for any u: the samplers flip the sign of u - 1/2
+    instead, which gives the same bits only where u - 1/2 is exact, as on
+    their k/2^53 grid (:func:`_flipped_rows`), and are tested against it.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -244,43 +252,56 @@ def _check_lam(lam: float) -> float:
     return lam
 
 
-def _extremal_u(n: int, seed: SeedSpec):
-    """Shared (u, v) draws plus the branch coordinates of both extremes."""
+def _extremal_draw(n: int, seed: SeedSpec):
+    """The shared draws u and the indicators I = 1{u > 1/2} and
+    J = 1{v > 1/2}."""
+    n = _check_n(n)
     u = uniform_open(substream(seed, _OFF_U), n)
     v = uniform_open(substream(seed, _OFF_V), n)
-    u2, u3_max = extremal_coords(u, v)
-    return u, u2, u3_max
+    return u, u > 0.5, v > 0.5
+
+
+def _flipped_rows(u, flip2, flip3) -> np.ndarray:
+    """The (3, n) block (u, u2, u3), written once: u2 and u3 are
+    1/2 + (u - 1/2) with the sign bit of u - 1/2 flipped where flip2 and
+    flip3 are set.  On the k/2^53 grid u - 1/2 is exact, so a flipped
+    coordinate is one rounding of the exact 1 - u: the bits of ``1.0 - u``."""
+    out = np.empty((3, u.size))
+    bits = out.view(np.uint64)
+    bits[1], bits[2] = flip2, flip3
+    bits[1:] <<= 63
+    np.subtract(u, 0.5, out=out[0])
+    bits[1:] ^= bits[0]
+    out += 0.5  # row 0 back to u, exactly
+    return out
 
 
 def sample_max_coskew(n: int, seed: SeedSpec = SeedSpec()) -> USample:
     """Copula attaining the maximum coskewness for symmetric marginals."""
-    n = _check_n(n)
-    u, u2, u3_max = _extremal_u(n, seed)
-    return USample(np.stack([u, u2, u3_max]), seed)
+    u, i, j = _extremal_draw(n, seed)
+    return USample(_flipped_rows(u, ~j, i != j), seed)
 
 
 def sample_min_coskew(n: int, seed: SeedSpec = SeedSpec()) -> USample:
     """Copula attaining the minimum coskewness for symmetric marginals."""
-    n = _check_n(n)
-    u, u2, u3_max = _extremal_u(n, seed)
-    return USample(np.stack([u, u2, 1.0 - u3_max]), seed)
+    u, i, j = _extremal_draw(n, seed)
+    return USample(_flipped_rows(u, ~j, i == j), seed)
 
 
 def sample_mixture(n: int, lam: float, seed: SeedSpec = SeedSpec()) -> USample:
     """Bernoulli(lambda) pathwise mixture of the two extremal copulas.
 
     The first two coordinates coincide with both extremes; the third takes
-    the max-branch value where B = 1 and the min-branch value (its
-    reflection 1-U3) where B = 0.  lam = 1 and lam = 0 reproduce
+    the max-branch value where B = 1{h < lambda} and the min-branch value
+    (its reflection 1-U3) where B = 0, so u3 is flipped where
+    (I != J) xor (h >= lambda).  lam = 1 and lam = 0 reproduce
     sample_max_coskew / sample_min_coskew bit-for-bit.
     """
-    n = _check_n(n)
     lam = _check_lam(lam)
-    u, u2, u3_max = _extremal_u(n, seed)
+    u, i, j = _extremal_draw(n, seed)
     # coupled selector: same substream draws for every lambda
-    h = substream(seed, _OFF_B).random(n)
-    u3 = _select(h < lam, u3_max, 1.0 - u3_max)
-    return USample(np.stack([u, u2, u3]), seed)
+    h = substream(seed, _OFF_B).random(u.size)
+    return USample(_flipped_rows(u, ~j, (i != j) ^ (h >= lam)), seed)
 
 
 def sample_comonotonic(n: int, seed: SeedSpec = SeedSpec()) -> USample:

@@ -225,28 +225,39 @@ class MomentAccumulator:
         """Population standard deviations."""
         return np.sqrt(np.diag(self.second_central()))
 
-    def _checked_sds(self) -> np.ndarray:
+    def _checked(self) -> tuple[np.ndarray, np.ndarray]:
+        """second_central() and the standard deviations from it, once the
+        accumulator has n >= 2 rows and no (numerically) constant column."""
         if self.n < 2:
             raise DegenerateColumnError("need n >= 2 for variance-based statistics")
-        s = self.sds()
+        c = self.second_central()
+        s = np.sqrt(np.diag(c))
         floor = 1e-15 * np.maximum(1.0, np.abs(self.mean))
         if np.any(s <= floor):
             bad = int(np.argmax(s <= floor))
             raise DegenerateColumnError(
                 f"column {bad} has (numerically) zero standard deviation"
             )
-        return s
+        return c, s
 
     def corr(self, i: int = 0, j: int = 1) -> float:
-        s = self._checked_sds()
-        return float(self.second_central()[i, j] / (s[i] * s[j]))
+        c, s = self._checked()
+        return float(c[i, j] / (s[i] * s[j]))
 
     def coskew(self) -> float:
         """Coskewness of the three columns: E[z_0 z_1 z_2] / (s_0 s_1 s_2)."""
+        return self.standardized()[2]
+
+    def standardized(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The standard deviations, the (3, 3) correlation matrix and the
+        coskewness of three columns, from one second_central(), for a
+        caller that reports them all.  Each correlation is the expression
+        of :meth:`corr`, so it equals ``corr(i, j)`` bit for bit."""
         if self.d != 3:
             raise DomainError(f"coskewness needs three columns, got d = {self.d}")
-        s = self._checked_sds()
-        return float((self._m3 + self._m3c) / self.n / (s[0] * s[1] * s[2]))
+        c, s = self._checked()
+        coskew = float((self._m3 + self._m3c) / self.n / (s[0] * s[1] * s[2]))
+        return s, c / np.outer(s, s), coskew
 
 
 def _columns(*cols) -> np.ndarray:

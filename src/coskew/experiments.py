@@ -99,7 +99,11 @@ class ExperimentReport:
     metadata: dict
 
     def default_filename(self, fmt: str = "csv") -> str:
-        return f"{self.name}-{self.metadata['seed']}.{fmt}"
+        """``<name>-<seed>.<fmt>``, with ``-<stream>`` after the seed for a
+        stream other than 0, so replicas do not overwrite each other."""
+        stream = self.metadata["stream"]
+        suffix = f"-{stream}" if stream else ""
+        return f"{self.name}-{self.metadata['seed']}{suffix}.{fmt}"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -136,13 +140,13 @@ def _base_metadata(name: str, cfg: ExperimentConfig) -> dict:
     }
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
-    return {
-        "coskewness_hat": acc.coskew(),
-        "rho12_hat": acc.corr(0, 1),
-        "rho13_hat": acc.corr(0, 2),
-        "rho23_hat": acc.corr(1, 2),
-    }
+    _, r, coskew = acc.standardized()
+    return {"coskewness_hat": coskew,
+            **{f"rho{i + 1}{j + 1}_hat": float(r[i, j]) for i, j in _PAIRS}}
 
 
 def _sweep_rows(sweep, bounds=None, event=None) -> list[dict]:
@@ -158,9 +162,8 @@ def _sweep_rows(sweep, bounds=None, event=None) -> list[dict]:
     if event is not None:
         for row, (fraction, acc) in zip(rows, sweep.event_moments(event)):
             row["event_fraction"] = fraction
-            row["cond_rho12"] = acc.corr(0, 1)
-            row["cond_rho13"] = acc.corr(0, 2)
-            row["cond_rho23"] = acc.corr(1, 2)
+            r = acc.standardized()[1]
+            row.update({f"cond_rho{i + 1}{j + 1}": float(r[i, j]) for i, j in _PAIRS})
     return rows
 
 

@@ -127,9 +127,9 @@ class Marginal:
         elif self.family == "uniform":
             out = p_arr.copy()
         elif self.family == "laplace":
-            out = np.where(
-                p_arr <= 0.5, np.log(2.0 * p_arr), -np.log(2.0 * (1.0 - p_arr))
-            )
+            # one logarithm, of the nearer tail, signed by the side of the
+            # median: the two-branch form's bits, with +0.0 at p = 1/2
+            out = np.copysign(np.log(2.0 * np.minimum(p_arr, 1.0 - p_arr)), p_arr - 0.5)
         elif self.family == "t":
             out = special.stdtrit(self.df, p_arr)
         else:  # exp

@@ -468,6 +468,18 @@ class TestFigureCommands:
         assert res.exit_code == 0
         assert (tmp_path / "figure1-3.csv").exists()
 
+    def test_streams_in_one_directory_keep_separate_files(self, runner, tmp_path):
+        for stream in ("1", "2"):
+            res = runner.invoke(
+                main,
+                ["figure1", "--n", "2000", "--lambda-grid", "0,1", "--seed", "3",
+                 "--stream", stream, "--output", str(tmp_path) + os.sep],
+            )
+            assert res.exit_code == 0
+        files = sorted(p.name for p in tmp_path.iterdir())
+        assert files == ["figure1-3-1.csv", "figure1-3-2.csv"]
+        assert (tmp_path / files[0]).read_bytes() != (tmp_path / files[1]).read_bytes()
+
     def test_trailing_separator_names_a_new_directory(self, runner, tmp_path):
         res = runner.invoke(
             main,

@@ -41,7 +41,7 @@ from coskew.estimators import (
     spearman_rho,
 )
 from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
-from coskew.samples import SeedSpec, USample, substream
+from coskew.samples import SeedSpec, USample, substream, uniform_open
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
 
@@ -113,7 +113,7 @@ class TestExtremalRows:
         u2, u3_max = extremal_coords(u, v)
         assert u2.tobytes() == np.where(j, u, 1.0 - u).tobytes()
         assert u3_max.tobytes() == np.where(i == j, u, 1.0 - u).tobytes()
-        # sample_mixture's select of u3 by the selector, with v as the mask
+        # _select over another mask, with v as the mask
         assert (copulas._select(j, u3_max, 1.0 - u3_max).tobytes()
                 == np.where(j, u3_max, 1.0 - u3_max).tobytes())
         for k, (a, b) in enumerate(pairs):  # one 0-d input at a time
@@ -128,6 +128,42 @@ class TestExtremalRows:
         got = sample_mixture(5000, lam, seed).u
         assert got[2].tobytes() == np.where(h < lam, u3_max, 1.0 - u3_max).tobytes()
         assert got[:2].tobytes() == np.stack([u, u2]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3),
+           st.sampled_from([1, 2, 3, 4097, 16385]),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                     st.integers(0, 2**53).map(lambda k: k / 2**53)))
+    @example(314159, 0, 16385, 0.5)
+    def test_samplers_equal_the_reference_rows_bytewise(self, base, stream, n, lam):
+        # the sign-flip renderer against extremal_coords and the np.where
+        # pick of the selector, on the samplers' own draws
+        seed = SeedSpec(base, stream)
+        u = uniform_open(substream(seed, copulas._OFF_U), n)
+        u2, u3_max = extremal_coords(u, uniform_open(substream(seed, copulas._OFF_V), n))
+        h = substream(seed, copulas._OFF_B).random(n)
+        want = {
+            "max": np.stack([u, u2, u3_max]),
+            "min": np.stack([u, u2, 1.0 - u3_max]),
+            "mixture": np.stack([u, u2, np.where(h < lam, u3_max, 1.0 - u3_max)]),
+        }
+        got = {"max": sample_max_coskew(n, seed), "min": sample_min_coskew(n, seed),
+               "mixture": sample_mixture(n, lam, seed)}
+        for kind, us in got.items():
+            assert us.u.tobytes() == want[kind].tobytes(), kind
+
+    @pytest.mark.parametrize("flip2", [False, True])
+    @pytest.mark.parametrize("flip3", [False, True])
+    def test_renderer_on_hand_built_grid_values(self, flip2, flip3):
+        # the median, the grid's ends and the grid values either side of 1/4,
+        # where u - 1/2 changes binade
+        u = np.array([0.5, 2**-53, 1 - 2**-53, 0.25 - 2**-53, 0.25, 0.25 + 2**-53,
+                      0.75 - 2**-53, 0.75 + 2**-53])
+        rows = copulas._flipped_rows(u, np.full(u.size, flip2), np.full(u.size, flip3))
+        assert rows[0].tobytes() == u.tobytes()
+        for row, flip in zip(rows[1:], (flip2, flip3)):
+            assert row.tobytes() == (1.0 - u if flip else u).tobytes()
+        assert rows[1:, 0].tobytes() == np.array([0.5, 0.5]).tobytes()  # +0.5 either way
 
     def test_structure_u2_u3_in_reflection_pair(self, seed):
         for us in (

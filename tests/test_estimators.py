@@ -507,6 +507,43 @@ class TestMomentAccumulator:
             want = math.copysign(math.sqrt(m2 * m2 / (var[0] * var[1])), m2)
             assert abs(acc.corr(i, j) - want) <= 1e-14, (i, j)
 
+    @staticmethod
+    def _built_three_ways(rng):
+        x = rng.standard_t(5, size=(3, 5000)) + np.array([[1e3], [0.0], [-2.0]])
+        shift = np.array([1e3, 0.1, -2.0])
+        y = x - shift[:, None]
+        shifted = MomentAccumulator.from_shifted_sums(
+            y.shape[1], shift, y.sum(axis=1), y @ y.T, np.sum(y[0] * y[1] * y[2]))
+        merged = MomentAccumulator(3).update(x[:, :1234]).merge(shifted)
+        return {"update": MomentAccumulator(3).update(x), "from_shifted_sums": shifted,
+                "merge": merged}
+
+    @pytest.mark.parametrize("how", ["update", "from_shifted_sums", "merge"])
+    def test_standardized_equals_corr_and_coskew_bytewise(self, how, rng):
+        acc = self._built_three_ways(rng)[how]
+        sds, r, coskew = acc.standardized()
+        assert sds.tobytes() == acc.sds().tobytes()
+        for i, j in itertools.product(range(3), repeat=2):
+            assert r[i, j].tobytes() == np.float64(acc.corr(i, j)).tobytes(), (i, j)
+        # coskew() as computed before it read standardized()
+        s = acc.sds()
+        want = float((acc._m3 + acc._m3c) / acc.n / (s[0] * s[1] * s[2]))
+        assert np.float64(coskew).tobytes() == np.float64(want).tobytes()
+        assert np.float64(acc.coskew()).tobytes() == np.float64(want).tobytes()
+
+    def test_standardized_raises_what_corr_raises(self, rng):
+        one_row = MomentAccumulator(3).update(rng.normal(size=(3, 1)))
+        constant = MomentAccumulator(3).update(np.vstack([rng.normal(size=(2, 50)),
+                                                          np.full(50, 7.0)]))
+        for acc, text in ((one_row, "n >= 2"), (constant, "column 2")):
+            with pytest.raises(DegenerateColumnError) as want:
+                acc.corr(0, 1)
+            assert text in str(want.value)
+            for method in (acc.standardized, acc.coskew):
+                with pytest.raises(DegenerateColumnError) as got:
+                    method()
+                assert str(got.value) == str(want.value)
+
     def test_empty_chunk_leaves_accumulator_unchanged(self, rng):
         acc = MomentAccumulator(3).update(rng.normal(size=(3, 100)))
         names = ("mean", "_m2", "_m2c", "_m3", "_m3c")

@@ -75,6 +75,20 @@ class TestQuantile:
         assert not np.signbit(laplace().quantile(0.5))
         assert not np.signbit(stats.laplace.ppf(0.5))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([2**-53, 1 - 2**-53, 0.5, 0.5 - 2**-54, 0.5 + 2**-53, 5e-324]),
+    ), min_size=1, max_size=40))
+    def test_laplace_equals_the_two_branch_form_bytewise(self, ps):
+        # the one-logarithm form against log(2p) below the median and
+        # -log(2(1 - p)) above it, as arrays and one scalar at a time
+        p = np.array(ps)
+        want = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+        assert laplace().quantile(p).tobytes() == want.tobytes()
+        for x, w in zip(ps, want):
+            assert np.float64(laplace().quantile(x)).tobytes() == w.tobytes(), x
+
     def test_domain_errors(self, all_marginals):
         for m in all_marginals:
             for p in (0.0, 1.0, -0.1, 1.1):
