@@ -50,13 +50,14 @@ equals the direct quantile bit for bit on the samplers' k/2^53 grid;
 value.  True-CDF rank
 statistics need no marginal at all: the rank of F^-1(U) is U, so
 :meth:`MixtureDraw.rank_stats` sums the held copula coordinates' centred
-products over the same bins.
+products over the same bins, and adds them per lambda as the moments do.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class GaussianParams:
 
     @property
     def b(self) -> float:
-        return float(np.sqrt(max(self.b_squared, 0.0)))
+        return float(np.sqrt(self.b_squared))
 
 
 @dataclass(frozen=True)
@@ -202,23 +203,13 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _select(mask, a, b):
-    """``np.where(mask, a, b)`` as the blend a*mask + b*~mask, which takes
-    no branch, so a random mask costs no misprediction.  It equals the
-    select bit for bit wherever a and b are finite, since x*1.0 + y*0.0
-    == x, except that a chosen -0.0 may come out as +0.0."""
-    return a * mask + b * ~mask
-
-
 def extremal_coords(u, v):
     """Second and third coordinates of the extremal constructions at (u, v).
 
     Returns (u2, u3_max); the minimum-coskewness third coordinate is the
     reflection 1 - u3_max.  Ties at exactly 1/2 fall in the I = 0 (J = 0)
-    branch, matching the strict inequality in the indicators.  Each is
-    picked from u and 1 - u by :func:`_select`, so it equals the
-    ``np.where`` select bit for bit for every finite u and v in [0, 1]
-    (a u of -0.0 aside, which may come out as +0.0).
+    branch, matching the strict inequality in the indicators.  Each is the
+    ``np.where`` select between u and 1 - u.
 
     This is the reference for any u: the samplers flip the sign of u - 1/2
     instead, which gives the same bits only where u - 1/2 is exact, as on
@@ -229,7 +220,7 @@ def extremal_coords(u, v):
     i = u > 0.5
     j = v > 0.5
     w = 1.0 - u
-    return _select(j, u, w), _select(i == j, u, w)
+    return np.where(j, u, w), np.where(i == j, u, w)
 
 
 def mixing_sum_coords(u):
@@ -445,9 +436,11 @@ def _kept_shift(cols, keep):
     return np.array([c[rows].mean() for c in cols])
 
 
-# 12 E[(U - 1/2)(V - 1/2)] for each Spearman rho and 32 E[...] for the rank
-# coskewness, as in coskew.estimators
-_RANK_SCALE = np.array([12.0, 12.0, 12.0, 32.0])
+def _at_points(per_bin):
+    """(max branch, min branch) sums at each grid point g from per-bin sums
+    indexed [branch, bin, ...]: the max branch over bins 0..g and the min
+    branch over bins g+1..G."""
+    return np.cumsum(per_bin[0, :-1], axis=0), np.cumsum(per_bin[1, :0:-1], axis=0)[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,13 +503,28 @@ class MixtureSweep:
         at_point = self._point_moments()
         return [at_point[g] for g in self.draw.points]
 
-    def _point_moments(self, hi_keep=None, lo_keep=None, band=None) -> list[MomentAccumulator]:
-        """One accumulator per grid point, from per-bin shifted sums.  With
-        row masks, a bin's max-branch rows are those in hi_keep and its
-        min-branch rows those in lo_keep.  ``band`` is then (rows, hi_in,
-        lo_in): sorted rows outside both masks, and for each point, as a
-        (G, rows.size) boolean array, which of them it counts on each
-        branch.
+    def _point_moments(self, *masks) -> list[MomentAccumulator]:
+        """One accumulator per grid point: each branch's sums of
+        :meth:`_point_sums` (which takes the masks) centred once by
+        :meth:`~coskew.estimators.MomentAccumulator.from_shifted_sums`, and
+        with masks the two branches merged, through their shifts and
+        residual means (:meth:`~coskew.estimators.MomentAccumulator.merge`).
+        """
+        def centred(n, shift, s):
+            return [MomentAccumulator.from_shifted_sums(m, shift, *a)
+                    for m, *a in zip(n, s[:, [2, 3, 5]], s[:, _SQUARE_ROWS], s[:, 8])]
+
+        branches = [centred(*b) for b in self._point_sums(*masks)]
+        return [reduce(MomentAccumulator.merge, at_g) for at_g in zip(*branches)]
+
+    def _point_sums(self, hi_keep=None, lo_keep=None, band=None):
+        """Each grid point's raw shifted sums, per shift: a list of (n,
+        shift, s), n the (G,) row counts, shift the (3,) column shifts and s
+        the (G, _SUM_ROWS) sums of the kernel's rows.  With row masks, a
+        bin's max-branch rows are those in hi_keep and its min-branch rows
+        those in lo_keep.  ``band`` is then (rows, hi_in, lo_in): sorted
+        rows outside both masks, and for each point, as a (G, rows.size)
+        boolean array, which of them it counts on each branch.
 
         Each branch shifts every column by one value in all its bins, so
         bin sums add without correction.  Each bin is walked in blocks of
@@ -524,22 +532,18 @@ class MixtureSweep:
         fill one reused scratch, whose rows are summed pairwise, and a bin's
         block sums are summed pairwise again.  A point's sums are then a
         cumulative sum over the max-branch bins 0..g plus one over the
-        min-branch bins g+1..G, and
-        :meth:`~coskew.estimators.MomentAccumulator.from_shifted_sums`
-        centres them.
+        min-branch bins g+1..G (:func:`_at_points`).
 
         Without masks the shift is the marginals' population means in both
-        branches, so the two sums add, and both branches share the x1/x2
-        rows of a block.  With masks each branch compresses its kept rows
-        first and is shifted by their own mean (:func:`_kept_shift`): an
-        event's rows may sit far from the marginals' means with a small
-        spread, as in a tail exceedance, where a fixed shift cancels away
-        the digits of every moment.  The band rows' products are formed
-        once per branch, under that branch's shift, and each point adds
-        its own band rows to its max-branch and min-branch sums before
-        they are centred.  Each point then merges its two branches'
-        accumulators, through their shifts and residual means
-        (:meth:`~coskew.estimators.MomentAccumulator.merge`).
+        branches, so the two sums add into one entry, and both branches
+        share the x1/x2 rows of a block.  With masks each branch compresses
+        its kept rows first and is shifted by their own mean
+        (:func:`_kept_shift`), one entry per branch: an event's rows may sit
+        far from the marginals' means with a small spread, as in a tail
+        exceedance, where a fixed shift cancels away the digits of every
+        moment.  The band rows' products are formed once per branch, under
+        that branch's shift, and each point adds its own band rows to its
+        max-branch and min-branch sums.
         """
         edges, g_max = self.draw.edges, self.draw.grid.size
         x1, x2 = self.x1, self.x2
@@ -575,9 +579,7 @@ class MixtureSweep:
                     np.add.reduce(y[first:], axis=1, out=part[br, first:, j])
                     counts[br, k] += y.shape[1]
             np.add.reduce(part, axis=2, out=sums[:, k])
-        # at point g: the max branch over bins 0..g, the min branch over g+1..G
-        hi, n_hi = np.cumsum(sums[0, :g_max], axis=0), np.cumsum(counts[0, :g_max])
-        lo, n_lo = np.cumsum(sums[1, :0:-1], axis=0)[::-1], np.cumsum(counts[1, :0:-1])[::-1]
+        (hi, lo), (n_hi, n_lo) = _at_points(sums), _at_points(counts)
         if band is not None:  # each point's own band rows, on each branch
             rows, *inside = band
             for x3, shift, s, count, keep in zip((self.hi3, self.lo3), shifts, (hi, lo),
@@ -589,14 +591,9 @@ class MixtureSweep:
                     s[g] += np.add.reduce(y[:, at_g], axis=1)
                 count += np.count_nonzero(keep, axis=1)
 
-        def at_points(n, shift, s):
-            return [MomentAccumulator.from_shifted_sums(m, shift, *a)
-                    for m, *a in zip(n, s[:, [2, 3, 5]], s[:, _SQUARE_ROWS], s[:, 8])]
-
         if hi_keep is None:  # one shift: the branches' sums add
-            return at_points(n_hi + n_lo, shifts[0], hi + lo)
-        return [a.merge(b) for a, b in zip(at_points(n_hi, shifts[0], hi),
-                                           at_points(n_lo, shifts[1], lo))]
+            return [(n_hi + n_lo, shifts[0], hi + lo)]
+        return [(n_hi, shifts[0], hi), (n_lo, shifts[1], lo)]
 
     def event_moments(self, event: EventSpec) -> list[tuple[float, MomentAccumulator]]:
         """The event fraction and a 3-column accumulator of the event rows
@@ -684,24 +681,22 @@ class MixtureDraw:
         The true-CDF rank of F^-1(u) is u, so the rank coordinates are the
         copula's u, u2 and u3, read from the held u and flips; no marginal
         is involved.  Each is u or 1 - u, so every centred product is
-        +-(u - 1/2)^k, and a row on the min branch flips the sign of every
-        product with u3.  Each product, taken with the max branch's u3, is
-        summed over each bin as one contiguous slice; at the g-th point its
-        sum over the rows is 2 * (the sum over bins 0..g) - (the total).
-        rho12_s takes no branch.  The values match spearman_rho and
+        +-(u - 1/2)^k.  Each bin sums the four products the statistics read,
+        taken with the max branch's u3; on the min branch every product
+        with u3 flips its sign.  Each lambda then adds its bins as the
+        moments do (:func:`_at_points`): rho_s = 12 sum(y_i y_j) / n and
+        rs = 32 sum(y_1 y_2 y_3) / n.  The values match spearman_rho and
         rank_coskewness of each lambda's ranks to ~1e-15.
         """
         a = self.u - 0.5  # a flipped coordinate 1 - u centres to -a, exactly
         b, c = np.where(self.flip2, -a, a), np.where(self.flip3, -a, a)
-        bin_sums = np.array([
-            [np.sum(a[s] * b[s]), np.sum(a[s] * c[s]), np.sum(b[s] * c[s]),
-             np.sum(a[s] * b[s] * c[s])]
-            for s in map(slice, self.edges[:-1], self.edges[1:])
-        ])
-        total = bin_sums.sum(axis=0)
-        sums = 2.0 * np.cumsum(bin_sums, axis=0)[:-1] - total
-        sums[:, 0] = total[0]
-        return sums[self.points] * _RANK_SCALE / self.u.size
+        ab = a * b
+        hi = np.array([[np.sum(ab[s]), np.sum(a[s] * c[s]), np.sum(b[s] * c[s]),
+                        np.sum(ab[s] * c[s])]
+                       for s in map(slice, self.edges[:-1], self.edges[1:])])
+        hi, lo = _at_points(np.stack([hi, hi * [1.0, -1.0, -1.0, -1.0]]))
+        sums = (hi + lo)[self.points]
+        return np.c_[12.0 * sums[:, :3], 32.0 * sums[:, 3]] / self.u.size
 
 
 def mixture_draw(n: int, lams, seed: SeedSpec = SeedSpec()) -> MixtureDraw:

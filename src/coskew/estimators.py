@@ -10,29 +10,24 @@ sample means:
     spearman_rho     12 * mean((u - 1/2)(v - 1/2))
     rank_coskewness  32 * mean((u - 1/2)(v - 1/2)(w - 1/2))
 
-Moments come from a streaming accumulator that centers within each chunk
-and merges chunk summaries with shift-stable update formulas (Pebay 2008)
-plus Neumaier compensation, so results are accurate to ~1e-12 relative up
-to n = 1e7 and bit-stable for a fixed chunking.  It keeps only what the
-statistics read: the means, the second moments and, for three columns, the
-one mixed third moment sum z_0 z_1 z_2.  Every sum over rows is numpy's
-pairwise ``np.add.reduce`` of an elementwise product, never a BLAS call,
-so the bits do not depend on the CPU kernel or the thread count.  Each
-second moment is written to both (i, j) and (j, i), so the matrix is
-exactly symmetric.  A mixture sweep sums each selector bin once, around
-the marginals' population means, and builds each lambda's accumulator
-from those sums with :meth:`MomentAccumulator.from_shifted_sums`, which
-centres them once (Chan, Golub & LeVeque 1983); its correlations and
-coskewness lie within 1e-12 of a one-shot update
-(:meth:`coskew.copulas.MixtureSweep.moments`).  Its event-conditional
-accumulators take the same per-bin sums over the rows whose event
-membership never moves with lambda, around those rows' own means, plus
-each lambda's own rows of the band whose membership does, summed into the
-same shifted sums; each lambda then merges its two branches once, taking
-the difference of their means from their shifts and residual means
-(:meth:`coskew.copulas.MixtureSweep.event_moments`);
-each mask still comes from :func:`build_event_mask` and each event still
-needs MIN_EVENT_ROWS rows (:func:`count_event_rows`).
+Moments come from a streaming accumulator built from shifted sums: the
+raw sums of rows shifted near their mean, centred once
+(:meth:`MomentAccumulator.from_shifted_sums`, Chan, Golub & LeVeque 1983).
+``update`` shifts each chunk by its own rounded mean; a mixture sweep
+shifts each selector bin by the marginals' population means, or an event's
+rows by their own mean (:mod:`coskew.copulas`).  Each accumulator keeps its
+mean as that shift plus a residual mean, and merges take the difference
+of two means from those parts, with shift-stable update formulas (Pebay
+2008) plus Neumaier compensation.  So results are accurate to ~1e-12
+relative up to n = 1e7, also for means far from 0 with a small spread,
+and bit-stable for a fixed chunking.  The accumulator keeps only what the
+statistics read: the means, the second moments and, for three columns,
+the one mixed third moment sum z_0 z_1 z_2.  Every sum over rows is
+numpy's pairwise ``np.add.reduce`` of an elementwise product, never a
+BLAS call, so the bits do not depend on the CPU kernel or the thread
+count.  Each second moment is written to both (i, j) and (j, i), so the
+matrix is exactly symmetric.  A nan or an infinity in the data raises
+DomainError, never a nan statistic.
 """
 
 from __future__ import annotations
@@ -81,16 +76,13 @@ class MomentAccumulator:
     column means, the (d, d) second moments and, for three columns, the
     mixed third moment sum z_0 z_1 z_2.
 
-    Feed data once, in chunks of shape (d, m); each chunk is centered on its
-    own mean, then on the mean of what is left, and folded in with merge
-    formulas that never subtract large raw moments, so the result is
-    invariant (to rounding) under shifts of the data.  Accumulators can also be merged pairwise; merging in a fixed
-    chunk order gives bit-identical results.
-
-    ``update`` forms each product z_i z_j (i <= j) of a chunk in one reused
-    row and sums it with numpy's pairwise ``np.add.reduce``, writing the sum
-    to both (i, j) and (j, i).  For d = 3 the (0, 1) product is then
-    multiplied in place by z_2 and summed again for the third moment.
+    Every accumulator is built from the raw sums of rows shifted near their
+    mean (:meth:`from_shifted_sums`), which centres them once, and keeps
+    the mean as that shift plus a residual mean.  ``update`` feeds a chunk
+    of shape (d, m) this way, shifted by its own rounded mean, so the result
+    is invariant (to rounding) under shifts of the data.  Accumulators merge
+    pairwise, with formulas that never subtract large raw moments; merging
+    in a fixed chunk order gives bit-identical results.
     """
 
     def __init__(self, d: int):
@@ -98,13 +90,17 @@ class MomentAccumulator:
             raise DomainError(f"dimension must be >= 1, got {d}")
         self.d = d
         self.n = 0
-        self.mean = np.zeros(d)
+        self._shift = np.zeros(d)
+        self._resid = np.zeros(d)
         self._m2 = np.zeros((d, d))
         self._m2c = np.zeros((d, d))
         self._m3 = np.zeros(())  # sum z_0 z_1 z_2; stays 0 unless d = 3
         self._m3c = np.zeros(())
-        # the mean as shift + residual, for accumulators of shifted sums
-        self._shift = self._resid = None
+
+    @property
+    def mean(self) -> np.ndarray:
+        """The column means."""
+        return self._shift + self._resid
 
     @classmethod
     def from_shifted_sums(cls, n, shift, s1, s2, s3=0.0) -> "MomentAccumulator":
@@ -126,7 +122,6 @@ class MomentAccumulator:
             return acc
         acc.n = int(n)
         acc._shift, acc._resid = shift, s1 / n
-        acc.mean = shift + acc._resid
         acc._m2 = s2 - s1[:, None] * s1 / n
         if acc.d == 3:
             a, b, c = s1
@@ -136,6 +131,13 @@ class MomentAccumulator:
         return acc
 
     def update(self, chunk: np.ndarray) -> "MomentAccumulator":
+        """Fold in a (d, m) chunk: its sums around its rounded mean, through
+        :meth:`from_shifted_sums`.  Each product y_i y_j (i <= j) is formed
+        in one reused row and summed with numpy's pairwise
+        ``np.add.reduce``, written to both (i, j) and (j, i); for d = 3 the
+        (0, 1) product is then multiplied in place by y_2 and summed again.
+        DomainError when a column holds a nan or an infinity, which makes
+        its mean non-finite."""
         # a C-contiguous copy: a strided or F-ordered chunk reduces slower
         # and to other bits
         chunk = np.ascontiguousarray(chunk, dtype=float)
@@ -144,26 +146,22 @@ class MomentAccumulator:
         m = chunk.shape[1]
         if m == 0:
             return self
-        other = MomentAccumulator(self.d)
-        other.n = m
-        # centre on the rounded mean, then on the residual mean: when a
-        # column's spread is tiny beside its mean, the rounding of the first
-        # is not small beside the spread
-        mean = chunk.mean(axis=1)
-        z = chunk - mean[:, None]
-        r = z.mean(axis=1)
-        z -= r[:, None]
-        other.mean = mean + r
+        shift = chunk.mean(axis=1)
+        if not np.all(np.isfinite(shift)):
+            raise DomainError("moments need finite data (a column holds a nan or an infinity)")
+        y = chunk - shift[:, None]
+        s2 = np.empty((self.d, self.d))
+        s3 = 0.0
         w = np.empty(m)
         for i in range(self.d):
             for j in range(i, self.d):
-                np.multiply(z[i], z[j], out=w)
-                other._m2[i, j] = other._m2[j, i] = np.add.reduce(w)
+                np.multiply(y[i], y[j], out=w)
+                s2[i, j] = s2[j, i] = np.add.reduce(w)
                 if self.d == 3 and (i, j) == (0, 1):
-                    w *= z[2]
-                    other._m3 = np.add.reduce(w)
-        self.merge(other)
-        return self
+                    w *= y[2]
+                    s3 = np.add.reduce(w)
+        return self.merge(
+            MomentAccumulator.from_shifted_sums(m, shift, np.add.reduce(y, axis=1), s2, s3))
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         if other.d != self.d:
@@ -172,20 +170,17 @@ class MomentAccumulator:
             return self
         if self.n == 0:
             self.n = other.n
-            self.mean = other.mean.copy()
+            self._shift, self._resid = other._shift, other._resid
             self._m2 = other._m2.copy()
             self._m2c = other._m2c.copy()
             self._m3 = other._m3.copy()
             self._m3c = other._m3c.copy()
-            self._shift, self._resid = other._shift, other._resid
             return self
 
         na, nb = self.n, other.n
         n = na + nb
-        if self._shift is None or other._shift is None:
-            delta = other.mean - self.mean
-        else:  # two means far from 0 with a small spread: difference the parts
-            delta = (other._shift - self._shift) + (other._resid - self._resid)
+        # two means far from 0 with a small spread: difference the parts
+        delta = (other._shift - self._shift) + (other._resid - self._resid)
 
         m2a = self._m2 + self._m2c
         m2b = other._m2 + other._m2c
@@ -208,10 +203,7 @@ class MomentAccumulator:
         m2_term = m2b + np.outer(delta, delta) * (na * nb / n)
         self._m2 = _neumaier_add(self._m2, self._m2c, m2_term)
 
-        step = delta * (nb / n)
-        self.mean = self.mean + step
-        if self._shift is not None:
-            self._resid = self._resid + step
+        self._resid = self._resid + delta * (nb / n)
         self.n = n
         return self
 

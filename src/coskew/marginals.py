@@ -60,8 +60,9 @@ def token_float(text: str, token: str) -> float:
 
 
 def _check_prob_open(p, name="p"):
+    # a nan fails both comparisons, and min and max propagate it
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError(f"{name} must lie strictly inside (0, 1)")
 
 
@@ -166,7 +167,7 @@ class Marginal:
                 f"abs_std_quantile needs a symmetric marginal, not {self.family!r}"
             )
         u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+        if u_arr.size and not (u_arr.min() >= 0.0 and u_arr.max() < 1.0):
             raise DomainError("u must lie in [0, 1)")
         out = (self.quantile((1.0 + u_arr) / 2.0) - self.mean) / self.sd
         # exact zero at u = 0 (the median maps to the mean for symmetric families)

@@ -79,7 +79,7 @@ class USample:
         u = np.ascontiguousarray(np.asarray(self.u, dtype=float))
         if u.ndim != 2 or u.shape[0] != 3:
             raise ValueError(f"expected a (3, n) array, got shape {u.shape}")
-        if u.size and (u.min() < 0.0 or u.max() > 1.0):
+        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # a nan fails too
             raise ValueError("copula realizations must lie in [0, 1]")
         object.__setattr__(self, "u", u)
 

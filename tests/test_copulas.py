@@ -106,16 +106,7 @@ class TestExtremalRows:
     @given(st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
     @example([(0.5, 0.5), (0.5, 0.7), (0.3, 0.5), (0.0, 1.0), (1.0, 0.0)])
     @example([(1 / 2**53, 0.5), (1 - 2**-53, 0.5), (0.5 - 2**-54, 0.5 + 2**-53)])
-    def test_blend_equals_the_where_select_bytewise(self, pairs):
-        # the branch-free blends against the np.where form they replace
-        u, v = (np.array(c) for c in zip(*pairs))
-        i, j = u > 0.5, v > 0.5
-        u2, u3_max = extremal_coords(u, v)
-        assert u2.tobytes() == np.where(j, u, 1.0 - u).tobytes()
-        assert u3_max.tobytes() == np.where(i == j, u, 1.0 - u).tobytes()
-        # _select over another mask, with v as the mask
-        assert (copulas._select(j, u3_max, 1.0 - u3_max).tobytes()
-                == np.where(j, u3_max, 1.0 - u3_max).tobytes())
+    def test_scalar_inputs_equal_the_where_select_bytewise(self, pairs):
         for k, (a, b) in enumerate(pairs):  # one 0-d input at a time
             want = np.where(b > 0.5, a, 1.0 - a), np.where((a > 0.5) == (b > 0.5), a, 1.0 - a)
             for got, w in zip(extremal_coords(a, b), want):
@@ -522,7 +513,7 @@ class TestMomentKernelAccuracy:
 
 
 class TestSweepRankStats:
-    # the per-bin rank sums must match the true-CDF ranks of each lambda's
+    # the sweep's rank sums must match the true-CDF ranks of each lambda's
     # sample under non-symmetric margins, taken through quantile and CDF
     N = TestSweepMoments.N
     SEED = TestSweepMoments.SEED
@@ -826,5 +817,8 @@ class TestSpecParsing:
             sample_comonotonic(0, seed)
 
     def test_usample_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            USample(np.array([[0.5, 1.2], [0.5, 0.5], [0.5, 0.5]]))
+        for bad in (1.2, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                USample(np.array([[0.5, bad], [0.5, 0.5], [0.5, 0.5]]))
+            with pytest.raises(ValueError):
+                USample(np.full((3, 4), bad))

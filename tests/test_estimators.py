@@ -469,7 +469,7 @@ class TestMomentAccumulator:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_tail_event_coskew_against_an_exact_rational_oracle(self, lam):
         # 43 rows within ~3e-5 of 1: the rounding of their mean is not small
-        # beside their spread, so update also centres on the residual mean
+        # beside their spread, so update's sums keep the residual mean
         m = (uniform01(),) * 3
         ts = copulas.to_data(copulas.sample_mixture(10**6, lam, SeedSpec(7, 3)), *m)
         mask = build_event_mask(ts, parse_event("exceed-upper:0.9999"), m)
@@ -556,6 +556,55 @@ class TestMomentAccumulator:
         assert [getattr(acc, name).tobytes() for name in names] == before
         with pytest.raises(DomainError):
             acc.update(np.empty((2, 0)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_update_is_from_shifted_sums_around_the_rounded_mean(self, d, rng):
+        # one path: a chunk's sums around its rounded mean, centred once
+        x = rng.standard_t(5, size=(d, 3001)) + rng.uniform(-50.0, 50.0, (d, 1))
+        shift = x.mean(axis=1)
+        y = x - shift[:, None]
+        s2 = np.array([[np.add.reduce(y[i] * y[j]) for j in range(d)] for i in range(d)])
+        s3 = np.add.reduce(y[0] * y[1] * y[2]) if d == 3 else 0.0
+        want = MomentAccumulator.from_shifted_sums(x.shape[1], shift, y.sum(axis=1), s2, s3)
+        got = MomentAccumulator(d).update(x)
+        for name in ("mean", "_m2", "_m3"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_streaming_merge_of_far_means_against_an_exact_rational_oracle(self):
+        # means near 1e6 with a spread of 1e-3: each chunk's rounded mean is
+        # off by ~1e-10, so a merge must difference the chunks' shifts and
+        # residual means, not their rounded means
+        rng = np.random.default_rng(11)
+        e = 1e-3 * rng.standard_exponential((3, 600))
+        e[1:] += 0.5 * e[0]
+        x = 1e6 + e
+        acc = MomentAccumulator(3)
+        for a in range(0, 600, 97):
+            acc.update(x[:, a:a + 97])
+        n = x.shape[1]
+        z = [[Fraction(v) - sum(map(Fraction, c)) / n for v in c] for c in x.tolist()]
+        m2 = [[sum(a * b for a, b in zip(z[i], z[j])) for j in range(3)] for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            want = math.copysign(math.sqrt(m2[i][j] ** 2 / (m2[i][i] * m2[j][j])), m2[i][j])
+            assert abs(acc.corr(i, j) - want) <= 1e-14, (i, j)
+        m3 = sum(a * b * c for a, b, c in zip(*z))
+        want = math.copysign(math.sqrt(m3 * m3 * n / (m2[0][0] * m2[1][1] * m2[2][2])), m3)
+        assert abs(acc.coskew() - want) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_raises(self, bad, rng):
+        x = rng.normal(size=(3, 100))
+        x[1, 17] = bad
+        mask = np.ones(100, bool)
+        for call in (lambda: pearson_corr(x[1], x[0]), lambda: coskewness(*x),
+                     lambda: estimators.conditional_moments(x, mask),
+                     lambda: estimators.conditional_moments(x[:2], mask)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way
+                with pytest.raises(DomainError):
+                    call()
+        mask[17] = False  # a non-finite row outside the event is never read
+        assert np.isfinite(estimators.conditional_moments(x, mask).coskew())
 
     def test_dimension_mismatch(self, rng):
         acc = MomentAccumulator(3)

@@ -91,7 +91,7 @@ class TestQuantile:
 
     def test_domain_errors(self, all_marginals):
         for m in all_marginals:
-            for p in (0.0, 1.0, -0.1, 1.1):
+            for p in (0.0, 1.0, -0.1, 1.1, math.nan, [0.5, math.nan]):
                 with pytest.raises(DomainError):
                     m.quantile(p)
 
@@ -156,6 +156,12 @@ class TestAbsStdQuantile:
     def test_rejects_asymmetric(self):
         with pytest.raises(UnsupportedMarginalError):
             exponential(1.0).abs_std_quantile(0.5)
+
+    def test_domain_errors(self, symmetric_marginals):
+        for m in symmetric_marginals:
+            for u in (-0.1, 1.0, math.nan, [0.5, math.nan]):
+                with pytest.raises(DomainError):
+                    m.abs_std_quantile(u)
 
     def test_tail_form_agrees(self, symmetric_marginals):
         # deeper tails than 1e-6 are exactly where the p-path loses precision
