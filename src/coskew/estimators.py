@@ -137,7 +137,8 @@ class MomentAccumulator:
         ``np.add.reduce``, written to both (i, j) and (j, i); for d = 3 the
         (0, 1) product is then multiplied in place by y_2 and summed again.
         DomainError when a column holds a nan or an infinity, which makes
-        its mean non-finite."""
+        its mean non-finite, and when finite data overflows a second or
+        third sum."""
         # a C-contiguous copy: a strided or F-ordered chunk reduces slower
         # and to other bits
         chunk = np.ascontiguousarray(chunk, dtype=float)
@@ -153,13 +154,16 @@ class MomentAccumulator:
         s2 = np.empty((self.d, self.d))
         s3 = 0.0
         w = np.empty(m)
-        for i in range(self.d):
-            for j in range(i, self.d):
-                np.multiply(y[i], y[j], out=w)
-                s2[i, j] = s2[j, i] = np.add.reduce(w)
-                if self.d == 3 and (i, j) == (0, 1):
-                    w *= y[2]
-                    s3 = np.add.reduce(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for i in range(self.d):
+                for j in range(i, self.d):
+                    np.multiply(y[i], y[j], out=w)
+                    s2[i, j] = s2[j, i] = np.add.reduce(w)
+                    if self.d == 3 and (i, j) == (0, 1):
+                        w *= y[2]
+                        s3 = np.add.reduce(w)
+        if not (np.all(np.isfinite(s2)) and np.isfinite(s3)):
+            raise DomainError("moments overflow: the data's products exceed the float range")
         return self.merge(
             MomentAccumulator.from_shifted_sums(m, shift, np.add.reduce(y, axis=1), s2, s3))
 

@@ -253,6 +253,15 @@ class TestStats:
         assert res.exit_code == 2
         assert "non-finite" in res.output
 
+    def test_overflowing_moments_fail_with_an_error(self, runner):
+        # finite cells whose squares overflow: exit 1 with a message, never
+        # an Infinity sd or a -0.0 correlation
+        text = "x1,x2,x3\n1e155,1,2\n-1e155,3,1\n1,2,5\n2,7,1\n3,1,1\n"
+        res = runner.invoke(main, ["stats"], input=text)
+        assert res.exit_code == 1
+        assert "Error:" in res.output and "overflow" in res.output
+        assert "Infinity" not in res.output
+
     def test_ragged_row_is_usage_error(self, runner):
         text = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n"
         res = runner.invoke(main, ["stats"], input=text)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -334,6 +336,40 @@ class TestMixtureSweep:
             assert a.tobytes() == b.tobytes()
 
 
+class TestBinning:
+    # above copulas._SEARCH_GRID grid points the selector is binned by a
+    # binary search, below it by one compare pass per point; both must give
+    # the same draw.  Each grid holds 0, 1, a repeated lambda and selector
+    # values themselves, so rows sit exactly on a bin edge, where a row
+    # with h == lambda belongs to the bin above
+    N, SEED = 3000, SeedSpec(5, 2)
+    H = substream(SEED, copulas._OFF_B).random(N)
+
+    @classmethod
+    def grid(cls, g):
+        """g distinct lambdas: evenly spaced from 0 to 1, and g // 4
+        selector values, the first of them twice."""
+        on_h = cls.H[:max(1, g // 4)]
+        return np.r_[np.linspace(0.0, 1.0, g - on_h.size), on_h, on_h[0]]
+
+    @pytest.mark.parametrize("g", [3, 11, copulas._SEARCH_GRID - 1, copulas._SEARCH_GRID,
+                                   copulas._SEARCH_GRID + 1, 1001])
+    def test_search_and_compare_loop_give_the_same_draw(self, g, monkeypatch):
+        lams = self.grid(g)
+        assert np.unique(lams).size == g and {0.0, 1.0, float(self.H[0])} <= set(lams)
+        draws = []
+        for above in (-1, 10**9):  # every grid searched, then none
+            monkeypatch.setattr(copulas, "_SEARCH_GRID", above)
+            draws.append(mixture_draw(self.N, lams, self.SEED))
+        searched, looped = draws
+        for field in ("grid", "points", "edges", "u", "flip2", "flip3"):
+            a, b = getattr(searched, field), getattr(looped, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        # the edges count the rows with h < lambda
+        assert np.array_equal(searched.edges[1:-1],
+                              np.count_nonzero(self.H < searched.grid[:, None], axis=1))
+
+
 def _assert_moments_match(acc, ref):
     # 1e-12 relative; the absolute floor serves a lambda whose coskewness
     # or correlation lies within ~1e-4 of zero, where merging and a one-shot
@@ -510,6 +546,50 @@ class TestMomentKernelAccuracy:
     @pytest.mark.parametrize("margin", ["t:3.05", "exp:1"])
     def test_within_1e12_of_fsum_at_a_million_rows(self, margin):
         assert kernel_oracle_gap(10**6, margin) <= 1e-12
+
+
+class TestMirroredMinBranch:
+    # for a symmetric third marginal the unmasked kernel walks every bin on
+    # the max branch only and takes the min branch's sums by sign; the
+    # oracle is the two-branch walk, reached by a third marginal that says
+    # it is not symmetric.  lambda = 0 empties bin 0 and lambda = 1 bin G
+    GRIDS = [(0.0,), (1.0,), (0.5, 0.0, 0.5, 1.0), (0.3, 0.3, 0.6)]
+
+    @staticmethod
+    def walk(sweep):
+        """_point_sums() of the sweep, and whether it read lo3."""
+        read_lo = []
+        third_rows = copulas._third_rows
+
+        def recorded(y, x3, shift):
+            read_lo.append(np.shares_memory(x3, sweep.lo3))
+            third_rows(y, x3, shift)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copulas, "_third_rows", recorded)
+            return sweep._point_sums(), any(read_lo)
+
+    @pytest.mark.parametrize("third", ["normal", "uniform", "laplace", "t:3.0001", "t:5",
+                                       "t:1e9"])
+    @pytest.mark.parametrize("n", [1, 2, 16383, 16384, 16385, 32769])
+    def test_equals_the_two_branch_walk_bit_for_bit(self, third, n):
+        # only the third marginal decides; odd n also take asymmetric x1, x2
+        margins = (parse_marginal(third),) * 3 if n % 2 == 0 else \
+            tuple(map(parse_marginal, ("exp:2", "t:5", third)))
+        for grid in self.GRIDS:
+            sweep = mixture_draw(n, grid, _KERNEL_SEED).with_marginals(margins)
+            stand_in = types.SimpleNamespace(mean=margins[2].mean, symmetric=False)
+            two_branch = dataclasses.replace(sweep, marginals=(*margins[:2], stand_in))
+            (got,), mirrored = self.walk(sweep)
+            (want,), read_lo = self.walk(two_branch)
+            assert not mirrored and read_lo == (sweep.draw.edges[1] < n)  # rows above bin 0
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (grid, a, b)
+
+    def test_exp_third_marginal_walks_both_branches(self):
+        sweep = mixture_draw(5000, (0.0, 0.5, 1.0), _KERNEL_SEED).with_marginals(
+            tuple(map(parse_marginal, ("normal", "laplace", "exp:2"))))
+        assert self.walk(sweep)[1]
 
 
 class TestSweepRankStats:

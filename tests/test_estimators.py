@@ -606,6 +606,21 @@ class TestMomentAccumulator:
         mask[17] = False  # a non-finite row outside the event is never read
         assert np.isfinite(estimators.conditional_moments(x, mask).coskew())
 
+    def test_overflowing_products_raise(self):
+        # finite data whose second or third sums leave the float range: a
+        # typed error, never an infinite sd or a -0.0 correlation
+        cases = [lambda: pearson_corr([1e200, -1e200, 1, 2], [1, 2, 3, 4]),
+                 lambda: coskewness([1e155, -1e155, 1, 2, 3], [1, 3, 2, 7, 1], [2, 1, 5, 1, 1]),
+                 # each square fits, the triple product does not
+                 lambda: coskewness(*np.full((3, 4), 1e120) * [[1, -1, 2, 1]])]
+        for call in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way
+                with pytest.raises(DomainError, match="overflow"):
+                    call()
+        # just inside the range the statistics still come out
+        assert pearson_corr([1e150, -1e150, 1, 2], [1, 2, 3, 4]) == pytest.approx(-1 / math.sqrt(10))
+
     def test_dimension_mismatch(self, rng):
         acc = MomentAccumulator(3)
         with pytest.raises(DomainError):
