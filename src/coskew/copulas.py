@@ -75,7 +75,6 @@ __all__ = [
     "GaussianParams",
     "MixtureDraw",
     "MixtureSweep",
-    "extremal_coords",
     "gaussian_correlate",
     "gaussian_scores",
     "gaussian_z",
@@ -206,26 +205,6 @@ def _check_n(n: int) -> int:
     return n
 
 
-def extremal_coords(u, v):
-    """Second and third coordinates of the extremal constructions at (u, v).
-
-    Returns (u2, u3_max); the minimum-coskewness third coordinate is the
-    reflection 1 - u3_max.  Ties at exactly 1/2 fall in the I = 0 (J = 0)
-    branch, matching the strict inequality in the indicators.  Each is the
-    ``np.where`` select between u and 1 - u.
-
-    This is the reference for any u: the samplers flip the sign of u - 1/2
-    instead, which gives the same bits only where u - 1/2 is exact, as on
-    their k/2^53 grid (:func:`_flipped_rows`), and are tested against it.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    i = u > 0.5
-    j = v > 0.5
-    w = 1.0 - u
-    return np.where(j, u, w), np.where(i == j, u, w)
-
-
 def mixing_sum_coords(u):
     """Second and third coordinates of the mixing copula at u.
 
@@ -259,7 +238,10 @@ def _flipped_rows(u, flip2, flip3) -> np.ndarray:
     """The (3, n) block (u, u2, u3), written once: u2 and u3 are
     1/2 + (u - 1/2) with the sign bit of u - 1/2 flipped where flip2 and
     flip3 are set.  On the k/2^53 grid u - 1/2 is exact, so a flipped
-    coordinate is one rounding of the exact 1 - u: the bits of ``1.0 - u``."""
+    coordinate is one rounding of the exact 1 - u: the bits of ``1.0 - u``.
+    The samplers are tested bit for bit against the reference for any u,
+    the ``np.where`` select between u and ``1.0 - u`` (``extremal_coords``
+    in ``tests/test_copulas.py``)."""
     out = np.empty((3, u.size))
     bits = out.view(np.uint64)
     bits[1], bits[2] = flip2, flip3

@@ -17,8 +17,8 @@ raw sums of rows shifted near their mean, centred once
 shifts each selector bin by the marginals' population means, or an event's
 rows by their own mean (:mod:`coskew.copulas`).  Each accumulator keeps its
 mean as that shift plus a residual mean, and merges take the difference
-of two means from those parts, with shift-stable update formulas (Pebay
-2008) plus Neumaier compensation.  So results are accurate to ~1e-12
+of two means from those parts, then add the shift-stable update terms
+(Pebay 2008) plainly.  So results are accurate to ~1e-12
 relative up to n = 1e7, also for means far from 0 with a small spread,
 and bit-stable for a fixed chunking.  The accumulator keeps only what the
 statistics read: the means, the second moments and, for three columns,
@@ -63,14 +63,6 @@ __all__ = [
 MIN_EVENT_ROWS = 30
 
 
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """total + term with the rounding error folded into comp; returns new total."""
-    new = total + term
-    big = np.abs(total) >= np.abs(term)
-    comp += np.where(big, (total - new) + term, (term - new) + total)
-    return new
-
-
 class MomentAccumulator:
     """Streaming accumulator of the central moments that coskew reads: the
     column means, the (d, d) second moments and, for three columns, the
@@ -81,8 +73,9 @@ class MomentAccumulator:
     the mean as that shift plus a residual mean.  ``update`` feeds a chunk
     of shape (d, m) this way, shifted by its own rounded mean, so the result
     is invariant (to rounding) under shifts of the data.  Accumulators merge
-    pairwise, with formulas that never subtract large raw moments; merging
-    in a fixed chunk order gives bit-identical results.
+    pairwise: the exact difference of the two means, then plain adds of
+    terms that never subtract large raw moments; merging in a fixed chunk
+    order gives bit-identical results.
     """
 
     def __init__(self, d: int):
@@ -93,9 +86,7 @@ class MomentAccumulator:
         self._shift = np.zeros(d)
         self._resid = np.zeros(d)
         self._m2 = np.zeros((d, d))
-        self._m2c = np.zeros((d, d))
         self._m3 = np.zeros(())  # sum z_0 z_1 z_2; stays 0 unless d = 3
-        self._m3c = np.zeros(())
 
     @property
     def mean(self) -> np.ndarray:
@@ -172,13 +163,10 @@ class MomentAccumulator:
             raise DomainError("cannot merge accumulators of different dimension")
         if other.n == 0:
             return self
-        if self.n == 0:
+        if self.n == 0:  # nothing writes an accumulator's arrays in place
             self.n = other.n
             self._shift, self._resid = other._shift, other._resid
-            self._m2 = other._m2.copy()
-            self._m2c = other._m2c.copy()
-            self._m3 = other._m3.copy()
-            self._m3c = other._m3c.copy()
+            self._m2, self._m3 = other._m2, other._m3
             return self
 
         na, nb = self.n, other.n
@@ -186,26 +174,20 @@ class MomentAccumulator:
         # two means far from 0 with a small spread: difference the parts
         delta = (other._shift - self._shift) + (other._resid - self._resid)
 
-        m2a = self._m2 + self._m2c
-        m2b = other._m2 + other._m2c
-
         if self.d == 3:  # before the second moments: it reads the pre-merge ones
             d0, d1, d2 = delta
 
             def cross(m2):  # d_0 m2_12 + d_1 m2_02 + d_2 m2_01
                 return d0 * m2[1, 2] + d1 * m2[0, 2] + d2 * m2[0, 1]
 
-            m3_term = (
+            self._m3 = self._m3 + (
                 other._m3
-                + other._m3c
                 + d0 * d1 * d2 * (na * nb * (na - nb) / n**2)
-                + cross(m2b) * (na / n)
-                - cross(m2a) * (nb / n)
+                + cross(other._m2) * (na / n)
+                - cross(self._m2) * (nb / n)
             )
-            self._m3 = _neumaier_add(self._m3, self._m3c, m3_term)
 
-        m2_term = m2b + np.outer(delta, delta) * (na * nb / n)
-        self._m2 = _neumaier_add(self._m2, self._m2c, m2_term)
+        self._m2 = self._m2 + (other._m2 + np.outer(delta, delta) * (na * nb / n))
 
         self._resid = self._resid + delta * (nb / n)
         self.n = n
@@ -215,7 +197,7 @@ class MomentAccumulator:
 
     def second_central(self) -> np.ndarray:
         """(d, d) matrix of mean-centered second moments, divided by n."""
-        return (self._m2 + self._m2c) / self.n
+        return self._m2 / self.n
 
     def sds(self) -> np.ndarray:
         """Population standard deviations."""
@@ -252,7 +234,7 @@ class MomentAccumulator:
         if self.d != 3:
             raise DomainError(f"coskewness needs three columns, got d = {self.d}")
         c, s = self._checked()
-        coskew = float((self._m3 + self._m3c) / self.n / (s[0] * s[1] * s[2]))
+        coskew = float(self._m3 / self.n / (s[0] * s[1] * s[2]))
         return s, c / np.outer(s, s), coskew
 
 

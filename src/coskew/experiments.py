@@ -130,13 +130,13 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _base_metadata(name: str, cfg: ExperimentConfig) -> dict:
+def _base_metadata(name: str, n: int, seed: SeedSpec, marginals) -> dict:
     return {
         "experiment": name,
-        "n": cfg.n,
-        "seed": cfg.seed.seed,
-        "stream": cfg.seed.stream,
-        "marginals": ",".join(m.token for m in cfg.marginals),
+        "n": n,
+        "seed": seed.seed,
+        "stream": seed.stream,
+        "marginals": ",".join(m.token for m in marginals),
     }
 
 
@@ -176,7 +176,7 @@ def _run_sweep(name: str, cfg: ExperimentConfig, lams, event=None) -> Experiment
     bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
     sweep = copulas.mixture_draw(cfg.n, lams, cfg.seed).with_marginals(cfg.marginals)
     rows = _sweep_rows(sweep, bounds, event)
-    meta = _base_metadata(name, cfg)
+    meta = _base_metadata(name, cfg.n, cfg.seed, cfg.marginals)
     if event is not None:
         meta["event"] = event.token
     elif bounds is not None:
@@ -251,14 +251,8 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
         else:
             row["stated_rank_corr_discrepancy"] = False
         rows.append(row)
-    meta = {
-        "experiment": "example1",
-        "n": n,
-        "seed": seed.seed,
-        "stream": seed.stream,
-        "marginals": ",".join([exponential(1.0).token] * 3),
-        "runtime_s": time.perf_counter() - t0,
-    }
+    meta = _base_metadata("example1", n, seed, [exponential(1.0)] * 3)
+    meta["runtime_s"] = time.perf_counter() - t0
     return ExperimentReport("example1", rows, meta)
 
 

@@ -145,9 +145,8 @@ class Marginal:
         elif self.family == "uniform":
             out = np.clip(x_arr, 0.0, 1.0)
         elif self.family == "laplace":
-            out = np.where(
-                x_arr < 0.0, 0.5 * np.exp(x_arr), 1.0 - 0.5 * np.exp(-x_arr)
-            )
+            tail = 0.5 * np.exp(-np.abs(x_arr))  # one exp that never overflows
+            out = np.where(x_arr < 0.0, tail, 1.0 - tail)
         elif self.family == "t":
             out = special.stdtr(self.df, x_arr)
         else:  # exp

@@ -14,7 +14,6 @@ from coskew import copulas, experiments
 from coskew.copulas import (
     CopulaSpec,
     GaussianParams,
-    extremal_coords,
     gaussian_correlate,
     gaussian_scores,
     gaussian_z,
@@ -68,6 +67,25 @@ def _moment_se(n):
 _GRID_K = st.sampled_from([1, 2**51, 2**52, 2**53 - 1]).flatmap(
     lambda k: st.integers(max(0, k - 10**4), min(2**53, k + 10**4)))
 _UNIT = st.one_of(st.floats(0.0, 1.0), st.just(0.5), _GRID_K.map(lambda k: k / 2**53))
+
+
+def extremal_coords(u, v):
+    """Second and third coordinates of the extremal constructions at (u, v),
+    the samplers' reference for any u.
+
+    Returns (u2, u3_max); the minimum-coskewness third coordinate is the
+    reflection 1 - u3_max.  Ties at exactly 1/2 fall in the I = 0 (J = 0)
+    branch, matching the strict inequality in the indicators.  Each is the
+    ``np.where`` select between u and 1 - u.  The samplers flip the sign of
+    u - 1/2 instead, which gives the same bits only where u - 1/2 is exact,
+    as on their k/2^53 grid (``copulas._flipped_rows``).
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    i = u > 0.5
+    j = v > 0.5
+    w = 1.0 - u
+    return np.where(j, u, w), np.where(i == j, u, w)
 
 
 class TestExtremalRows:

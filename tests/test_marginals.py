@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,33 @@ class TestQuantile:
 def test_cdf_quantile_roundtrip(token, p):
     m = parse_marginal(token)
     assert m.cdf(m.quantile(p)) == pytest.approx(p, abs=1e-10)
+
+
+@pytest.mark.parametrize("token", ["normal", "uniform", "laplace", "t:5", "exp:1"])
+def test_cdf_far_tails_are_0_and_1_without_warnings(token):
+    # beyond |x| ~ 709 a two-branch Laplace CDF overflowed exp in the branch
+    # that np.where discards
+    m = parse_marginal(token)
+    x = np.array([-np.inf, -800.0, 800.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.cdf(x)
+        scalars = [m.cdf(float(v)) for v in x]
+    assert got.tolist() == scalars
+    assert got.tolist() == pytest.approx([0.0, 0.0, 1.0, 1.0], abs=1e-12)
+    assert got[0] == 0.0 and got[-1] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 700.0, -745.0, 800.0, -800.0]),
+), min_size=1, max_size=40))
+def test_laplace_cdf_equals_the_two_branch_form_bytewise(xs):
+    x = np.array(xs)
+    with np.errstate(over="ignore"):
+        want = np.where(x < 0.0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
+    assert laplace().cdf(x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("token", ["normal", "uniform", "laplace", "t:5"])
