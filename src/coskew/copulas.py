@@ -38,15 +38,12 @@ max branch, since the min branch's x3 less its mean is exactly the max
 branch's negated, so that branch's sums follow by sign.  Each lambda's
 moments add the max-branch sums of the bins below it to the min-branch
 sums of the bins above it, centred once: every correlation and coskewness
-lies within 1e-12 of a one-shot reduction of that lambda's sample.
-:meth:`MixtureSweep.samples` holds each lambda's third row in one buffer,
-a prefix of one branch and a suffix of the other, and rewrites only the
-rows between one lambda's cut and the next.  An event's conditional
-moments (:meth:`MixtureSweep.event_moments`) take the same per-bin sums,
-around those rows' own means, over the rows whose event membership never
-moves with lambda.  The band of rows whose membership does has its
-products formed once per branch, and each lambda adds those of its event
-rows to its sums before they are centred.  For a
+lies within 1e-12 of a one-shot reduction of that lambda's sample.  An
+event's conditional moments (:meth:`MixtureSweep.event_moments`) take
+the same per-bin sums, around those rows' own means, over the rows whose
+event membership never moves with lambda.  The band of rows whose
+membership does has its products formed once per branch, and each lambda
+adds those of its event rows to its sums before they are centred.  For a
 symmetric marginal F^-1(1-U) is the reflection 2*mean - F^-1(U), which
 equals the direct quantile bit for bit on the samplers' k/2^53 grid;
 :func:`to_data` clamps to that grid's own ends, so it moves no sampled
@@ -439,15 +436,14 @@ class MixtureSweep:
     triple (:meth:`MixtureDraw.with_marginals`): x1 and x2 and both
     branches' x3, each held once, in the draw's row order.
 
-    At lambda = grid[g] the rows with h < lambda are bins 0..g, so that
-    lambda's x3 is ``hi3`` (the max branch) on its leading rows, up to
+    At lambda = grid[g] the rows with h < lambda are bins 0..g.  So that
+    lambda's sample, ``to_data(sample_mixture(n, lam, seed), *marginals)``
+    with its rows in the draw's order (by bin, then flip pattern), has x1,
+    x2 and, as x3, ``hi3`` (the max branch) on its leading rows, up to
     ``draw.edges[g + 1]``, and ``lo3`` (the min branch) on the rest.
-    :meth:`samples` gives each lambda's sample, which is the rows of
-    ``to_data(sample_mixture(n, lam, seed), *marginals)`` in the draw's row
-    order (by bin, then flip pattern), bit for bit; :meth:`moments` gives
-    each lambda's moment accumulator without building the samples, and
-    :meth:`event_moments` each lambda's accumulator of an event's rows,
-    reducing each bin once as well.
+    :meth:`moments` gives each lambda's moment accumulator without building
+    the samples, and :meth:`event_moments` each lambda's accumulator of an
+    event's rows, reducing each bin once as well.
     """
 
     draw: MixtureDraw
@@ -456,30 +452,6 @@ class MixtureSweep:
     x2: np.ndarray
     hi3: np.ndarray
     lo3: np.ndarray
-
-    def samples(self):
-        """Each lambda's sample, in order, as a TriSample in the draw's row
-        order: by bin, then by flip pattern (:class:`MixtureDraw`).
-
-        Every sample wraps the same (3, n) buffer.  For the next lambda
-        its third row is refilled incrementally, only between the two
-        lambdas' cuts, so read each sample before taking the next, and do
-        not write into it: a change would carry over to later samples.
-        """
-        return self._samples(self.draw.points)
-
-    def _samples(self, points):
-        """The samples at the given grid indices, over one reused buffer
-        whose third row is hi3 on its leading ``at`` rows and lo3 on the
-        rest: each point rewrites only the rows between the old cut and
-        the new one."""
-        x = np.stack([self.x1, self.x2, self.lo3])
-        at = 0
-        for cut in self.draw.edges[points + 1]:
-            x[2, at:cut] = self.hi3[at:cut]  # the cut moved up
-            x[2, cut:at] = self.lo3[cut:at]  # or down
-            at = cut
-            yield TriSample(x, self.draw.seed)
 
     def moments(self) -> list[MomentAccumulator]:
         """A 3-column accumulator of (x1, x2, x3) for each lambda, in order.
@@ -499,12 +471,16 @@ class MixtureSweep:
         :meth:`~coskew.estimators.MomentAccumulator.from_shifted_sums`, and
         with masks the two branches merged, through their shifts and
         residual means (:meth:`~coskew.estimators.MomentAccumulator.merge`).
+        Sums that overflow the float range are refused there, with a
+        DomainError.
         """
         def centred(n, shift, s):
             return [MomentAccumulator.from_shifted_sums(m, shift, *a)
                     for m, *a in zip(n, s[:, [2, 3, 5]], s[:, _SQUARE_ROWS], s[:, 8])]
 
-        branches = [centred(*b) for b in self._point_sums(*masks)]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by from_shifted_sums
+            sums = self._point_sums(*masks)
+        branches = [centred(*b) for b in sums]
         return [reduce(MomentAccumulator.merge, at_g) for at_g in zip(*branches)]
 
     def _point_sums(self, hi_keep=None, lo_keep=None, band=None):
@@ -598,8 +574,7 @@ class MixtureSweep:
         for each lambda, in order.
 
         Each distinct grid point's mask comes from ``build_event_mask`` on
-        its sample (:meth:`samples`, refilled incrementally in grid order)
-        under ``marginals``, and must select MIN_EVENT_ROWS rows
+        its sample under ``marginals``, and must select MIN_EVENT_ROWS rows
         (``count_event_rows``).  A row's reference membership is, on the
         max branch, its mask at its own bin's point, the first that puts it
         there, and on the min branch its mask at the first point.  The band
@@ -614,15 +589,19 @@ class MixtureSweep:
         lie within 1e-12 of a one-shot reduction of each event's rows.
         """
         edges, n = self.draw.edges, self.x1.size
+        # one buffer, each point's sample in turn: in ascending grid order
+        # bin g moves from the min branch's x3 to the max branch's at point g
+        ts = TriSample(np.stack([self.x1, self.x2, self.lo3]), self.draw.seed)
         fractions, flips = [], []
-        for g, ts in enumerate(self._samples(np.arange(self.draw.grid.size))):
+        for g, rows in enumerate(map(slice, edges[:-2], edges[1:-1])):
+            ts.x[2, rows] = self.hi3[rows]
             mask = build_event_mask(ts, event, self.marginals)
             fractions.append(count_event_rows(mask) / n)
             if g == 0:
                 lo_ref, ref = mask.copy(), mask.copy()
             # ref: each row's reference at this point, the max branch's on
             # bins 0..g and the min branch's above
-            ref[edges[g]:edges[g + 1]] = mask[edges[g]:edges[g + 1]]
+            ref[rows] = mask[rows]
             flips.append(np.flatnonzero(mask != ref))
         if not flips:
             return []

@@ -26,8 +26,9 @@ the one mixed third moment sum z_0 z_1 z_2.  Every sum over rows is
 numpy's pairwise ``np.add.reduce`` of an elementwise product, never a
 BLAS call, so the bits do not depend on the CPU kernel or the thread
 count.  Each second moment is written to both (i, j) and (j, i), so the
-matrix is exactly symmetric.  A nan or an infinity in the data raises
-DomainError, never a nan statistic.
+matrix is exactly symmetric.  A nan or an infinity in the data, or sums
+that overflow the float range, raise DomainError in
+:meth:`MomentAccumulator.from_shifted_sums`, never a nan statistic.
 """
 
 from __future__ import annotations
@@ -107,7 +108,18 @@ class MomentAccumulator:
         The accumulator keeps the shift and the residual mean s1 / n, so
         :meth:`merge` takes the difference of two such means without
         cancelling their rounded values.
+
+        Every accumulator is built here, so this is where non-finite input
+        is refused, with a DomainError: a shift that is not finite (the
+        data holds a nan or an infinity, or a column's sum overflows) and
+        second or third sums that are not (finite data whose products
+        overflow the float range).
         """
+        if not np.isfinite(shift).all():
+            raise DomainError("moments need finite data with a finite mean "
+                              "(a column holds a nan or an infinity, or its sum overflows)")
+        if not (np.isfinite(s2).all() and np.isfinite(s3)):
+            raise DomainError("moments overflow: the data's products exceed the float range")
         acc = cls(len(shift))
         if n == 0:
             return acc
@@ -127,9 +139,9 @@ class MomentAccumulator:
         in one reused row and summed with numpy's pairwise
         ``np.add.reduce``, written to both (i, j) and (j, i); for d = 3 the
         (0, 1) product is then multiplied in place by y_2 and summed again.
-        DomainError when a column holds a nan or an infinity, which makes
-        its mean non-finite, and when finite data overflows a second or
-        third sum."""
+        A column holding a nan or an infinity, or whose sum overflows, has
+        a non-finite mean, and finite data can overflow a second or third
+        sum: :meth:`from_shifted_sums` refuses both, with a DomainError."""
         # a C-contiguous copy: a strided or F-ordered chunk reduces slower
         # and to other bits
         chunk = np.ascontiguousarray(chunk, dtype=float)
@@ -138,14 +150,12 @@ class MomentAccumulator:
         m = chunk.shape[1]
         if m == 0:
             return self
-        shift = chunk.mean(axis=1)
-        if not np.all(np.isfinite(shift)):
-            raise DomainError("moments need finite data (a column holds a nan or an infinity)")
-        y = chunk - shift[:, None]
         s2 = np.empty((self.d, self.d))
         s3 = 0.0
         w = np.empty(m)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by from_shifted_sums
+            shift = chunk.mean(axis=1)
+            y = chunk - shift[:, None]
             for i in range(self.d):
                 for j in range(i, self.d):
                     np.multiply(y[i], y[j], out=w)
@@ -153,10 +163,8 @@ class MomentAccumulator:
                     if self.d == 3 and (i, j) == (0, 1):
                         w *= y[2]
                         s3 = np.add.reduce(w)
-        if not (np.all(np.isfinite(s2)) and np.isfinite(s3)):
-            raise DomainError("moments overflow: the data's products exceed the float range")
-        return self.merge(
-            MomentAccumulator.from_shifted_sums(m, shift, np.add.reduce(y, axis=1), s2, s3))
+            s1 = np.add.reduce(y, axis=1)
+        return self.merge(MomentAccumulator.from_shifted_sums(m, shift, s1, s2, s3))
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         if other.d != self.d:

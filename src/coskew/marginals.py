@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, UnsupportedMarginalError
+from .samples import U_MIN
 
 __all__ = [
     "Marginal",
@@ -71,7 +72,8 @@ class Marginal:
     """One univariate marginal distribution.
 
     family is one of "normal", "uniform", "laplace", "t", "exp"; df applies
-    to "t" (requires df > 3) and rate to "exp" (requires rate > 0).
+    to "t" (requires df > 3) and rate to "exp" (requires rate > 0, and a
+    finite quantile at the top of the samplers' grid, 1 - 2^-53).
     """
 
     family: str
@@ -90,6 +92,11 @@ class Marginal:
         if self.family == "exp":
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0.0):
                 raise DomainError("Exponential needs a finite positive rate")
+            # the quantile at the sampling grid's top, F^-1(1 - U_MIN) =
+            # 53 ln 2 / rate, is finite for rates from about 2.044e-307
+            if not math.isfinite(-math.log1p(-(1.0 - U_MIN)) / self.rate):
+                raise DomainError(f"Exponential rate {self.rate!r} is too small: its "
+                                  "quantile at 1 - 2^-53 overflows the float range")
 
     # -- moments -----------------------------------------------------------
 

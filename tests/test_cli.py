@@ -50,6 +50,20 @@ class TestSample:
         res = runner.invoke(main, ["sample", "--copula", "clayton", "--n", "10"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("rate,code", [("1e-320", 2), ("1e-307", 2), ("1e-306", 0)])
+    def test_exp_rate_whose_quantiles_overflow_is_usage_error(self, runner, rate, code):
+        # the top of the sampling grid, 1 - 2^-53, maps to 53 ln 2 / rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["sample", "--copula", "max", "--marginals",
+                                       f"normal,normal,exp:{rate}", "--n", "3"])
+        assert res.exit_code == code
+        if code:
+            assert "too small" in res.output
+        else:
+            rows = np.array([l.split(",") for l in _data_lines(res.stdout)[1:]], float)
+            assert rows.shape == (3, 3) and np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("args", [
         ["sample", "--copula", "mixture:x"],
         ["sample", "--copula", "max", "--marginals", "t:x,normal,normal"],
@@ -467,6 +481,18 @@ class TestFigureCommands:
             main, ["figure1", "--n", "2000", "--lambda-grid", "1,0", "--seed", "3"]
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("rate", ["1e-160", "1e-300"])
+    def test_overflowing_moments_fail_with_an_error(self, runner, rate):
+        # the sweep kernel's sums overflow: exit 1 with a message, never a
+        # NaN in the report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["figure2", "--n", "2000", "--marginals",
+                                       f"normal,normal,exp:{rate}", "--format", "json"])
+        assert res.exit_code == 1
+        assert "Error: moments overflow" in res.output
+        assert "NaN" not in res.output
 
     def test_output_directory_gets_default_filename(self, runner, tmp_path):
         res = runner.invoke(

@@ -42,7 +42,7 @@ from coskew.estimators import (
     spearman_rho,
 )
 from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
-from coskew.samples import SeedSpec, USample, substream, uniform_open
+from coskew.samples import SeedSpec, TriSample, USample, substream, uniform_open
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
 
@@ -228,6 +228,16 @@ def _draw_order(n, grid, seed):
     return h, np.lexsort((u3 != u, u2 != u, bins))
 
 
+def lambda_samples(sweep):
+    """Each lambda's sample of a MixtureSweep, in order, as a TriSample in
+    the draw's row order, the tests' oracle: x3 is the max branch's hi3 on
+    the rows of the bins below lambda's grid point and the min branch's lo3
+    on the rest, each sample built anew."""
+    for cut in sweep.draw.edges[sweep.draw.points + 1]:
+        x3 = np.concatenate([sweep.hi3[:cut], sweep.lo3[cut:]])
+        yield TriSample(np.stack([sweep.x1, sweep.x2, x3]), sweep.draw.seed)
+
+
 class TestMixtureSweep:
     GRID = (0.0, 0.1, 0.25, 0.5, 0.5, 0.8, 0.999, 1.0)
     MARGIN_SETS = [
@@ -244,7 +254,7 @@ class TestMixtureSweep:
         sweep = mixture_draw(3000, self.GRID, seed).with_marginals(m)
         _, order = _draw_order(3000, self.GRID, seed)
         count = 0
-        for lam, ts in zip(self.GRID, sweep.samples()):
+        for lam, ts in zip(self.GRID, lambda_samples(sweep)):
             ref = to_data(sample_mixture(3000, lam, seed), *m).x[:, order]
             # bytes, not values: -0.0 == 0.0 but prints as "-0"
             assert ts.x.tobytes() == ref.tobytes(), lam
@@ -254,14 +264,15 @@ class TestMixtureSweep:
 
     @pytest.mark.parametrize("margins", ["normal,normal,normal", "t:5,laplace,exp:2"])
     def test_refill_serves_any_lambda_order(self, margins, seed):
-        # the buffer's third row is refilled only between the old cut and
-        # the new one, so the cut moves down, up and not at all here, over
+        # each lambda's cut, read off the draw's points and edges in any
+        # lambda order: the cut moves down, up and not at all here, over
         # bins of more than one kernel block
         lams = (0.7, 0.2, 0.7, 1.0, 0.0)
         n = 2 * copulas._BLOCK + 5
         m = tuple(parse_marginal(t) for t in margins.split(","))
         _, order = _draw_order(n, lams, seed)
-        got = [ts.x.tobytes() for ts in mixture_draw(n, lams, seed).with_marginals(m).samples()]
+        sweep = mixture_draw(n, lams, seed).with_marginals(m)
+        got = [ts.x.tobytes() for ts in lambda_samples(sweep)]
         assert got == [to_data(sample_mixture(n, lam, seed), *m).x[:, order].tobytes()
                        for lam in lams]
 
@@ -279,7 +290,7 @@ class TestMixtureSweep:
                           (sweep.lo3, lo[2])):
             assert got.tobytes() == want.tobytes()
         assert np.array_equal(lo[:2], hi[:2])
-        for lam, ts in zip(self.GRID, sweep.samples()):
+        for lam, ts in zip(self.GRID, lambda_samples(sweep)):
             # x3 is the max branch's on exactly the count(h < lam) leading
             # rows, which hold the rows with h < lam
             cut = np.count_nonzero(h < lam)
@@ -438,7 +449,7 @@ class TestSweepMoments:
         m = (parse_marginal("t:3.05"),) * 3
         sweep = mixture_draw(1_000_000, (0.0, 0.25, 0.5, 0.5, 1.0, 0.75), self.SEED) \
             .with_marginals(m)
-        for ts, acc in zip(sweep.samples(), sweep.moments()):
+        for ts, acc in zip(lambda_samples(sweep), sweep.moments()):
             _assert_moments_match(acc, MomentAccumulator(3).update(ts.x))
 
 
@@ -483,8 +494,8 @@ def _kernel_case(draw):
 
 class TestMomentKernel:
     # the shifted per-bin sums behind moments() and event_moments() against
-    # one-shot reductions of each lambda's sample (the samples() buffer, so
-    # the same rows in the same order)
+    # one-shot reductions of each lambda's sample (lambda_samples, so the
+    # same rows in the same order)
     @given(case=_kernel_case())
     @example(case=(2, "normal,normal,normal", "downside", [0.5]))
     @example(case=(5000, "t:3.05,t:3.05,t:3.05", "downside", [0.0]))  # one bin, min branch
@@ -503,7 +514,7 @@ class TestMomentKernel:
         sweep = mixture_draw(n, grid, _KERNEL_SEED).with_marginals(m)
         accs = sweep.moments()
         refs, masks = [], []
-        for ts in sweep.samples():
+        for ts in lambda_samples(sweep):
             refs.append(_stats(MomentAccumulator(3).update(ts.x)))
             masks.append(build_event_mask(ts, event, m).copy())
             if np.count_nonzero(masks[-1]) >= MIN_EVENT_ROWS:
@@ -549,7 +560,7 @@ def kernel_oracle_gap(n, margin, grid=(0.1, 0.5, 0.9, 1.0), checked=(0.1,),
     got = [[_stats(acc) for acc in sweep.moments()]]
     got += [[_stats(acc) for _, acc in sweep.event_moments(e)] for e in events]
     gap = 0.0
-    for g, (lam, ts) in enumerate(zip(grid, sweep.samples())):
+    for g, (lam, ts) in enumerate(zip(grid, lambda_samples(sweep))):
         if lam not in checked:
             continue
         rows = [ts.x] + [np.compress(build_event_mask(ts, e, m), ts.x, axis=1) for e in events]

@@ -623,6 +623,39 @@ class TestMomentAccumulator:
         # just inside the range the statistics still come out
         assert pearson_corr([1e150, -1e150, 1, 2], [1, 2, 3, 4]) == pytest.approx(-1 / math.sqrt(10))
 
+    def test_overflowing_column_sum_raises(self):
+        # finite data whose mean overflows: refused as a non-finite shift,
+        # with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite mean"):
+                coskewness([1e308, 1e308, 3.0], [1, 2, 1], [2, 3, 1])
+
+    @pytest.mark.parametrize("where", ["shift", "s2", "s3"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_shifted_sums_refuses_non_finite_input(self, where, bad):
+        # every accumulator is built here, update's and the sweep kernel's
+        # alike, so this one check refuses a non-finite shift (the data held
+        # a nan or an infinity) and non-finite sums (products overflowed)
+        def sums():
+            return {"shift": np.array([0.0, 1.0, 2.0]), "s1": np.array([0.5, -0.5, 1.0]),
+                    "s2": np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, 0.25, 4.0]]),
+                    "s3": 0.75}
+
+        assert np.isfinite(MomentAccumulator.from_shifted_sums(4, **sums()).coskew())
+        args = sums()
+        if where == "shift":
+            args["shift"][1] = bad
+        elif where == "s2":
+            args["s2"][0, 2] = args["s2"][2, 0] = bad
+        else:
+            args["s3"] = bad
+        match = "finite data" if where == "shift" else "overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(DomainError, match=match):
+                MomentAccumulator.from_shifted_sums(4, **args)
+
     def test_dimension_mismatch(self, rng):
         acc = MomentAccumulator(3)
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,18 @@ class TestFigure2:
         fracs = [r["event_fraction"] for r in fig2_report.rows]
         assert all(0.2 < f < 0.8 for f in fracs)
 
+    @pytest.mark.parametrize("rate", ["1e-160", "1e-300"])
+    def test_overflowing_sums_raise(self, rate, seed):
+        # an exp third margin this wide overflows the sweep kernel's second
+        # sums: a typed error, never a nan statistic or a RuntimeWarning
+        m = tuple(map(parse_marginal, f"normal,normal,exp:{rate}".split(",")))
+        cfg = ExperimentConfig(n=2000, marginals=m, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: run_figure2(cfg), lambda: run_algorithm1(cfg, 0.5)):
+                with pytest.raises(DomainError, match="overflow"):
+                    run()
+
 
 class TestEventMoments:
     # figure2 takes each lambda's event mask from the sweep's bin-ordered
@@ -239,7 +252,8 @@ class TestEventMoments:
         event = parse_event(token)
         sweep = copulas.mixture_draw(self.BIG_N, _DEFAULT_GRID, self.SEED).with_marginals(m)
         edges = sweep.draw.edges
-        masks = np.array([build_event_mask(ts, event, m) for ts in sweep.samples()])
+        masks = np.array([build_event_mask(ts, event, m)
+                          for ts in test_copulas.lambda_samples(sweep)])
         bins = np.repeat(np.arange(edges.size - 1), np.diff(edges))
         points = np.arange(len(_DEFAULT_GRID))[:, None]
         hi_ref = masks[np.minimum(bins, len(_DEFAULT_GRID) - 1), np.arange(self.BIG_N)]

@@ -237,6 +237,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             exponential(math.inf)
 
+    @pytest.mark.parametrize("token", ["exp:1e-320", "exp:1e-307"])
+    def test_exp_rejects_a_rate_whose_quantiles_overflow(self, token):
+        # F^-1(1 - 2^-53) = 53 ln 2 / rate, the largest value a sampler maps
+        # to, overflows for rates below about 2.044e-307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too small"):
+                parse_marginal(token)
+
     def test_parse_roundtrip(self):
         for token in ("normal", "uniform", "laplace", "t:5", "exp:1"):
             assert parse_marginal(token).token == token
@@ -244,7 +253,7 @@ class TestConstruction:
     @given(m=st.one_of(
         st.sampled_from([standard_normal(), uniform01(), laplace()]),
         st.floats(3.0, 1e300, exclude_min=True).map(student_t),
-        st.floats(0.0, 1e300, exclude_min=True).map(exponential),
+        st.floats(1e-306, 1e300).map(exponential),  # smaller rates overflow
     ))
     @example(m=student_t(5.1234567))
     @example(m=exponential(0.1 + 0.2))
