@@ -168,7 +168,9 @@ def _gauss_legendre(margins, a, b):
 def _panel_quadrature(margins, tail: float) -> tuple[float, float, int]:
     """Adaptive composite Gauss-Legendre over [0, TAIL_CUTOFF].
 
-    Returns the value, its error and the number of points.  Panels whose
+    Returns the value, its error and the number of points.  The starting
+    panels' whole-panel rule is taken once, before the first round; every
+    round then takes the rule on each panel's two halves.  Panels whose
     estimate fits their share of the target are final; the others are
     bisected, their halves' rule values becoming the new panels' whole-panel
     values.  tail only enters the relative target.  The error is the summed
@@ -177,20 +179,14 @@ def _panel_quadrature(margins, tail: float) -> tuple[float, float, int]:
     """
     edges = np.linspace(0.0, TAIL_CUTOFF, START_PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    whole = None
+    whole = _gauss_legendre(margins, a, b)
     values, errors = [], []  # final panels
-    points = 0
+    points = a.size * _GL_NODES.size
     while True:
         mid = 0.5 * (a + b)
-        lo, hi = [a, mid], [mid, b]
-        if whole is None:  # the first round also takes each panel whole
-            lo, hi = lo + [a], hi + [b]
-        rule = np.split(
-            _gauss_legendre(margins, np.concatenate(lo), np.concatenate(hi)), len(lo)
-        )
-        points += len(lo) * a.size * _GL_NODES.size
-        left, right = rule[:2]
-        whole = rule[2] if whole is None else whole
+        rule = _gauss_legendre(margins, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = np.split(rule, 2)
+        points += 2 * a.size * _GL_NODES.size
         halves = left + right
         err = np.abs(whole - halves)
         settled = math.fsum(errors)

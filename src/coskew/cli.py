@@ -92,11 +92,8 @@ def _output_check(dir_ok: bool):
 
 
 def _emit(text: str, output: str):
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        path = Path(output)
-        path.write_text(text)
+    with click.open_file(output, "w") as fh:
+        fh.write(text)
 
 
 def _resolve_output(output: str, report: experiments.ExperimentReport, fmt: str) -> str:

@@ -28,7 +28,11 @@ BLAS call, so the bits do not depend on the CPU kernel or the thread
 count.  Each second moment is written to both (i, j) and (j, i), so the
 matrix is exactly symmetric.  A nan or an infinity in the data, or sums
 that overflow the float range, raise DomainError in
-:meth:`MomentAccumulator.from_shifted_sums`, never a nan statistic.
+:meth:`MomentAccumulator.from_shifted_sums`, never a nan statistic.  A
+column is degenerate (DegenerateColumnError) when its sd is at most 1e-15
+of its |mean|, which includes sd = 0.  That floor is relative at every
+scale, so a column scaled by a power of two, with its products still in
+the normal float range, keeps its statistics' bits and is never refused.
 """
 
 from __future__ import annotations
@@ -207,18 +211,16 @@ class MomentAccumulator:
         """(d, d) matrix of mean-centered second moments, divided by n."""
         return self._m2 / self.n
 
-    def sds(self) -> np.ndarray:
-        """Population standard deviations."""
-        return np.sqrt(np.diag(self.second_central()))
-
     def _checked(self) -> tuple[np.ndarray, np.ndarray]:
         """second_central() and the standard deviations from it, once the
-        accumulator has n >= 2 rows and no (numerically) constant column."""
+        accumulator has n >= 2 rows and no (numerically) constant column:
+        one whose sd is at most 1e-15 of its |mean|, sd = 0 included.  The
+        floor scales with the column, as the sd does."""
         if self.n < 2:
             raise DegenerateColumnError("need n >= 2 for variance-based statistics")
         c = self.second_central()
         s = np.sqrt(np.diag(c))
-        floor = 1e-15 * np.maximum(1.0, np.abs(self.mean))
+        floor = 1e-15 * np.abs(self.mean)
         if np.any(s <= floor):
             bad = int(np.argmax(s <= floor))
             raise DegenerateColumnError(
@@ -391,18 +393,15 @@ def build_event_mask(
 ) -> np.ndarray:
     """Boolean row mask for an EventSpec.
 
-    Exceedance thresholds come from the true marginal quantiles when
-    ``marginals`` (a sequence, one per column) is given, otherwise from
-    empirical quantiles of the sample itself.
+    The sample's three columns are the container's rule (:class:`TriSample`),
+    so no shape is checked here.  Exceedance thresholds come from the true
+    marginal quantiles when ``marginals`` (a sequence, one per column) is
+    given, otherwise from empirical quantiles of the sample itself.
     """
     if spec.kind == "downside":
-        if sample.d != 3:
-            raise DomainError("downside-sum event needs exactly three columns")
         s = sample.x.sum(axis=0)
         return s < s.mean()
 
-    if sample.d < 2:
-        raise DomainError(f"exceedance events need two columns, got d = {sample.d}")
     x = sample.x[:2]
     if marginals is not None:
         thr = [float(m.quantile(spec.p)) for m in marginals[:2]]

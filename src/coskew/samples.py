@@ -64,6 +64,14 @@ def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     return k / _U53
 
 
+def _three_rows(a) -> np.ndarray:
+    """a as a C-contiguous float (3, n) array: both containers' shape rule."""
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    if a.ndim != 2 or a.shape[0] != 3:
+        raise ValueError(f"expected a (3, n) array, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class USample:
     """n x 3 table of copula realizations with uniform margins.
@@ -76,9 +84,7 @@ class USample:
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.u, dtype=float))
-        if u.ndim != 2 or u.shape[0] != 3:
-            raise ValueError(f"expected a (3, n) array, got shape {u.shape}")
+        u = _three_rows(self.u)
         if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # a nan fails too
             raise ValueError("copula realizations must lie in [0, 1]")
         object.__setattr__(self, "u", u)
@@ -90,25 +96,19 @@ class USample:
 
 @dataclass(frozen=True)
 class TriSample:
-    """n x d table of realizations in data space, carrying its generating seed.
+    """n x 3 table of realizations in data space, carrying its generating seed.
 
-    Every sampler and driver makes d = 3; the estimators check the d they
-    need (``build_event_mask``: 3 for the downside event, >= 2 otherwise).
+    Stored like :class:`USample`, as a C-contiguous (3, n) array.  The shape
+    is this container's rule, checked when it is built, so the estimators
+    that read a TriSample (``build_event_mask``) check none.
     """
 
-    x: np.ndarray  # shape (d, n)
+    x: np.ndarray  # shape (3, n)
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
-        if x.ndim != 2:
-            raise ValueError(f"expected a (d, n) array, got shape {x.shape}")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", _three_rows(self.x))
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[0]

@@ -260,6 +260,26 @@ class TestStats:
         names = [r["statistic"] for r in json.loads(res.stdout)]
         assert any(name.startswith("conditional_corr") for name in names)
 
+    def test_small_scale_column_keeps_its_statistics(self, runner, tmp_path):
+        # x1 scaled by 2^-100 is not a constant column: the same correlations
+        # and coskewness, bit for bit, and an sd scaled by exactly 2^-100
+        x = _sample_x("mixture:0.75", "normal,normal,normal", 2000, coskew.SeedSpec(5))
+        stats = {}
+        for name, scale in (("plain", 1.0), ("small", 2.0**-100)):
+            path = tmp_path / f"{name}.csv"
+            np.savetxt(path, (x * [[scale], [1.0], [1.0]]).T, fmt="%.17g",
+                       delimiter=",", header="x1,x2,x3", comments="")
+            res = runner.invoke(main, ["stats", "--input", str(path)])
+            assert res.exit_code == 0, res.output
+            stats[name] = {r["statistic"]: r["value"] for r in json.loads(res.stdout)}
+        plain, small = stats["plain"], stats["small"]
+        for name in ("pearson12", "pearson13", "pearson23", "coskewness"):
+            assert small[name] == plain[name], name
+        assert small["sd1"] == plain["sd1"] * 2.0**-100
+        text = "x1,x2,x3\n1e-30,2,3\n-2e-30,1,5\n3e-30,0,1\n"
+        res = runner.invoke(main, ["stats"], input=text)
+        assert res.exit_code == 0, res.output
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_usage_error(self, runner, cell):
         text = f"x1,x2,x3\n0.1,0.2,0.3\n0.4,{cell},0.6\n0.7,0.8,0.9\n"
@@ -453,6 +473,24 @@ def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
                                                      "figure1"]
             digests.add(tuple(lines))
     assert len(digests) == 1, sorted(zip(*digests))
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--marginals", "t:5,laplace,uniform"],
+    ["stats", "--event", "downside"],
+    *([cmd, "--n", "2000", "--seed", "3", "--deterministic", "--format", fmt]
+      for cmd in ("figure1", "figure2", "example1") for fmt in ("csv", "json")),
+])
+def test_stdout_and_output_file_hold_the_same_bytes(runner, tmp_path, args):
+    text = "x1,x2,x3\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % tuple(row)
+        for row in _sample_x("mixture:0.5", "normal,normal,normal", 500, coskew.SeedSpec(2)).T)
+    path = tmp_path / "out"
+    to_stdout = runner.invoke(main, args, input=text)
+    to_file = runner.invoke(main, [*args, "--output", str(path)], input=text)
+    assert to_stdout.exit_code == to_file.exit_code == 0
+    assert to_stdout.stdout_bytes and to_file.stdout_bytes == b""
+    assert path.read_bytes() == to_stdout.stdout_bytes
 
 
 class TestFigureCommands:

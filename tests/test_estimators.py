@@ -46,6 +46,32 @@ class TestPearson:
     def test_degenerate_column(self):
         with pytest.raises(DegenerateColumnError):
             pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        # the floor is relative to |mean|: a constant stays refused at any scale
+        for c in (0.3, 1e-200, -7.1e-5, 0.0):
+            for n in (2, 3, 1001, 100003):
+                with pytest.raises(DegenerateColumnError):
+                    pearson_corr(np.full(n, c), np.arange(n, dtype=float))
+
+    def test_small_scale_is_not_refused(self, rng):
+        x, y = rng.normal(size=(2, 1000))
+        assert pearson_corr(x * 2.0**-66, y) == pearson_corr(x, y)
+
+    @given(k=st.lists(st.integers(min_value=-300, max_value=300), min_size=3, max_size=3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=3, max_value=200))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scales_keep_every_bit(self, k, seed, n):
+        # scaling a column by 2^k is exact, and so is every step of the
+        # moments under it: the same correlations and coskewness, bit for
+        # bit, and sds scaled by exactly 2^k
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(5, size=(3, n)) + rng.uniform(-4.0, 4.0, (3, 1))
+        scale = np.ldexp(1.0, np.array(k))
+        sds, r, coskew = MomentAccumulator(3).update(x).standardized()
+        got_sds, got_r, got_coskew = MomentAccumulator(3).update(x * scale[:, None]).standardized()
+        assert got_sds.tobytes() == (sds * scale).tobytes()
+        assert got_r.tobytes() == r.tobytes()
+        assert np.float64(got_coskew).tobytes() == np.float64(coskew).tobytes()
 
     def test_needs_two_rows(self):
         with pytest.raises(DegenerateColumnError):
@@ -289,14 +315,12 @@ class TestEventMask:
         # empirical quantiles make the per-column crossing fraction exact
         assert mask.mean() == pytest.approx(0.09, abs=0.02)
 
-    def test_exceedance_needs_two_columns(self, rng):
-        with pytest.raises(DomainError):
-            build_event_mask(TriSample(rng.normal(size=(1, 100))),
-                             EventSpec("exceed-upper", p=0.5))
-
-    def test_downside_needs_three_columns(self, rng):
-        with pytest.raises(DomainError):
-            build_event_mask(TriSample(rng.normal(size=(4, 100))), EventSpec("downside"))
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_trisample_holds_three_columns(self, d, rng):
+        # the shape is the container's rule, so no event mask is ever built
+        # from another: downside needs three columns, exceedance two
+        with pytest.raises(ValueError, match=r"\(3, n\)"):
+            TriSample(rng.normal(size=(d, 100)))
 
     def test_parse_event(self):
         assert parse_event("downside").kind == "downside"
@@ -524,11 +548,11 @@ class TestMomentAccumulator:
     def test_standardized_equals_corr_and_coskew_bytewise(self, how, rng):
         acc = self._built_three_ways(rng)[how]
         sds, r, coskew = acc.standardized()
-        assert sds.tobytes() == acc.sds().tobytes()
+        s = np.sqrt(np.diag(acc.second_central()))
+        assert sds.tobytes() == s.tobytes()
         for i, j in itertools.product(range(3), repeat=2):
             assert r[i, j].tobytes() == np.float64(acc.corr(i, j)).tobytes(), (i, j)
         # coskew() as computed before it read standardized()
-        s = acc.sds()
         want = float(acc._m3 / acc.n / (s[0] * s[1] * s[2]))
         assert np.float64(coskew).tobytes() == np.float64(want).tobytes()
         assert np.float64(acc.coskew()).tobytes() == np.float64(want).tobytes()
