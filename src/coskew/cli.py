@@ -14,7 +14,6 @@ when ``verify`` reports a failed check.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import warnings
@@ -104,7 +103,7 @@ def _resolve_output(output: str, report: experiments.ExperimentReport, fmt: str)
 
 
 def _echo_config(meta: dict):
-    click.echo(f"# config: {json.dumps(meta, sort_keys=True)}", err=True)
+    click.echo(f"# config: {experiments.json_text(meta, sort_keys=True)}", err=True)
 
 
 def _write_report(report, fmt: str, output: str, deterministic: bool):
@@ -198,14 +197,15 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
                 block = ts.x[:, i:i + _CSV_CHUNK]
                 fh.write(_CSV_ROW * block.shape[1] % tuple(block.T.ravel().tolist()))
     else:
-        # json.dumps of {"metadata": meta, "columns": {"x1": [...], ...}},
+        # the JSON text of {"metadata": meta, "columns": {"x1": [...], ...}},
         # written a block of each column at a time
         with click.open_file(output, "w") as fh:
-            fh.write(f'{{"metadata": {json.dumps(meta)}, "columns": {{')
+            fh.write(f'{{"metadata": {experiments.json_text(meta)}, "columns": {{')
             for j, col in enumerate(ts.x):
                 fh.write(f'{", " * bool(j)}"x{j+1}": [')
                 for i in range(0, ts.n, _CSV_CHUNK):
-                    fh.write(", " * bool(i) + json.dumps(col[i:i + _CSV_CHUNK].tolist())[1:-1])
+                    text = experiments.json_text(col[i:i + _CSV_CHUNK].tolist())
+                    fh.write(", " * bool(i) + text[1:-1])
                 fh.write("]")
             fh.write("}}\n")
 
@@ -243,7 +243,7 @@ def stats_cmd(input_path, marginals, event, output):
     if not np.all(np.isfinite(data)):
         raise click.UsageError("CSV input holds non-finite (nan/inf) cells")
     records = _stat_records(TriSample(data.T), marginals, event)
-    _emit(json.dumps(records, indent=2) + "\n", output)
+    _emit(experiments.json_text(records, indent=2) + "\n", output)
 
 
 def _stat_records(ts, margs, event):
@@ -287,7 +287,7 @@ def bounds_cmd(marginals, output):
         "quadrature_error": res.quadrature_error,
         "evaluations": res.evaluations,
     }
-    _emit(json.dumps(payload) + "\n", output)
+    _emit(experiments.json_text(payload) + "\n", output)
 
 
 def _experiment_config(n, seed, stream, lambda_grid, marginals, event=None):

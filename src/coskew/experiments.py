@@ -115,11 +115,19 @@ class ExperimentReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {"experiment": self.name, "metadata": self.metadata, "rows": self.rows},
             indent=2,
-            sort_keys=False,
         )
+
+
+def json_text(obj, **kwargs) -> str:
+    """``json.dumps`` that refuses NaN and +-Infinity, which are not JSON
+    (RFC 8259): DomainError, never a non-JSON token."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise DomainError(f"cannot write JSON: {exc}") from None
 
 
 def _fmt_cell(v) -> str:

@@ -10,11 +10,20 @@ Families: standard normal, Uniform(0,1), unit Laplace, Student t (df > 3 so
 the third absolute moment is finite), Exponential(rate).  The exponential is
 the only non-symmetric family; it exists for rank statistics, where symmetry
 is never assumed, and ``abs_std_quantile`` rejects it.
+
+A quantile or CDF of at least ``2 * _SPLIT_FLOOR`` elements runs one
+contiguous slice per usable CPU (``_elementwise``).  Each element passes
+through the same ufunc loop as in one call, so the bits do not depend on
+how many CPUs there are.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +45,73 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+# the fewest elements a slice of _elementwise gets: below about this many,
+# starting and joining a thread costs more than the cheapest transform
+# split here, ndtr, saves
+_SPLIT_FLOOR = 1 << 15
+# a slice is transformed this many elements at a time, so a multi-step
+# transform's temporaries stay in cache, and a thread's allocator holds
+# no more of them than the caller's would
+_BLOCK = 1 << 13
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _elementwise(fn, x: np.ndarray):
+    """fn(x) for a float array x and an fn that maps each element on its own.
+
+    From 2 * _SPLIT_FLOOR elements on, x is cut into one contiguous slice
+    per usable CPU, none below _SPLIT_FLOOR.  The caller computes the first
+    slice and a short-lived thread each other one, _BLOCK elements at a
+    time, all into one output; every thread is joined before this returns,
+    and an exception raised in one is raised here.  Each thread runs in a
+    copy of the caller's context, which carries ``np.errstate``.  fn must
+    call only numpy and scipy, so the package's own functions run on the
+    caller's thread alone.
+    """
+    k = x.size // _SPLIT_FLOOR
+    if k >= 2:
+        k = min(k, _usable_cpus())
+    if k < 2:
+        return fn(x)
+    src = x.reshape(-1)
+    out = np.empty(x.shape)
+    dst = out.reshape(-1)
+    cuts = [x.size * i // k for i in range(k + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            for start in range(lo, hi, _BLOCK):
+                end = min(start + _BLOCK, hi)
+                dst[start:end] = fn(src[start:end])
+        except BaseException as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, lo, hi))
+            thread.start()
+            threads.append(thread)
+        run(0, cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def norm_cdf(x):
     """Standard normal CDF (vectorized)."""
-    return special.ndtr(x)
+    return _elementwise(special.ndtr, np.asarray(x, dtype=float))
 
 
 def token_number(x: float) -> str:
@@ -130,35 +201,45 @@ class Marginal:
         """F^{-1}(p) for p strictly inside (0, 1); strictly increasing in p."""
         _check_prob_open(p)
         p_arr = np.asarray(p, dtype=float)
-        if self.family == "normal":
-            out = special.ndtri(p_arr)
-        elif self.family == "uniform":
+        if self.family == "uniform":
+            # memory-bound: a split only slows it
             out = p_arr.copy()
-        elif self.family == "laplace":
+        else:
+            out = _elementwise(self._quantile_fn(), p_arr)
+        return float(out) if np.ndim(p) == 0 else out
+
+    def _quantile_fn(self):
+        if self.family == "normal":
+            return special.ndtri
+        if self.family == "laplace":
             # one logarithm, of the nearer tail, signed by the side of the
             # median: the two-branch form's bits, with +0.0 at p = 1/2
-            out = np.copysign(np.log(2.0 * np.minimum(p_arr, 1.0 - p_arr)), p_arr - 0.5)
-        elif self.family == "t":
-            out = special.stdtrit(self.df, p_arr)
-        else:  # exp
-            out = -np.log1p(-p_arr) / self.rate
-        return float(out) if np.ndim(p) == 0 else out
+            return lambda p: np.copysign(np.log(2.0 * np.minimum(p, 1.0 - p)), p - 0.5)
+        if self.family == "t":
+            return functools.partial(special.stdtrit, self.df)
+        return lambda p: -np.log1p(-p) / self.rate  # exp
 
     def cdf(self, x):
         """F(x); vectorized."""
         x_arr = np.asarray(x, dtype=float)
-        if self.family == "normal":
-            out = special.ndtr(x_arr)
-        elif self.family == "uniform":
+        if self.family == "uniform":
+            # memory-bound: a split only slows it
             out = np.clip(x_arr, 0.0, 1.0)
-        elif self.family == "laplace":
-            tail = 0.5 * np.exp(-np.abs(x_arr))  # one exp that never overflows
-            out = np.where(x_arr < 0.0, tail, 1.0 - tail)
-        elif self.family == "t":
-            out = special.stdtr(self.df, x_arr)
-        else:  # exp
-            out = -np.expm1(-self.rate * np.clip(x_arr, 0.0, None))
+        else:
+            out = _elementwise(self._cdf_fn(), x_arr)
         return float(out) if np.ndim(x) == 0 else out
+
+    def _cdf_fn(self):
+        if self.family == "normal":
+            return special.ndtr
+        if self.family == "laplace":
+            def laplace_cdf(x):
+                tail = 0.5 * np.exp(-np.abs(x))  # one exp that never overflows
+                return np.where(x < 0.0, tail, 1.0 - tail)
+            return laplace_cdf
+        if self.family == "t":
+            return functools.partial(special.stdtr, self.df)
+        return lambda x: -np.expm1(-self.rate * np.clip(x, 0.0, None))  # exp
 
     # -- |standardized| quantile -------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import coskew
+from coskew import experiments
 from coskew.cli import _CSV_CHUNK, main
 from coskew.experiments import DEFAULT_SEED
 
@@ -473,6 +474,41 @@ def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
                                                      "figure1"]
             digests.add(tuple(lines))
     assert len(digests) == 1, sorted(zip(*digests))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["figure1", "figure2"])
+def test_a_non_finite_report_value_exits_1_without_json_nan(runner, monkeypatch, command):
+    run = getattr(experiments, f"run_{command}")
+
+    def with_nan(cfg):
+        report = run(cfg)
+        report.rows[0]["coskewness"] = float("nan")
+        return report
+
+    monkeypatch.setattr(experiments, f"run_{command}", with_nan)
+    res = runner.invoke(main, [command, "--n", "2000", "--lambda-grid", "0,1",
+                               "--format", "json"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: cannot write JSON" in res.output
+    assert "NaN" not in res.output
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_primary_output_is_the_same_on_one_cpu(runner):
+    # t quantiles of 1e5 rows run one slice per usable CPU; a process held
+    # to one CPU runs them whole, and writes the same bytes
+    args = ["figure1", "--marginals", "t:5,t:5,t:5", "--n", "100000",
+            "--deterministic", "--format", "json"]
+    here = runner.invoke(main, args)
+    assert here.exit_code == 0, here.output
+    cpu = min(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(coskew.__file__))
+    out = subprocess.run([sys.executable, "-m", "coskew.cli", *args],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         check=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert out.stdout == here.stdout_bytes
 
 
 @pytest.mark.parametrize("args", [

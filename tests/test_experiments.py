@@ -464,6 +464,16 @@ class TestReports:
         assert payload["metadata"]["n"] == 2000
         assert len(payload["rows"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_refuses_a_non_finite_value(self, value):
+        # NaN and Infinity are not JSON (RFC 8259), so no report writes them
+        report = experiments.ExperimentReport(
+            "figure1", [{"lambda": 0.5, "coskewness": value}], {"seed": 1, "stream": 0})
+        with pytest.raises(DomainError, match="cannot write JSON"):
+            report.to_json()
+        assert report.to_csv().splitlines()[1] == f"0.5,{value!r}"
+
     def test_independent_streams_for_replicas(self):
         cfg0 = ExperimentConfig(n=2000, lambda_grid=(0.5,), seed=SeedSpec(1, 0))
         cfg1 = ExperimentConfig(n=2000, lambda_grid=(0.5,), seed=SeedSpec(1, 1))

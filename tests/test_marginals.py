@@ -1,6 +1,9 @@
 import math
 import re
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from coskew import marginals
 from coskew.errors import DomainError, UnsupportedMarginalError
 from coskew.marginals import (
     Marginal,
     exponential,
     laplace,
+    norm_cdf,
     parse_marginal,
     standard_normal,
     student_t,
@@ -290,3 +295,113 @@ class TestConstruction:
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
             Marginal("weibull")
+
+
+# -- one slice per usable CPU ----------------------------------------------------
+
+FLOOR = marginals._SPLIT_FLOOR
+SPLIT_SIZES = [1, FLOOR - 1, FLOOR, 2 * FLOOR - 1, 2 * FLOOR, 3 * FLOOR + 7]
+
+
+def _serial_quantile(m, p):
+    if m.family == "normal":
+        return special.ndtri(p)
+    if m.family == "uniform":
+        return p.copy()
+    if m.family == "laplace":
+        return np.copysign(np.log(2.0 * np.minimum(p, 1.0 - p)), p - 0.5)
+    if m.family == "t":
+        return special.stdtrit(m.df, p)
+    return -np.log1p(-p) / m.rate
+
+
+def _serial_cdf(m, x):
+    if m.family == "normal":
+        return special.ndtr(x)
+    if m.family == "uniform":
+        return np.clip(x, 0.0, 1.0)
+    if m.family == "laplace":
+        tail = 0.5 * np.exp(-np.abs(x))
+        return np.where(x < 0.0, tail, 1.0 - tail)
+    if m.family == "t":
+        return special.stdtr(m.df, x)
+    return -np.expm1(-m.rate * np.clip(x, 0.0, None))
+
+
+def _cpus(k):
+    """Let the transforms see k usable CPUs, whatever the host has."""
+    return mock.patch.object(marginals, "_usable_cpus", return_value=k)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("token", ["normal", "uniform", "laplace", "t:3.05",
+                                       "t:5", "t:1e9", "exp:2"])
+    @settings(max_examples=12, deadline=None)
+    @given(size=st.sampled_from(SPLIT_SIZES),
+           layout=st.sampled_from(["flat", "0-d", "rows", "view"]),
+           cpus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(size=3 * FLOOR + 7, layout="rows", cpus=3, seed=1)
+    @example(size=2 * FLOOR, layout="view", cpus=2, seed=2)
+    @example(size=3 * FLOOR + 7, layout="flat", cpus=4, seed=3)
+    def test_split_equals_serial_bit_for_bit(self, token, size, layout, cpus, seed):
+        m = parse_marginal(token)
+        rng = np.random.default_rng(seed)
+        shape = {"flat": (size,), "0-d": (), "rows": (3, size), "view": (3, size)}[layout]
+        p = rng.integers(1, 2**53, shape) * 2.0**-53  # inside (0, 1)
+        x = rng.standard_normal(shape) * 4.0
+        if layout == "view":  # a row of a Fortran-ordered array: stride 3
+            p, x = np.asfortranarray(p)[1], np.asfortranarray(x)[1]
+            assert size == 1 or p.strides == x.strides == (24,)
+        with _cpus(cpus), mock.patch.object(threading, "Thread",
+                                            wraps=threading.Thread) as spawned:
+            got = [m.quantile(p), m.cdf(x), norm_cdf(x)]
+        want = [_serial_quantile(m, p), _serial_cdf(m, x), special.ndtr(x)]
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        # a thread per slice after the first; uniform's copy and clip run whole
+        k = min(np.size(p) // FLOOR, cpus)
+        split_calls = 1 if m.family == "uniform" else 3
+        assert spawned.call_count == (split_calls * (k - 1) if k >= 2 else 0)
+
+    @pytest.mark.parametrize("token", ["normal", "laplace", "t:5", "exp:2"])
+    def test_nan_is_refused_before_any_slice(self, token):
+        p = np.full(3 * FLOOR, 0.5)
+        p[-1] = np.nan  # in the last slice
+        with _cpus(3), mock.patch.object(marginals, "_elementwise",
+                                         side_effect=AssertionError("a slice ran")):
+            with pytest.raises(DomainError):
+                parse_marginal(token).quantile(p)
+
+    def test_the_callers_errstate_holds_in_every_slice(self):
+        m = Marginal("exp", rate=1e300)
+        before = threading.active_count()
+        with _cpus(4):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                m.cdf(np.full(2**17, 1e10))
+            # only the last slice overflows, on a thread of its own
+            x = np.zeros(2**17)
+            x[-1] = 1e10
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                m.cdf(x)
+            with np.errstate(over="ignore"):
+                assert m.cdf(x)[-1] == 1.0
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_split_call(self):
+        # more slices than CPUs, and threads switched as often as they can
+        # be: every slice still lands in its own place
+        p = np.linspace(0.01, 0.99, 8 * FLOOR + 5)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(8), mock.patch.object(threading, "Thread",
+                                             wraps=threading.Thread) as spawned:
+                got = [student_t(5).quantile(p), norm_cdf(p)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert spawned.call_count == 14
+        assert threading.active_count() == before
+        assert got[0].tobytes() == special.stdtrit(5.0, p).tobytes()
+        assert got[1].tobytes() == special.ndtr(p).tobytes()
