@@ -348,9 +348,10 @@ def example1_cmd(n, seed, stream, fmt, output, deterministic):
 def verify_cmd(n, seed, stream):
     """Check the eight dependence/coskewness claims; exit 1 on any failure.
 
-    The pass tolerances are fixed numbers, sized for the default n = 100000.
-    They do not scale with --n, so at a smaller n a FAIL can be sampling
-    noise.
+    The pass tolerances are fixed numbers that do not scale with --n.  Even
+    at the default n = 100000, P4 fails on about 11% of streams of correct
+    code (22 of 200: seed 1, streams 0-199; no other check failed); at a
+    smaller n a FAIL is likelier still.  See ROADMAP item 5.
     """
     records = experiments.verify_propositions(n, SeedSpec(seed, stream))
     failed = 0

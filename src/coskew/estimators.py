@@ -248,12 +248,18 @@ class MomentAccumulator:
         return s, c / np.outer(s, s), coskew
 
 
-def _columns(*cols) -> np.ndarray:
+def _flat_columns(*cols) -> list[np.ndarray]:
+    """The columns as 1-d float arrays, unstacked; DomainError unless they
+    share a length."""
     arrs = [np.asarray(c, dtype=float).ravel() for c in cols]
-    n = arrs[0].size
-    if any(a.size != n for a in arrs):
+    if any(a.size != arrs[0].size for a in arrs):
         raise DomainError("columns must share a common length")
-    if n < 2:
+    return arrs
+
+
+def _columns(*cols) -> np.ndarray:
+    arrs = _flat_columns(*cols)
+    if arrs[0].size < 2:
         raise DegenerateColumnError("need n >= 2 for variance-based statistics")
     return np.stack(arrs)
 
@@ -273,16 +279,17 @@ def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
 
     With a marginal, applies its true CDF elementwise.  Without one, uses
     empirical midranks scaled as (rank - 1/2)/n, which keeps ties averaged
-    and every value strictly inside (0, 1).
+    and every value strictly inside (0, 1).  Both refuse a non-finite
+    value with DomainError.
     """
     x = np.asarray(x, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise DomainError("ranks need finite values")
     if marginal is not None:
         return np.asarray(marginal.cdf(x), dtype=float)
     n = x.size
     if n < 2:
         raise DomainError("empirical ranks need n >= 2")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("empirical ranks need finite values")
     # midrank of the sorted tie group [start, end) is (start + end + 1)/2
     order = np.argsort(x)
     xs = x[order]
@@ -295,16 +302,13 @@ def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
 
 def spearman_rho(u, v) -> float:
     """Spearman correlation of rank columns: 12 E[(U - 1/2)(V - 1/2)]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _flat_columns(u, v)
     return float(12.0 * np.mean((u - 0.5) * (v - 0.5)))
 
 
 def rank_coskewness(u, v, w) -> float:
     """Standardized rank coskewness: 32 E[(U - 1/2)(V - 1/2)(W - 1/2)]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    u, v, w = _flat_columns(u, v, w)
     return float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
 
 

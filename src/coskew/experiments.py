@@ -3,18 +3,18 @@ downside-risk reproductions, the worked copula examples, and a
 proposition-by-proposition verification suite.
 
 ``figure1``, ``figure2`` and Algorithm 1 share one pipeline: one mixture
-draw over the lambda grid (:func:`coskew.copulas.mixture_draw`) under the
-configured marginals, whose :class:`~coskew.copulas.MixtureSweep` gives
+draw over the lambda grid (:func:`coskew.sweep.mixture_draw`) under the
+configured marginals, whose :class:`~coskew.sweep.MixtureSweep` gives
 each lambda's moments and, for an event, each lambda's event fraction and
 event-conditional moments.  Those come from one mask per distinct lambda
 (``estimators.build_event_mask``), per-bin sums of the rows whose
 membership never moves with lambda, and a per-lambda reduction of the few
 rows whose membership does
-(:meth:`~coskew.copulas.MixtureSweep.event_moments`).  Pairwise
+(:meth:`~coskew.sweep.MixtureSweep.event_moments`).  Pairwise
 correlations and the coskewness use population-normalized standard
 deviations.  Rank statistics use true-CDF ranks, which are the copula
 coordinates themselves, so no marginal is applied
-(:meth:`~coskew.copulas.MixtureDraw.rank_stats`).
+(:meth:`~coskew.sweep.MixtureDraw.rank_stats`).
 
 Every lambda shares the same draws, so curves are variance-reduced and
 pathwise comparable across grid points.
@@ -40,6 +40,7 @@ from .marginals import (
     student_t,
 )
 from .samples import SeedSpec, substream
+from .sweep import mixture_draw
 
 __all__ = [
     "DEFAULT_N",
@@ -182,7 +183,7 @@ def _run_sweep(name: str, cfg: ExperimentConfig, lams, event=None) -> Experiment
     and s_max otherwise."""
     t0 = time.perf_counter()
     bounds = analytic.coskew_bound(*cfg.marginals) if cfg.symmetric else None
-    sweep = copulas.mixture_draw(cfg.n, lams, cfg.seed).with_marginals(cfg.marginals)
+    sweep = mixture_draw(cfg.n, lams, cfg.seed).with_marginals(cfg.marginals)
     rows = _sweep_rows(sweep, bounds, event)
     meta = _base_metadata(name, cfg.n, cfg.seed, cfg.marginals)
     if event is not None:
@@ -323,7 +324,7 @@ def verify_propositions(
 
     # One mixture draw serves P1, P3, P4 and P6/P7; it is freed before the
     # one draw of normals Z that P2, P5 and P8's triples combine
-    draw = copulas.mixture_draw(n, _VERIFY_GRID, seed)
+    draw = mixture_draw(n, _VERIFY_GRID, seed)
     mix_n = {row["lambda"]: row
              for row in _sweep_rows(draw.with_marginals(normal3), bounds_n)}
     mix_ranks = draw.rank_stats()

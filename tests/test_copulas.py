@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import math
 import re
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import coskew.sweep
 from coskew import copulas, experiments
 from coskew.copulas import (
     CopulaSpec,
@@ -18,7 +21,6 @@ from coskew.copulas import (
     gaussian_scores,
     gaussian_z,
     mixing_sum_coords,
-    mixture_draw,
     parse_copula,
     sample,
     sample_comonotonic,
@@ -43,6 +45,7 @@ from coskew.estimators import (
 )
 from coskew.marginals import Marginal, parse_marginal, standard_normal, uniform01
 from coskew.samples import SeedSpec, TriSample, USample, substream, uniform_open
+from coskew.sweep import mixture_draw
 
 NDTRI_07 = 0.5244005127080407  # scipy.special.ndtri(0.7)
 
@@ -268,7 +271,7 @@ class TestMixtureSweep:
         # lambda order: the cut moves down, up and not at all here, over
         # bins of more than one kernel block
         lams = (0.7, 0.2, 0.7, 1.0, 0.0)
-        n = 2 * copulas._BLOCK + 5
+        n = 2 * coskew.sweep._BLOCK + 5
         m = tuple(parse_marginal(t) for t in margins.split(","))
         _, order = _draw_order(n, lams, seed)
         sweep = mixture_draw(n, lams, seed).with_marginals(m)
@@ -366,7 +369,7 @@ class TestMixtureSweep:
 
 
 class TestBinning:
-    # above copulas._SEARCH_GRID grid points the selector is binned by a
+    # above coskew.sweep._SEARCH_GRID grid points the selector is binned by a
     # binary search, below it by one compare pass per point; both must give
     # the same draw.  Each grid holds 0, 1, a repeated lambda and selector
     # values themselves, so rows sit exactly on a bin edge, where a row
@@ -381,14 +384,14 @@ class TestBinning:
         on_h = cls.H[:max(1, g // 4)]
         return np.r_[np.linspace(0.0, 1.0, g - on_h.size), on_h, on_h[0]]
 
-    @pytest.mark.parametrize("g", [3, 11, copulas._SEARCH_GRID - 1, copulas._SEARCH_GRID,
-                                   copulas._SEARCH_GRID + 1, 1001])
+    @pytest.mark.parametrize("g", [3, 11, coskew.sweep._SEARCH_GRID - 1, coskew.sweep._SEARCH_GRID,
+                                   coskew.sweep._SEARCH_GRID + 1, 1001])
     def test_search_and_compare_loop_give_the_same_draw(self, g, monkeypatch):
         lams = self.grid(g)
         assert np.unique(lams).size == g and {0.0, 1.0, float(self.H[0])} <= set(lams)
         draws = []
         for above in (-1, 10**9):  # every grid searched, then none
-            monkeypatch.setattr(copulas, "_SEARCH_GRID", above)
+            monkeypatch.setattr(coskew.sweep, "_SEARCH_GRID", above)
             draws.append(mixture_draw(self.N, lams, self.SEED))
         searched, looped = draws
         for field in ("grid", "points", "edges", "u", "flip2", "flip3"):
@@ -463,7 +466,7 @@ _KERNEL_MARGINS = ["normal,normal,normal", "exp:1,exp:1,exp:1", "t:3.05,t:3.05,t
 # exceed-upper:0.99 keeps a few dozen rows far from the marginals' means
 _KERNEL_EVENTS = ["downside", "exceed-upper:0.75", "exceed-lower:0.3", "exceed-upper:0.99"]
 # the sorted selector values of a 3-block draw
-_H3 = np.sort(substream(_KERNEL_SEED, copulas._OFF_B).random(3 * copulas._BLOCK))
+_H3 = np.sort(substream(_KERNEL_SEED, copulas._OFF_B).random(3 * coskew.sweep._BLOCK))
 
 
 @st.composite
@@ -472,7 +475,7 @@ def _kernel_case(draw):
     points may repeat, be 0 or 1, or sit just above another (an empty bin);
     a point equal to the j-th smallest selector value puts exactly j rows
     below it, so points at j and j + k * _BLOCK give bins of whole blocks."""
-    block = copulas._BLOCK
+    block = coskew.sweep._BLOCK
     n = draw(st.one_of(st.integers(2, 3 * block), st.sampled_from([block, 2 * block, 3 * block])))
     h = np.sort(substream(_KERNEL_SEED, copulas._OFF_B).random(n))
     order = st.one_of(
@@ -500,12 +503,12 @@ class TestMomentKernel:
     @example(case=(2, "normal,normal,normal", "downside", [0.5]))
     @example(case=(5000, "t:3.05,t:3.05,t:3.05", "downside", [0.0]))  # one bin, min branch
     @example(case=(5000, "exp:1,exp:1,exp:1", "exceed-upper:0.75", [1.0]))  # one bin, max branch
-    @example(case=(3 * copulas._BLOCK, "t:3.05,laplace,exp:2", "exceed-lower:0.3",
+    @example(case=(3 * coskew.sweep._BLOCK, "t:3.05,laplace,exp:2", "exceed-lower:0.3",
                    [0.0, 1.0, 0.0, 0.5, 0.5]))
-    @example(case=(3 * copulas._BLOCK, "uniform,uniform,uniform", "exceed-upper:0.99",
+    @example(case=(3 * coskew.sweep._BLOCK, "uniform,uniform,uniform", "exceed-upper:0.99",
                    [0.0, 0.5, 1.0]))
-    @example(case=(3 * copulas._BLOCK, "exp:2,uniform,t:3.05", "downside",  # one block per bin
-                   [float(_H3[copulas._BLOCK]), float(_H3[2 * copulas._BLOCK])]))
+    @example(case=(3 * coskew.sweep._BLOCK, "exp:2,uniform,t:3.05", "downside",  # one block per bin
+                   [float(_H3[coskew.sweep._BLOCK]), float(_H3[2 * coskew.sweep._BLOCK])]))
     @settings(max_examples=40, deadline=None)
     def test_matches_one_shot_reductions(self, case):
         n, margins, token, grid = case
@@ -588,14 +591,14 @@ class TestMirroredMinBranch:
     def walk(sweep):
         """_point_sums() of the sweep, and whether it read lo3."""
         read_lo = []
-        third_rows = copulas._third_rows
+        third_rows = coskew.sweep._third_rows
 
         def recorded(y, x3, shift):
             read_lo.append(np.shares_memory(x3, sweep.lo3))
             third_rows(y, x3, shift)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(copulas, "_third_rows", recorded)
+            mp.setattr(coskew.sweep, "_third_rows", recorded)
             return sweep._point_sums(), any(read_lo)
 
     @pytest.mark.parametrize("third", ["normal", "uniform", "laplace", "t:3.0001", "t:5",
@@ -685,7 +688,7 @@ class TestQuantilePair:
     def test_pair_equals_direct_quantile(self, token, k):
         m = parse_marginal(token)
         u = np.array([k]) / 2**53
-        x, y = copulas._quantile_pair(m, u)
+        x, y = coskew.sweep._quantile_pair(m, u)
         clamp = copulas.U_MIN
         assert x.tobytes() == m.quantile(np.clip(u, clamp, 1.0 - clamp)).tobytes()
         assert y.tobytes() == m.quantile(np.clip(1.0 - u, clamp, 1.0 - clamp)).tobytes()
@@ -931,3 +934,28 @@ class TestSpecParsing:
                 USample(np.array([[0.5, bad], [0.5, 0.5], [0.5, 0.5]]))
             with pytest.raises(ValueError):
                 USample(np.full((3, 4), bad))
+
+
+def _imported_modules(path):
+    """Every module a source file imports, with relative imports resolved
+    against the coskew package; ``from a import b`` names both a and a.b."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # the package is flat: "." is coskew
+                base = f"coskew.{base}" if base else "coskew"
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestLayering:
+    def test_samplers_import_no_moments_events_or_sweep(self):
+        # the samplers sit below the estimators and the lambda-grid engine
+        names = _imported_modules(copulas.__file__)
+        assert {"coskew.samples", "coskew.marginals"} <= names  # the parse sees imports
+        for below in ("coskew.estimators", "coskew.sweep"):
+            assert not [n for n in names if n == below or n.startswith(below + ".")], below

@@ -31,6 +31,7 @@ from coskew.estimators import (
 )
 from coskew.marginals import exponential, standard_normal, uniform01
 from coskew.samples import SeedSpec, TriSample
+from coskew.sweep import mixture_draw
 
 
 class TestPearson:
@@ -134,8 +135,11 @@ class TestRankTransform:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_empirical_rejects_non_finite(self, bad):
-        with pytest.raises(DomainError):
-            rank_transform([0.3, bad, 0.1])
+        # and the true-CDF path, whose CDF would map nan to nan and +-inf
+        # to the ends of [0, 1]
+        for marginal in (None, standard_normal(), uniform01(), exponential(1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                rank_transform([0.3, bad, 0.1], marginal)
 
     def test_true_cdf_uniform_identity(self, rng):
         u = rng.random(50)
@@ -167,6 +171,16 @@ class TestSpearman:
         for a, b in ((0, 1), (0, 2), (1, 2)):
             assert spearman_rho(us.u[a], us.u[b]) == pytest.approx(-0.5, abs=0.02)
 
+    def test_rejects_columns_of_different_lengths(self, rng):
+        # they would broadcast: (3,) against (1,) gave -0.24
+        with pytest.raises(DomainError, match="common length"):
+            spearman_rho([0.1, 0.9, 0.2], [0.7])
+        u, v = rng.random((2, 1001))
+        with pytest.raises(DomainError, match="common length"):
+            spearman_rho(u, v[:-1])
+        # equal lengths keep the bits of the plain product mean
+        assert spearman_rho(u, v) == float(12.0 * np.mean((u - 0.5) * (v - 0.5)))
+
 
 class TestRankCoskewness:
     def test_comonotonic_zero(self, seed):
@@ -182,6 +196,16 @@ class TestRankCoskewness:
         assert rank_coskewness(us.u[0], us.u[1], us.u[2]) == pytest.approx(1.0, abs=0.01)
         mn = copulas.sample_min_coskew(10**5, seed)
         assert rank_coskewness(mn.u[0], mn.u[1], mn.u[2]) == pytest.approx(-1.0, abs=0.01)
+
+    def test_rejects_columns_of_different_lengths(self, rng):
+        # they would broadcast: (2,), (2,) and (1,) gave 0.064
+        with pytest.raises(DomainError, match="common length"):
+            rank_coskewness([0.1, 0.9], [0.2, 0.3], [0.6])
+        u, v, w = rng.random((3, 1001))
+        with pytest.raises(DomainError, match="common length"):
+            rank_coskewness(u, v[:-1], w)
+        want = float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
+        assert rank_coskewness(u, v, w) == want  # equal lengths keep their bits
 
     def test_argument_symmetry(self, rng):
         u, v, w = rng.random((3, 200))
@@ -515,7 +539,7 @@ class TestMomentAccumulator:
     @pytest.fixture(scope="class")
     def tail_sweep_rows(self):
         m = (uniform01(),) * 3
-        sweep = copulas.mixture_draw(10**6, self.TAIL_GRID, SeedSpec(7, 3)).with_marginals(m)
+        sweep = mixture_draw(10**6, self.TAIL_GRID, SeedSpec(7, 3)).with_marginals(m)
         return sweep.event_moments(parse_event("exceed-upper:0.9999"))
 
     @pytest.mark.parametrize("lam", [0.3, 0.7])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coskew.sweep
 from coskew import analytic, copulas, experiments
 from coskew.errors import DomainError, InsufficientEventRowsError
 from coskew.estimators import (
@@ -39,6 +40,7 @@ from coskew.marginals import (
     uniform01,
 )
 from coskew.samples import SeedSpec, substream
+from coskew.sweep import mixture_draw
 
 import test_copulas  # TestSweepMoments' draw and grid points
 
@@ -216,7 +218,7 @@ class TestEventMoments:
     @pytest.mark.parametrize("margins", ["t:3.05,t:3.05,t:3.05", "t:5,laplace,exp:2"])
     def test_matches_conditional_corr_at_200k_rows(self, margins):
         m = tuple(map(parse_marginal, margins.split(",")))
-        edges = copulas.mixture_draw(self.BIG_N, self.BIG_GRIDS[1], self.SEED).edges
+        edges = mixture_draw(self.BIG_N, self.BIG_GRIDS[1], self.SEED).edges
         assert np.any(np.diff(edges) == 0)  # the second grid has empty bins
         rows = {
             (token, grid): run_figure2(ExperimentConfig(
@@ -250,7 +252,7 @@ class TestEventMoments:
         # the min branch
         m = tuple(map(parse_marginal, "t:5,laplace,exp:2".split(",")))
         event = parse_event(token)
-        sweep = copulas.mixture_draw(self.BIG_N, _DEFAULT_GRID, self.SEED).with_marginals(m)
+        sweep = mixture_draw(self.BIG_N, _DEFAULT_GRID, self.SEED).with_marginals(m)
         edges = sweep.draw.edges
         masks = np.array([build_event_mask(ts, event, m)
                           for ts in test_copulas.lambda_samples(sweep)])
@@ -265,13 +267,13 @@ class TestEventMoments:
         # the rows whose products the moment kernel forms, one call per
         # block of a bin and one per branch for the band
         sizes = []
-        third_rows = copulas._third_rows
+        third_rows = coskew.sweep._third_rows
 
         def counted(y, x3, shift):
             sizes.append(np.size(x3))
             return third_rows(y, x3, shift)
 
-        monkeypatch.setattr(copulas, "_third_rows", counted)
+        monkeypatch.setattr(coskew.sweep, "_third_rows", counted)
         sweep.event_moments(event)
         assert sizes and max(sizes) <= np.diff(edges).max() + band
         # each row is reduced at most once per branch, and each band row
@@ -423,14 +425,14 @@ class TestVerifyPropositions:
         # grid; a sweep over those points alone bins and merges differently,
         # so the two agree to rounding, not bit for bit
         n, seed, ends = 20_000, SeedSpec(7, stream), (0.0, 0.5, 1.0)
-        draw = copulas.mixture_draw(n, experiments._VERIFY_GRID, seed)
+        draw = mixture_draw(n, experiments._VERIFY_GRID, seed)
         worst = 0.0
         for m in ((laplace(),) * 3, (student_t(5),) * 3):
             shared = [experiments._max_abs_rho(st)
                       for st in experiments._sweep_rows(draw.with_marginals(m))
                       if st["lambda"] in ends]
             separate = [experiments._max_abs_rho(st) for st in experiments._sweep_rows(
-                copulas.mixture_draw(n, ends, seed).with_marginals(m))]
+                mixture_draw(n, ends, seed).with_marginals(m))]
             np.testing.assert_allclose(shared, separate, rtol=0, atol=1e-12)
             worst = max(worst, *separate)
         p4 = verify_propositions(n, seed)[3]
