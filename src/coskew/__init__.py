@@ -10,11 +10,8 @@ from .analytic import (
     BoundsResult,
     coskew_bound,
     mixture_prediction,
-    pearson_from_spearman_gaussian,
     rank_coskew_gaussian,
-    spearman_from_pearson_gaussian,
     trivariate_orthant_prob,
-    uniform_product_moment_gaussian,
 )
 from .copulas import (
     CopulaSpec,
@@ -103,7 +100,6 @@ __all__ = [
     "parse_event",
     "parse_marginal",
     "pearson_corr",
-    "pearson_from_spearman_gaussian",
     "rank_coskew_gaussian",
     "rank_coskewness",
     "rank_transform",
@@ -119,13 +115,11 @@ __all__ = [
     "sample_min_coskew",
     "sample_mixing_sum",
     "sample_mixture",
-    "spearman_from_pearson_gaussian",
     "spearman_rho",
     "standard_normal",
     "student_t",
     "to_data",
     "trivariate_orthant_prob",
     "uniform01",
-    "uniform_product_moment_gaussian",
     "verify_propositions",
 ]

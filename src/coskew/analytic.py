@@ -33,14 +33,13 @@ cut-off lies from its asymptote; a bound whose error cannot be held below
 max(QUAD_TOL, QUAD_RTOL * s_max) raises QuadratureError rather than
 returning a value.
 
-The Gaussian-copula identities are the arcsine laws
+The Gaussian copula's rank coskewness (verify's P8) rests on the arcsine
+orthant law
 
-    rho_S = (6/pi) arcsin(rho/2)
-    E[F_i(X_i) F_j(X_j)] = (1/2pi) arcsin(rho/2) + 1/4
     P(Y1<=0, Y2<=0, Y3<=0) = (1/4pi) sum arcsin(r_ij) + 1/8
 
-which combine to make the standardized rank coskewness of any Gaussian
-copula identically zero.
+which, at the halved correlations rho_ij/2, makes the standardized rank
+coskewness of any Gaussian copula identically zero.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ __all__ = [
     "BoundsResult",
     "coskew_bound",
     "mixture_prediction",
-    "spearman_from_pearson_gaussian",
-    "pearson_from_spearman_gaussian",
-    "uniform_product_moment_gaussian",
     "trivariate_orthant_prob",
     "rank_coskew_gaussian",
 ]
@@ -233,37 +229,18 @@ def _pareto_tail(margins, f_cut: float) -> tuple[float, float]:
     return asymptote / c, err
 
 
-def mixture_prediction(lam: float, bounds: BoundsResult) -> float:
-    """Coskewness of the mixture structure: lambda*s_max + (1-lambda)*s_min."""
+def _check_lam(lam: float) -> float:
+    """lam as a float; DomainError unless it lies in [0, 1]."""
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    return lam
+
+
+def mixture_prediction(lam: float, bounds: BoundsResult) -> float:
+    """Coskewness of the mixture structure: lambda*s_max + (1-lambda)*s_min."""
+    lam = _check_lam(lam)
     return lam * bounds.s_max + (1.0 - lam) * bounds.s_min
-
-
-def _check_unit(rho: float, name: str = "rho") -> float:
-    rho = float(rho)
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"{name} must lie in [-1, 1], got {rho}")
-    return rho
-
-
-def spearman_from_pearson_gaussian(rho: float) -> float:
-    """Spearman correlation implied by a Gaussian copula: (6/pi) arcsin(rho/2)."""
-    rho = _check_unit(rho)
-    return 6.0 / math.pi * math.asin(rho / 2.0)
-
-
-def pearson_from_spearman_gaussian(rho_s: float) -> float:
-    """Inverse map: 2 sin(pi rho_S / 6)."""
-    rho_s = _check_unit(rho_s, "rho_s")
-    return 2.0 * math.sin(math.pi * rho_s / 6.0)
-
-
-def uniform_product_moment_gaussian(rho: float) -> float:
-    """E[F_i(X_i) F_j(X_j)] under a Gaussian copula with correlation rho."""
-    rho = _check_unit(rho)
-    return math.asin(rho / 2.0) / (2.0 * math.pi) + 0.25
 
 
 def corr_det(r12, r13, r23):

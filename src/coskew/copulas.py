@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import corr_det
+from .analytic import _check_lam, corr_det
 from .errors import DomainError, InvalidCorrelationError
 from .marginals import Marginal, norm_cdf, token_float, token_number
 from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_open
@@ -31,7 +31,6 @@ __all__ = [
     "CopulaSpec",
     "GaussianParams",
     "gaussian_correlate",
-    "gaussian_scores",
     "gaussian_z",
     "mixing_sum_coords",
     "parse_copula",
@@ -172,13 +171,6 @@ def mixing_sum_coords(u):
     return u2, u3
 
 
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    return lam
-
-
 def _extremal_draw(n: int, seed: SeedSpec):
     """The shared draws u and the indicators I = 1{u > 1/2} and
     J = 1{v > 1/2}."""
@@ -269,9 +261,7 @@ def gaussian_correlate(z: np.ndarray, params: GaussianParams) -> np.ndarray:
         H2 = rho12 Z1 + a Z2
         H3 = rho13 Z1 + (rho23 - rho12 rho13)/a Z2 + (b/a) Z3
     """
-    a = params.a
-    if a == 0.0:
-        raise InvalidCorrelationError("rho12 = +-1 degenerates the construction")
+    a = params.a  # >= 2^-26: GaussianParams holds |rho12| < 1
     h1 = z[0]
     h2 = params.rho12 * z[0] + a * z[1]
     h3 = (
@@ -282,16 +272,13 @@ def gaussian_correlate(z: np.ndarray, params: GaussianParams) -> np.ndarray:
     return np.stack([h1, h2, h3])
 
 
-def gaussian_scores(n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()) -> np.ndarray:
-    """The Gaussian copula's data under standard normal margins, (3, n)."""
-    return gaussian_correlate(gaussian_z(n, seed), params)
-
-
 def sample_gaussian(
     n: int, params: GaussianParams, seed: SeedSpec = SeedSpec()
 ) -> USample:
-    """Gaussian copula: the normal CDF of :func:`gaussian_scores`."""
-    return USample(norm_cdf(gaussian_scores(n, params, seed)), seed)
+    """Gaussian copula: the normal CDF of the correlated scores
+    :func:`gaussian_correlate` builds from the seed's standard normal rows
+    (:func:`gaussian_z`)."""
+    return USample(norm_cdf(gaussian_correlate(gaussian_z(n, seed), params)), seed)
 
 
 # The copula kinds and their samplers.  "mixture" samples at its

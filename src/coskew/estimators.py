@@ -10,6 +10,9 @@ sample means:
     spearman_rho     12 * mean((u - 1/2)(v - 1/2))
     rank_coskewness  32 * mean((u - 1/2)(v - 1/2)(w - 1/2))
 
+The rank statistics take rank columns: at least one row, and every value
+in [0, 1]; anything else, nan included, raises DomainError.
+
 Moments come from a streaming accumulator built from shifted sums: the
 raw sums of rows shifted near their mean, centred once
 (:meth:`MomentAccumulator.from_shifted_sums`, Chan, Golub & LeVeque 1983).
@@ -257,21 +260,14 @@ def _flat_columns(*cols) -> list[np.ndarray]:
     return arrs
 
 
-def _columns(*cols) -> np.ndarray:
-    arrs = _flat_columns(*cols)
-    if arrs[0].size < 2:
-        raise DegenerateColumnError("need n >= 2 for variance-based statistics")
-    return np.stack(arrs)
-
-
 def pearson_corr(x, y) -> float:
     """Population-normalized sample Pearson correlation."""
-    return MomentAccumulator(2).update(_columns(x, y)).corr(0, 1)
+    return MomentAccumulator(2).update(np.stack(_flat_columns(x, y))).corr(0, 1)
 
 
 def coskewness(x, y, z) -> float:
     """Standardized third cross-moment of three columns."""
-    return MomentAccumulator(3).update(_columns(x, y, z)).coskew()
+    return MomentAccumulator(3).update(np.stack(_flat_columns(x, y, z))).coskew()
 
 
 def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
@@ -300,15 +296,24 @@ def rank_transform(x, marginal: Marginal | None = None) -> np.ndarray:
     return (ranks - 0.5) / n
 
 
+def _rank_columns(*cols) -> list[np.ndarray]:
+    """The columns as by :func:`_flat_columns`; DomainError unless they
+    hold at least one row and every value lies in [0, 1] (nan does not)."""
+    arrs = _flat_columns(*cols)
+    if arrs[0].size == 0 or not all(a.min() >= 0.0 and a.max() <= 1.0 for a in arrs):
+        raise DomainError("rank statistics need at least one row, every value in [0, 1]")
+    return arrs
+
+
 def spearman_rho(u, v) -> float:
     """Spearman correlation of rank columns: 12 E[(U - 1/2)(V - 1/2)]."""
-    u, v = _flat_columns(u, v)
+    u, v = _rank_columns(u, v)
     return float(12.0 * np.mean((u - 0.5) * (v - 0.5)))
 
 
 def rank_coskewness(u, v, w) -> float:
     """Standardized rank coskewness: 32 E[(U - 1/2)(V - 1/2)(W - 1/2)]."""
-    u, v, w = _flat_columns(u, v, w)
+    u, v, w = _rank_columns(u, v, w)
     return float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
 
 

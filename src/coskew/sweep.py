@@ -52,7 +52,8 @@ from functools import reduce
 
 import numpy as np
 
-from .copulas import _OFF_B, _check_lam, sample_max_coskew
+from .analytic import _check_lam
+from .copulas import _OFF_B, sample_max_coskew
 from .estimators import EventSpec, MomentAccumulator, build_event_mask, count_event_rows
 from .marginals import Marginal
 from .samples import SeedSpec, TriSample, substream

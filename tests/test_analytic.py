@@ -12,11 +12,8 @@ from coskew.analytic import (
     BoundsResult,
     coskew_bound,
     mixture_prediction,
-    pearson_from_spearman_gaussian,
     rank_coskew_gaussian,
-    spearman_from_pearson_gaussian,
     trivariate_orthant_prob,
-    uniform_product_moment_gaussian,
 )
 from coskew.errors import (
     DomainError,
@@ -333,41 +330,12 @@ class TestMixturePrediction:
 
 
 class TestArcsinIdentities:
-    def test_spearman_endpoints(self):
-        assert spearman_from_pearson_gaussian(0.0) == 0.0
-        assert spearman_from_pearson_gaussian(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert spearman_from_pearson_gaussian(-1.0) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_spearman_at_half(self):
-        # (6/pi) asin(1/4) evaluated independently
-        assert spearman_from_pearson_gaussian(0.5) == pytest.approx(
-            0.4825837395309975, abs=1e-12
-        )
-
-    def test_roundtrip_identity_on_grid(self):
-        for rho in np.linspace(-1, 1, 101):
-            back = pearson_from_spearman_gaussian(spearman_from_pearson_gaussian(rho))
-            assert back == pytest.approx(rho, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spearman_from_pearson_gaussian(1.2)
-        with pytest.raises(DomainError):
-            pearson_from_spearman_gaussian(-1.0001)
-
-    def test_uniform_product_moment(self):
-        assert uniform_product_moment_gaussian(0.0) == pytest.approx(0.25, abs=1e-15)
-        assert uniform_product_moment_gaussian(1.0) == pytest.approx(1 / 3, abs=1e-12)
-        assert uniform_product_moment_gaussian(0.6) == pytest.approx(
-            0.29849334201033917, abs=1e-12
-        )
-
     def test_uniform_product_moment_vs_simulation(self, seed):
         us = copulas.sample_gaussian(10**5, copulas.GaussianParams(0.6, 0.0, 0.0), seed)
         sim = np.mean(us.u[0] * us.u[1])
-        assert abs(sim - uniform_product_moment_gaussian(0.6)) < 4 * 0.1 / math.sqrt(
-            us.n
-        )
+        # E[F(X1) F(X2)] = asin(rho/2)/(2 pi) + 1/4
+        exact = math.asin(0.6 / 2.0) / (2.0 * math.pi) + 0.25
+        assert abs(sim - exact) < 4 * 0.1 / math.sqrt(us.n)
 
 
 class TestOrthantProbability:

@@ -18,7 +18,6 @@ from coskew.copulas import (
     CopulaSpec,
     GaussianParams,
     gaussian_correlate,
-    gaussian_scores,
     gaussian_z,
     mixing_sum_coords,
     parse_copula,
@@ -736,7 +735,7 @@ class TestGaussian:
         # bit for bit, and equal to the three-normal construction taken
         # column by column
         params, seed = GaussianParams(*rho), SeedSpec(7, 3)
-        h = gaussian_scores(2000, params, seed)
+        h = gaussian_correlate(gaussian_z(2000, seed), params)
         assert sample_gaussian(2000, params, seed).u.tobytes() == special.ndtr(h).tobytes()
         z = substream(seed, 0).standard_normal((3, 2000))
         want = [z[0], params.rho12 * z[0] + params.a * z[1],
@@ -746,15 +745,17 @@ class TestGaussian:
         assert h.tobytes() == np.stack(want).tobytes()
 
     def test_one_z_serves_every_triple(self):
-        # verify combines one draw of Z for all its triples; each must equal
-        # the triple's own gaussian_scores bit for bit, and leave Z as drawn
+        # verify combines one draw of Z for all its triples; the normal CDF
+        # of each must equal the triple's own sample_gaussian bit for bit,
+        # and leave Z as drawn
         seed = SeedSpec(7, 3)
         z = gaussian_z(2000, seed)
         drawn = z.copy()
         for rho in experiments._GAUSS_TRIPLES:
             params = GaussianParams(*rho)
             got = gaussian_correlate(z, params)
-            assert got.tobytes() == gaussian_scores(2000, params, seed).tobytes(), rho
+            want = sample_gaussian(2000, params, seed).u
+            assert special.ndtr(got).tobytes() == want.tobytes(), rho
         assert z.tobytes() == drawn.tobytes()
 
     def test_recovers_requested_correlations(self, seed):

@@ -181,6 +181,20 @@ class TestSpearman:
         # equal lengths keep the bits of the plain product mean
         assert spearman_rho(u, v) == float(12.0 * np.mean((u - 0.5) * (v - 0.5)))
 
+    @pytest.mark.parametrize("u, v", [
+        ([], []),
+        ([np.nan, 0.2], [0.3, 0.4]),
+        ([1.5, 0.2], [0.3, 0.4]),
+        ([0.5, 0.2], [0.3, -1e-300]),
+        ([0.5, 0.2], [np.inf, 0.3]),
+    ])
+    def test_rejects_what_is_not_a_rank_column(self, u, v):
+        with pytest.raises(DomainError, match="rank statistics"):
+            spearman_rho(u, v)
+
+    def test_accepts_the_ends_of_the_unit_interval(self):
+        assert spearman_rho([0.0, 1.0], [1.0, 0.0]) == -3.0
+
 
 class TestRankCoskewness:
     def test_comonotonic_zero(self, seed):
@@ -206,6 +220,16 @@ class TestRankCoskewness:
             rank_coskewness(u, v[:-1], w)
         want = float(32.0 * np.mean((u - 0.5) * (v - 0.5) * (w - 0.5)))
         assert rank_coskewness(u, v, w) == want  # equal lengths keep their bits
+
+    @pytest.mark.parametrize("cols", [
+        ([], [], []),
+        ([0.1, 0.9], [0.2, np.nan], [0.6, 0.4]),
+        ([0.1, 0.9], [0.2, 0.3], [0.6, 1.0 + 2**-52]),
+        ([-0.1, 0.9], [0.2, 0.3], [0.6, 0.4]),
+    ])
+    def test_rejects_what_is_not_a_rank_column(self, cols):
+        with pytest.raises(DomainError, match="rank statistics"):
+            rank_coskewness(*cols)
 
     def test_argument_symmetry(self, rng):
         u, v, w = rng.random((3, 200))
@@ -647,6 +671,7 @@ class TestMomentAccumulator:
         x[1, 17] = bad
         mask = np.ones(100, bool)
         for call in (lambda: pearson_corr(x[1], x[0]), lambda: coskewness(*x),
+                     lambda: pearson_corr(x[1, 17:18], x[0, 17:18]),  # one row
                      lambda: estimators.conditional_moments(x, mask),
                      lambda: estimators.conditional_moments(x[:2], mask)):
             with warnings.catch_warnings():

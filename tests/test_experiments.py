@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -438,6 +439,62 @@ class TestVerifyPropositions:
         p4 = verify_propositions(n, seed)[3]
         assert p4["proposition"] == "P4"
         assert p4["observed"] == f"max |rho| = {worst:.4f}"
+
+
+def _bound_off_by_10pct(orig):
+    def bound(*margins):
+        b = orig(*margins)
+        return analytic.BoundsResult(1.10 * b.s_max, b.quadrature_error, b.evaluations)
+    return bound
+
+
+def _flip2_never_set(orig):
+    def draw(*args):
+        d = orig(*args)
+        return dataclasses.replace(d, flip2=np.zeros_like(d.flip2))
+    return draw
+
+
+def _h2_from_z1_only(orig):
+    def correlate(z, params):
+        h = orig(z, params)
+        h[1] = (params.rho12 + params.a) * z[0]
+        return h
+    return correlate
+
+
+class TestVerifyPower:
+    """verify fails each broken program below on every stream tried at
+    n = 1e5.  Two breaks it cannot see are left out: s_max off by 2% (the
+    endpoint error, 0.032, lies inside P1's and P3's 0.05), and the sign of
+    the Gaussian b Z3 term (Z3 is symmetric and independent of Z1 and Z2,
+    so the flip leaves the joint law unchanged: not a broken program)."""
+
+    # name: (owner, attribute, the broken value from the original, the
+    # propositions that must fail)
+    BREAKS = {
+        "bound_off_by_10pct": (analytic, "coskew_bound", _bound_off_by_10pct, {"P1", "P3"}),
+        # with a symmetric third margin the min branch's sums are read
+        # through _MIRROR only, never from lo3
+        "min_branch_not_mirrored": (coskew.sweep, "_MIRROR", np.ones_like, {"P1", "P3"}),
+        "flip2_never_set": (experiments, "mixture_draw", _flip2_never_set,
+                            {"P1", "P3", "P4", "P6", "P7"}),
+        "h2_from_z1_only": (copulas, "gaussian_correlate", _h2_from_z1_only, {"P2"}),
+    }
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(BREAKS))
+    def test_broken_program_fails(self, monkeypatch, name, stream):
+        owner, attr, broken, props = self.BREAKS[name]
+        monkeypatch.setattr(owner, attr, broken(getattr(owner, attr)))
+        records = verify_propositions(100_000, SeedSpec(1, stream))
+        failed = {r["proposition"] for r in records if not r["passed"]}
+        assert props <= failed, records
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_unbroken_program_passes_on_the_same_streams(self, stream):
+        records = verify_propositions(100_000, SeedSpec(1, stream))
+        assert all(r["passed"] for r in records), records
 
 
 class TestReports:
