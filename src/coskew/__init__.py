@@ -4,122 +4,30 @@ Samplers for the extremal-coskewness, mixture, Gaussian and mixing
 dependence structures; estimators for correlation, coskewness and their
 rank analogues; closed-form predictions; and reproducible experiment
 drivers.
+
+Each public name is declared once, in its module's ``__all__``; the
+package exports every such name, and its own ``__all__`` is those lists
+joined in module order.
 """
 
-from .analytic import (
-    BoundsResult,
-    coskew_bound,
-    mixture_prediction,
-    rank_coskew_gaussian,
-    trivariate_orthant_prob,
-)
-from .copulas import (
-    CopulaSpec,
-    GaussianParams,
-    parse_copula,
-    sample,
-    sample_comonotonic,
-    sample_gaussian,
-    sample_independence,
-    sample_max_coskew,
-    sample_min_coskew,
-    sample_mixing_sum,
-    sample_mixture,
-    to_data,
-)
-from .errors import (
-    CoskewError,
-    DegenerateColumnError,
-    DomainError,
-    InsufficientEventRowsError,
-    InvalidCorrelationError,
-    QuadratureError,
-    UnsupportedMarginalError,
-)
-from .estimators import (
-    EventSpec,
-    MomentAccumulator,
-    build_event_mask,
-    conditional_corr,
-    coskewness,
-    parse_event,
-    pearson_corr,
-    rank_coskewness,
-    rank_transform,
-    spearman_rho,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentReport,
-    run_algorithm1,
-    run_example1,
-    run_figure1,
-    run_figure2,
-    verify_propositions,
-)
-from .marginals import (
-    Marginal,
-    exponential,
-    laplace,
-    parse_marginal,
-    standard_normal,
-    student_t,
-    uniform01,
-)
-from .samples import SeedSpec, TriSample, USample
+from . import analytic, copulas, errors, estimators, experiments, marginals, samples, sweep
+from .analytic import *
+from .copulas import *
+from .errors import *
+from .estimators import *
+from .experiments import *
+from .marginals import *
+from .samples import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsResult",
-    "CopulaSpec",
-    "CoskewError",
-    "DegenerateColumnError",
-    "DomainError",
-    "EventSpec",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GaussianParams",
-    "InsufficientEventRowsError",
-    "InvalidCorrelationError",
-    "Marginal",
-    "MomentAccumulator",
-    "QuadratureError",
-    "SeedSpec",
-    "TriSample",
-    "USample",
-    "UnsupportedMarginalError",
-    "build_event_mask",
-    "conditional_corr",
-    "coskew_bound",
-    "coskewness",
-    "exponential",
-    "laplace",
-    "mixture_prediction",
-    "parse_copula",
-    "parse_event",
-    "parse_marginal",
-    "pearson_corr",
-    "rank_coskew_gaussian",
-    "rank_coskewness",
-    "rank_transform",
-    "run_algorithm1",
-    "run_example1",
-    "run_figure1",
-    "run_figure2",
-    "sample",
-    "sample_comonotonic",
-    "sample_gaussian",
-    "sample_independence",
-    "sample_max_coskew",
-    "sample_min_coskew",
-    "sample_mixing_sum",
-    "sample_mixture",
-    "spearman_rho",
-    "standard_normal",
-    "student_t",
-    "to_data",
-    "trivariate_orthant_prob",
-    "uniform01",
-    "verify_propositions",
-]
+__all__ = []
+__all__ += analytic.__all__
+__all__ += copulas.__all__
+__all__ += errors.__all__
+__all__ += estimators.__all__
+__all__ += experiments.__all__
+__all__ += marginals.__all__
+__all__ += samples.__all__
+__all__ += sweep.__all__

@@ -290,14 +290,13 @@ def bounds_cmd(marginals, output):
     _emit(experiments.json_text(payload) + "\n", output)
 
 
-def _experiment_config(n, seed, stream, lambda_grid, marginals, event=None):
+def _experiment_config(n, seed, stream, lambda_grid, marginals):
     try:
         return experiments.ExperimentConfig(
             n=n,
             lambda_grid=lambda_grid,
             marginals=marginals,
             seed=SeedSpec(seed, stream),
-            event=event,
         )
     except DomainError as exc:
         raise click.UsageError(str(exc))
@@ -327,8 +326,8 @@ def figure1_cmd(n, lambda_grid, marginals, seed, stream, fmt, output, determinis
 def figure2_cmd(n, lambda_grid, marginals, event, seed, stream, fmt, output,
                 deterministic):
     """Event-conditional correlations across the mixture parameter."""
-    cfg = _experiment_config(n, seed, stream, lambda_grid, marginals, event)
-    report = experiments.run_figure2(cfg)
+    cfg = _experiment_config(n, seed, stream, lambda_grid, marginals)
+    report = experiments.run_figure2(cfg, event)
     _write_report(report, fmt, output, deterministic)
 
 

@@ -104,8 +104,9 @@ class CopulaSpec:
         if self.kind not in _SAMPLERS:
             raise DomainError(f"unknown copula kind {self.kind!r}")
         if self.kind == "mixture":
-            if self.lam is None or not 0.0 <= self.lam <= 1.0:
-                raise DomainError("mixture needs lambda in [0, 1]")
+            if self.lam is None:
+                raise DomainError("mixture needs a lambda")
+            _check_lam(self.lam)
         elif self.lam is not None:
             raise DomainError(f"{self.kind} copula takes no lambda")
         if self.kind == "gaussian":

@@ -1,5 +1,15 @@
 """Semantic exception hierarchy shared by all modules."""
 
+__all__ = [
+    "CoskewError",
+    "DomainError",
+    "UnsupportedMarginalError",
+    "InvalidCorrelationError",
+    "DegenerateColumnError",
+    "InsufficientEventRowsError",
+    "QuadratureError",
+]
+
 
 class CoskewError(Exception):
     """Base class for all package errors."""

@@ -18,7 +18,7 @@ raw sums of rows shifted near their mean, centred once
 (:meth:`MomentAccumulator.from_shifted_sums`, Chan, Golub & LeVeque 1983).
 ``update`` shifts each chunk by its own rounded mean; a mixture sweep
 shifts each selector bin by the marginals' population means, or an event's
-rows by their own mean (:mod:`coskew.copulas`).  Each accumulator keeps its
+rows by their own mean (:mod:`coskew.sweep`).  Each accumulator keeps its
 mean as that shift plus a residual mean, and merges take the difference
 of two means from those parts, then add the shift-stable update terms
 (Pebay 2008) plainly.  So results are accurate to ~1e-12

@@ -72,7 +72,6 @@ class ExperimentConfig:
         standard_normal(),
     )
     seed: SeedSpec = field(default_factory=SeedSpec)
-    event: estimators.EventSpec | None = None
 
     def __post_init__(self):
         if self.n < 1000:
@@ -80,8 +79,8 @@ class ExperimentConfig:
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid:
             raise DomainError("lambda grid must be non-empty")
-        if any(not 0.0 <= l <= 1.0 for l in grid):
-            raise DomainError("lambda grid values must lie in [0, 1]")
+        for l in grid:
+            analytic._check_lam(l)
         if list(grid) != sorted(grid):
             raise DomainError("lambda grid must be ascending")
         object.__setattr__(self, "lambda_grid", grid)
@@ -206,10 +205,11 @@ def run_figure1(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_sweep("figure1", cfg, cfg.lambda_grid)
 
 
-def run_figure2(cfg: ExperimentConfig) -> ExperimentReport:
+def run_figure2(cfg: ExperimentConfig,
+                event: estimators.EventSpec = estimators.EventSpec("downside")
+                ) -> ExperimentReport:
     """Per lambda: coskewness plus the three event-conditional correlations."""
-    return _run_sweep("figure2", cfg, cfg.lambda_grid,
-                      cfg.event or estimators.EventSpec("downside"))
+    return _run_sweep("figure2", cfg, cfg.lambda_grid, event)
 
 
 # Rank correlations printed alongside the mixing copula in the worked example

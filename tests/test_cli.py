@@ -481,8 +481,8 @@ def test_primary_output_is_the_same_on_every_blas_kernel_and_thread_count():
 def test_a_non_finite_report_value_exits_1_without_json_nan(runner, monkeypatch, command):
     run = getattr(experiments, f"run_{command}")
 
-    def with_nan(cfg):
-        report = run(cfg)
+    def with_nan(cfg, *event):
+        report = run(cfg, *event)
         report.rows[0]["coskewness"] = float("nan")
         return report
 

@@ -901,6 +901,13 @@ class TestSpecParsing:
             with pytest.raises(DomainError):
                 parse_copula(bad)
 
+    # the one lambda rule, analytic._check_lam, whose message gives the value
+    @pytest.mark.parametrize("token, value", [("mixture:1.5", "1.5"), ("mixture:nan", "nan"),
+                                              ("mixture:-0.1", "-0.1")])
+    def test_rejects_a_lambda_outside_the_unit_interval(self, token, value):
+        with pytest.raises(DomainError, match=f"got {re.escape(value)}$"):
+            parse_copula(token)
+
     @pytest.mark.parametrize("token", ["max:0.7", "min:1", "comonotonic:x",
                                        "independence:", "mixingsum:0.5"])
     def test_rejects_a_parameter_on_a_parameterless_kind(self, token):

@@ -68,8 +68,10 @@ class TestConfig:
             ExperimentConfig(lambda_grid=(0.5, 0.2), seed=seed)
 
     def test_grid_must_be_in_unit_interval(self, seed):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got 1.5"):
             ExperimentConfig(lambda_grid=(0.0, 1.5), seed=seed)
+        with pytest.raises(DomainError, match="got nan"):
+            ExperimentConfig(lambda_grid=(0.0, float("nan")), seed=seed)
 
     def test_grid_must_be_nonempty(self, seed):
         with pytest.raises(DomainError):
@@ -197,8 +199,8 @@ class TestEventMoments:
     def test_matches_conditional_corr(self, token, grid):
         event = parse_event(token)
         cfg = ExperimentConfig(n=self.N, lambda_grid=sorted(grid), marginals=self.MARGINS,
-                               seed=self.SEED, event=event)
-        rows = run_figure2(cfg).rows
+                               seed=self.SEED)
+        rows = run_figure2(cfg, event).rows
         assert len(rows) == len(grid)
         for row, lam in zip(rows, cfg.lambda_grid):
             ts = copulas.to_data(copulas.sample_mixture(self.N, lam, self.SEED), *self.MARGINS)
@@ -223,8 +225,8 @@ class TestEventMoments:
         assert np.any(np.diff(edges) == 0)  # the second grid has empty bins
         rows = {
             (token, grid): run_figure2(ExperimentConfig(
-                n=self.BIG_N, lambda_grid=grid, marginals=m, seed=self.SEED,
-                event=parse_event(token))).rows
+                n=self.BIG_N, lambda_grid=grid, marginals=m, seed=self.SEED),
+                parse_event(token)).rows
             for token in self.BIG_EVENTS for grid in self.BIG_GRIDS
         }
         checked = 0
@@ -282,10 +284,9 @@ class TestEventMoments:
         assert sum(sizes) <= 2 * self.BIG_N + len(_DEFAULT_GRID) * band
 
     def test_too_few_event_rows(self, seed):
-        cfg = ExperimentConfig(n=1000, lambda_grid=(0.5,), seed=seed,
-                               event=parse_event("exceed-upper:0.99"))
+        cfg = ExperimentConfig(n=1000, lambda_grid=(0.5,), seed=seed)
         with pytest.raises(InsufficientEventRowsError):
-            run_figure2(cfg)
+            run_figure2(cfg, parse_event("exceed-upper:0.99"))
 
     @pytest.mark.parametrize("rows", [MIN_EVENT_ROWS - 1, MIN_EVENT_ROWS])
     def test_event_row_floor(self, rows, rng):

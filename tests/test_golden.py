@@ -48,12 +48,11 @@ def _verify_digest(stream: int) -> str:
     return hashlib.sha256((text + run_example1(20_000, seed).to_csv()).encode()).hexdigest()
 
 
-def _cfg(marginals="normal,normal,normal", event=None):
+def _cfg(marginals="normal,normal,normal"):
     return ExperimentConfig(
         n=N,
         marginals=tuple(parse_marginal(t) for t in marginals.split(",")),
         seed=SEED,
-        event=parse_event(event) if event else None,
     )
 
 
@@ -62,9 +61,9 @@ def current_outputs() -> dict:
     assert res.exit_code == 0, res.output
     return {
         "figure1": run_figure1(_cfg()).rows,
-        "figure2_downside": run_figure2(_cfg(event="downside")).rows,
+        "figure2_downside": run_figure2(_cfg(), parse_event("downside")).rows,
         "figure2_exceed_upper": run_figure2(
-            _cfg("laplace,normal,exp:2", "exceed-upper:0.9")).rows,
+            _cfg("laplace,normal,exp:2"), parse_event("exceed-upper:0.9")).rows,
         "verify": verify_propositions(N, SEED),
         "sample_csv": res.stdout,
         "verify_example1_sha256": [_verify_digest(stream) for stream in range(5)],
