@@ -395,6 +395,14 @@ def parse_event(token: str) -> EventSpec:
     raise DomainError(f"unknown event token {token!r}")
 
 
+def _below_mean(s, mean=None):
+    """The downside event's rule: which row sums s lie strictly below their
+    sample mean, and that mean.  A given ``mean``, broadcast against s,
+    stands in for it when s holds only some of the sample's rows."""
+    mean = s.mean() if mean is None else mean
+    return s < mean, mean
+
+
 def build_event_mask(
     sample: TriSample,
     spec: EventSpec,
@@ -408,8 +416,7 @@ def build_event_mask(
     given, otherwise from empirical quantiles of the sample itself.
     """
     if spec.kind == "downside":
-        s = sample.x.sum(axis=0)
-        return s < s.mean()
+        return _below_mean(sample.x.sum(axis=0))[0]
 
     x = sample.x[:2]
     if marginals is not None:

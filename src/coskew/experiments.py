@@ -6,10 +6,11 @@ proposition-by-proposition verification suite.
 draw over the lambda grid (:func:`coskew.sweep.mixture_draw`) under the
 configured marginals, whose :class:`~coskew.sweep.MixtureSweep` gives
 each lambda's moments and, for an event, each lambda's event fraction and
-event-conditional moments.  Those come from one mask per distinct lambda
-(``estimators.build_event_mask``), per-bin sums of the rows whose
-membership never moves with lambda, and a per-lambda reduction of the few
-rows whose membership does
+event-conditional moments.  Those come from one mask, the first lambda's
+(``estimators.build_event_mask``), and for the downside event from each
+lambda's threshold, its mean row sum, over two row sums fixed by the draw;
+then from per-bin sums of the rows whose membership never moves with
+lambda, and a per-lambda reduction of the few rows whose membership does
 (:meth:`~coskew.sweep.MixtureSweep.event_moments`).  Pairwise
 correlations and the coskewness use population-normalized standard
 deviations.  Rank statistics use true-CDF ranks, which are the copula

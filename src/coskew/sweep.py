@@ -31,10 +31,15 @@ branch's negated, so that branch's sums follow by sign.  Each lambda's
 moments add the max-branch sums of the bins below it to the min-branch
 sums of the bins above it, centred once: every correlation and coskewness
 lies within 1e-12 of a one-shot reduction of that lambda's sample.  An
-event's conditional moments (:meth:`MixtureSweep.event_moments`) take
-the same per-bin sums, around those rows' own means, over the rows whose
-event membership never moves with lambda.  The band of rows whose
-membership does has its products formed once per branch, and each lambda
+event's masks (:meth:`MixtureSweep.event_moments`) are one mask and
+per-lambda thresholds: ``build_event_mask`` masks the first lambda's
+sample, which is every lambda's mask for an exceedance, and a downside
+row is in a lambda's event when its sum, one of two values fixed by the
+draw, lies below that lambda's mean row sum.  The event's conditional
+moments take the same per-bin sums, around those rows' own means, over the
+rows whose event membership never moves with lambda.  The band of rows
+whose membership does, found among the rows whose sums lie between the
+thresholds, has its products formed once per branch, and each lambda
 adds those of its event rows to its sums before they are centred.  For a
 symmetric marginal F^-1(1-U) is the reflection 2*mean - F^-1(U), which
 equals the direct quantile bit for bit on the samplers' k/2^53 grid;
@@ -54,7 +59,8 @@ import numpy as np
 
 from .analytic import _check_lam
 from .copulas import _OFF_B, sample_max_coskew
-from .estimators import EventSpec, MomentAccumulator, build_event_mask, count_event_rows
+from .estimators import (EventSpec, MomentAccumulator, _below_mean, build_event_mask,
+                         count_event_rows)
 from .marginals import Marginal
 from .samples import SeedSpec, TriSample, substream
 
@@ -262,47 +268,62 @@ class MixtureSweep:
         """The event fraction and a 3-column accumulator of the event rows
         for each lambda, in order.
 
-        Each distinct grid point's mask comes from ``build_event_mask`` on
-        its sample under ``marginals``, and must select MIN_EVENT_ROWS rows
-        (``count_event_rows``).  A row's reference membership is, on the
-        max branch, its mask at its own bin's point, the first that puts it
-        there, and on the min branch its mask at the first point.  The band
-        is the rows whose mask ever differs from their reference.  Every
-        other row in the event by its reference is summed once per branch,
-        in its bin, by the shifted per-bin sums of :meth:`moments`.  The
-        band rows' products are formed once per branch, and each point adds
-        those of the band rows in its event to its two branches' sums
-        (:meth:`_point_moments`), so no row is reduced once per lambda.  An
-        exceedance event does not depend on lambda, so its band is empty.
-        The fractions are each mask's mean, bit for bit; the correlations
-        lie within 1e-12 of a one-shot reduction of each event's rows.
+        One mask comes from ``build_event_mask``: the first grid point's,
+        on its sample under ``marginals``.  An exceedance does not depend
+        on lambda, so that mask is every point's.  A downside row's sum
+        takes one of two values fixed by the draw: s_hi = (x1 + x2) + hi3
+        on the max branch and s_lo = (x1 + x2) + lo3 on the min branch,
+        each its sample's ``x.sum(axis=0)`` (bit for bit, but for the sign
+        of a zero sum, which no compare sees).  So one buffer of row sums
+        takes each point's sample in turn, bin by bin, and each point's mask
+        is the sums below their mean t_g, by the rule that
+        ``build_event_mask`` applies (``estimators._below_mean``).  Every
+        mask must select MIN_EVENT_ROWS rows (``count_event_rows``).
+
+        A row's reference membership is, on the max branch, its mask at
+        its own bin's point, the first that puts it there, and on the min
+        branch its mask at the first point.  Only a row whose s_hi or s_lo
+        lies in [min t_g, max t_g) can differ from its reference, so only
+        those rows are compared with every t_g, and the band is the ones
+        that do differ at some point.  Every other row in the event by its
+        reference is summed once per branch, in its bin, by the shifted
+        per-bin sums of :meth:`moments`.  The band rows' products are formed
+        once per branch, and each point adds those of the band rows in its
+        event to its two branches' sums (:meth:`_point_moments`), so no row
+        is reduced once per lambda.  The fractions are each mask's mean, bit
+        for bit; the correlations lie within 1e-12 of a one-shot reduction
+        of each event's rows.
         """
-        edges, n = self.draw.edges, self.x1.size
-        # one buffer, each point's sample in turn: in ascending grid order
-        # bin g moves from the min branch's x3 to the max branch's at point g
-        ts = TriSample(np.stack([self.x1, self.x2, self.lo3]), self.draw.seed)
-        fractions, flips = [], []
-        for g, rows in enumerate(map(slice, edges[:-2], edges[1:-1])):
-            ts.x[2, rows] = self.hi3[rows]
-            mask = build_event_mask(ts, event, self.marginals)
-            fractions.append(count_event_rows(mask) / n)
-            if g == 0:
-                lo_ref, ref = mask.copy(), mask.copy()
-            # ref: each row's reference at this point, the max branch's on
-            # bins 0..g and the min branch's above
-            ref[rows] = mask[rows]
-            flips.append(np.flatnonzero(mask != ref))
-        if not flips:
+        # bin g joins the max branch at point g; bin G never does
+        bins = list(map(slice, self.draw.edges[:-2], self.draw.edges[1:-1]))
+        if not bins:
             return []
-        band = np.unique(np.concatenate(flips))
-        moved = np.zeros((len(flips), band.size), bool)
-        for g, flip in enumerate(flips):
-            moved[g, np.searchsorted(band, flip)] = True  # flip is a sorted subset of band
-        # [point, band row]: in that point's event, on each branch
-        on_hi = band < edges[1:-1, None]
-        inside = (on_hi & (ref[band] != moved), ~on_hi & (lo_ref[band] != moved))
+        ts = TriSample(np.stack([self.x1, self.x2, self.lo3]), self.draw.seed)
+        ts.x[2, bins[0]] = self.hi3[bins[0]]
+        ref = build_event_mask(ts, event, self.marginals)
+        lo_ref, fractions = ref.copy(), [count_event_rows(ref) / ref.size] * len(bins)
+        # [point, band row]: on the max branch, and in that point's event
+        band, (on_hi, inside) = np.empty(0, np.intp), np.empty((2, len(bins), 0), bool)
+        if event.kind == "downside":
+            # the masked sample's last two rows become each point's row sums
+            # in turn and the min branch's s_lo; both start as point 0's,
+            # which are s_lo off bin 0, a bin never on the min branch
+            s, s_lo = sums = ts.x[1:]
+            sums[:], t = ts.x.sum(axis=0), np.empty((len(bins), 1))
+            for g, rows in enumerate(bins):
+                s[rows] = self.x1[rows] + self.x2[rows] + self.hi3[rows]  # s_hi
+                mask, t[g] = _below_mean(s)
+                fractions[g] = count_event_rows(mask) / mask.size
+                ref[rows] = mask[rows]  # the max branch's reference on bins 0..g
+            # s is now s_hi on every bin the max branch reaches; only a row
+            # with a sum in [min t, max t) can leave its reference
+            band = np.flatnonzero(np.any((sums >= t.min()) & (sums < t.max()), axis=0))
+            on_hi = band < self.draw.edges[1:-1, None]
+            inside = _below_mean(np.where(on_hi, s[band], s_lo[band]), t)[0]
+            moved = np.any(inside != np.where(on_hi, ref[band], lo_ref[band]), axis=0)
+            band, on_hi, inside = band[moved], on_hi[:, moved], inside[:, moved]
         ref[band] = lo_ref[band] = False  # the core: rows that never move
-        at_point = self._point_moments(ref, lo_ref, (band, *inside))
+        at_point = self._point_moments(ref, lo_ref, (band, on_hi & inside, ~on_hi & inside))
         return [(fractions[g], at_point[g]) for g in self.draw.points]
 
 

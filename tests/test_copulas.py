@@ -5,11 +5,13 @@ import re
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 import coskew.sweep
@@ -531,6 +533,59 @@ class TestMomentKernel:
         for (fraction, acc), ref, mask in zip(sweep.event_moments(event), refs, masks):
             assert fraction == mask.mean()
             np.testing.assert_allclose(_stats(acc), ref[4:], rtol=0, atol=1e-12)
+
+
+class TestEventThresholds:
+    # event_moments' downside masks rest on two identities: a (3, n) row sum
+    # is ((x1 + x2) + x3), so each branch's row sums are fixed by the draw,
+    # and each point's threshold is then its own sample's mean row sum.
+    # numpy's reduction starts from +0.0, so a row of three -0.0 sums to
+    # +0.0 where (x1 + x2) + x3 is -0.0: no compare with a threshold, and no
+    # mean that is not zero, tells the two apart
+    N_SIZES = (1000, 16383, 16385)
+    MARGINS = ("normal,normal,normal", "t:5,laplace,exp:2")
+
+    @given(x=hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 300)),
+                        elements=st.floats(-1e300, 1e300)))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_row_sum_is_left_to_right(self, x):
+        a, b, c = x.copy()
+        got, want = np.stack([a, b, c]).sum(axis=0), (a + b) + c
+        assert np.array_equal(got, want)
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+    @given(n=st.sampled_from(N_SIZES + (8192, 8193, 100_003)), seed=st.integers(0, 2**32 - 1),
+           scales=st.lists(st.integers(-60, 60), min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_long_stacked_row_sum_is_left_to_right(self, n, seed, scales):
+        # past numpy's reduction buffer, on columns of unequal scale
+        x = np.random.default_rng(seed).standard_normal((3, n)) * np.ldexp(1.0, scales)[:, None]
+        a, b, c = x
+        assert x.sum(axis=0).tobytes() == ((a + b) + c).tobytes()
+
+    @given(n=st.sampled_from(N_SIZES), margins=st.sampled_from(MARGINS),
+           grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example(n=1000, margins="normal,normal,normal", grid=[0.0])
+    @example(n=16383, margins="t:5,laplace,exp:2", grid=[1.0])
+    @example(n=16385, margins="normal,normal,normal", grid=[0.0, 0.3, 0.3, 1.0])
+    @example(n=16385, margins="t:5,laplace,exp:2", grid=[0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9])
+    @settings(max_examples=30, deadline=None)
+    def test_each_threshold_is_its_samples_mean_row_sum(self, n, margins, grid):
+        m = tuple(map(parse_marginal, margins.split(",")))
+        sweep = mixture_draw(n, grid, _KERNEL_SEED).with_marginals(m)
+        thresholds, below_mean = [], coskew.sweep._below_mean
+
+        def recorded(s, mean=None):
+            mask, t = below_mean(s, mean)
+            if mean is None:  # a point's own threshold, not the band's compare
+                thresholds.append(t)
+            return mask, t
+
+        with mock.patch.object(coskew.sweep, "_below_mean", recorded):
+            sweep.event_moments(parse_event("downside"))
+        assert len(thresholds) == sweep.draw.grid.size
+        for g, ts in zip(sweep.draw.points, lambda_samples(sweep)):
+            assert np.float64(thresholds[g]).tobytes() == ts.x.sum(axis=0).mean().tobytes()
 
 
 def _fsum_stats(x):

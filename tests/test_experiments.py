@@ -178,9 +178,9 @@ class TestFigure2:
 
 
 class TestEventMoments:
-    # figure2 takes each lambda's event mask from the sweep's bin-ordered
-    # buffer and its three conditional correlations from one 3-column
-    # accumulator over the event rows.  The oracle is the row-order path:
+    # figure2 takes each lambda's event membership from the sweep's
+    # bin-ordered row sums and its three conditional correlations from one
+    # 3-column accumulator over the event rows.  The oracle is the row-order path:
     # the lambda's own sample, its mask and conditional_corr per pair.  The
     # grids share TestSweepMoments' draw and points: duplicates, empty bins
     # and rows exactly on a bin edge
@@ -263,25 +263,55 @@ class TestEventMoments:
         points = np.arange(len(_DEFAULT_GRID))[:, None]
         hi_ref = masks[np.minimum(bins, len(_DEFAULT_GRID) - 1), np.arange(self.BIG_N)]
         ref = np.where(bins <= points, hi_ref, masks[0])
-        band = int(np.count_nonzero(np.any(masks != ref, axis=0)))
+        band_rows = np.flatnonzero(np.any(masks != ref, axis=0))
+        band = band_rows.size
         if token != "downside":
             assert band == 0  # exceedance thresholds do not move with lambda
 
         # the rows whose products the moment kernel forms, one call per
-        # block of a bin and one per branch for the band
-        sizes = []
+        # block of a bin and one per branch for the band, and the band the
+        # event pass hands the kernel
+        sizes, passed = [], []
         third_rows = coskew.sweep._third_rows
+        point_moments = coskew.sweep.MixtureSweep._point_moments
 
         def counted(y, x3, shift):
             sizes.append(np.size(x3))
             return third_rows(y, x3, shift)
 
+        def captured(self, hi_keep, lo_keep, band):
+            passed.append(band[0])
+            return point_moments(self, hi_keep, lo_keep, band)
+
         monkeypatch.setattr(coskew.sweep, "_third_rows", counted)
+        monkeypatch.setattr(coskew.sweep.MixtureSweep, "_point_moments", captured)
         sweep.event_moments(event)
+        np.testing.assert_array_equal(passed[0], band_rows)
         assert sizes and max(sizes) <= np.diff(edges).max() + band
         # each row is reduced at most once per branch, and each band row
         # at most once per point
         assert sum(sizes) <= 2 * self.BIG_N + len(_DEFAULT_GRID) * band
+
+    @pytest.mark.parametrize("token", ["downside", "exceed-upper:0.9"])
+    def test_event_pass_builds_one_mask(self, token, monkeypatch):
+        # the first grid point's; every other point's downside mask comes
+        # from its row sums' threshold
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_event_mask(*args)
+
+        monkeypatch.setattr(coskew.sweep, "build_event_mask", counted)
+        sweep = mixture_draw(20_000, _DEFAULT_GRID, self.SEED).with_marginals(self.MARGINS)
+        assert len(sweep.event_moments(parse_event(token))) == len(_DEFAULT_GRID)
+        assert len(calls) == 1
+
+    def test_an_empty_event_names_its_row_count(self):
+        sweep = mixture_draw(2000, _DEFAULT_GRID, self.SEED).with_marginals(self.MARGINS)
+        with pytest.raises(InsufficientEventRowsError,
+                           match=f"^event selects 0 rows; need at least {MIN_EVENT_ROWS}$"):
+            sweep.event_moments(parse_event("exceed-upper:0.9999"))
 
     def test_too_few_event_rows(self, seed):
         cfg = ExperimentConfig(n=1000, lambda_grid=(0.5,), seed=seed)

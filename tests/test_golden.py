@@ -4,8 +4,9 @@ The reference file pins the primary output of the experiment drivers and
 the sample writer at n = 2000, seed 7, so a refactor can show that it keeps
 the statistics.  Floats compare within 1e-12 absolute and everything else
 (keys, strings, flags, the CSV header) compares exactly.  It also pins the
-bytes of verify's records and example1's CSV on streams 0-4 at n = 20000,
-seed 7, as sha256 digests.
+bytes of verify's records and example1's CSV, and of `coskew figure2
+--deterministic --format json` for three events, margins and grids, on
+streams 0-4 at n = 20000, seed 7, as sha256 digests.
 
 Regenerate the reference (only when an output change is intended and stated):
 
@@ -48,6 +49,25 @@ def _verify_digest(stream: int) -> str:
     return hashlib.sha256((text + run_example1(20_000, seed).to_csv()).encode()).hexdigest()
 
 
+# figure2's digested runs: the downside event on normal margins and, on a
+# 1001-point grid, on mixed ones, and an exceedance
+FIGURE2_DIGESTS = {
+    "downside": [],
+    "downside_mixed_g1001": [
+        "--marginals", "t:5,laplace,exp:2",
+        "--lambda-grid", ",".join(str(k / 1000) for k in range(1001))],
+    "exceed_upper": ["--marginals", "laplace,normal,exp:2", "--event", "exceed-upper:0.9"],
+}
+
+
+def _figure2_digest(args, stream: int) -> str:
+    """sha256 of `coskew figure2 --deterministic --format json` with args."""
+    res = CliRunner().invoke(main, ["figure2", "--n", "20000", "--seed", "7", "--stream",
+                                    str(stream), "--deterministic", "--format", "json", *args])
+    assert res.exit_code == 0, res.output
+    return hashlib.sha256(res.stdout.encode()).hexdigest()
+
+
 def _cfg(marginals="normal,normal,normal"):
     return ExperimentConfig(
         n=N,
@@ -67,6 +87,8 @@ def current_outputs() -> dict:
         "verify": verify_propositions(N, SEED),
         "sample_csv": res.stdout,
         "verify_example1_sha256": [_verify_digest(stream) for stream in range(5)],
+        "figure2_sha256": {key: [_figure2_digest(args, stream) for stream in range(5)]
+                           for key, args in FIGURE2_DIGESTS.items()},
     }
 
 
