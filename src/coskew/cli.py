@@ -6,6 +6,12 @@ data stream stays machine-readable.  With a fixed --seed the primary
 output is byte-identical across runs; the report commands' --deterministic
 additionally drops the runtime field from the metadata.
 
+Every --copula, --marginals and --event token has one grammar,
+``name[:n1,n2,...]`` (``coskew.marginals.split_token``): case and
+surrounding blanks do not matter, a kind that takes no number takes no
+":", and a ":" needs all of its kind's numbers.  ``exp`` alone has rate 1;
+``exp:`` and a stray parameter such as ``max:0.7`` are usage errors.
+
 Exit codes: 0 on success; 2 on a usage error (a bad token, seed, stream,
 path, CSV input or experiment configuration), raised before any work
 starts; 1 when the library raises a ``CoskewError`` on valid input, or

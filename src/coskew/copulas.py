@@ -17,14 +17,13 @@ grid from one draw on that coupling.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import _check_lam, corr_det
 from .errors import DomainError, InvalidCorrelationError
-from .marginals import Marginal, norm_cdf, token_float, token_number
+from .marginals import Marginal, check_kind, format_token, norm_cdf, split_token
 from .samples import U_MIN, SeedSpec, TriSample, USample, substream, uniform_open
 
 __all__ = [
@@ -91,7 +90,7 @@ class GaussianParams:
 class CopulaSpec:
     """Tagged description of one dependence structure.
 
-    kind is one of the copula kinds (the keys of ``_SAMPLERS``).  lam is
+    kind is one of the copula kinds (the keys of ``_KINDS``).  lam is
     set for "mixture" only, and gaussian, its GaussianParams, for
     "gaussian" only.
     """
@@ -101,55 +100,28 @@ class CopulaSpec:
     gaussian: GaussianParams | None = None
 
     def __post_init__(self):
-        if self.kind not in _SAMPLERS:
-            raise DomainError(f"unknown copula kind {self.kind!r}")
+        check_kind(_NUMBERS, "copula kind", self.kind, self._numbers)
         if self.kind == "mixture":
-            if self.lam is None:
-                raise DomainError("mixture needs a lambda")
             _check_lam(self.lam)
-        elif self.lam is not None:
-            raise DomainError(f"{self.kind} copula takes no lambda")
-        if self.kind == "gaussian":
-            if self.gaussian is None:
-                raise DomainError("gaussian copula needs correlation parameters")
-        elif self.gaussian is not None:
-            raise DomainError(f"{self.kind} copula takes no correlation parameters")
 
     @property
     def token(self) -> str:
-        if self.kind == "mixture":
-            return f"mixture:{token_number(self.lam)}"
-        if self.kind == "gaussian":
-            g = self.gaussian
-            return "gaussian:" + ",".join(map(token_number, (g.rho12, g.rho13, g.rho23)))
-        return self.kind
+        return format_token(self.kind, self._numbers)
 
-    def __str__(self) -> str:
-        return self.token
+    @property
+    def _numbers(self) -> tuple:
+        lam = () if self.lam is None else (self.lam,)
+        g = self.gaussian
+        return lam if g is None else lam + (g.rho12, g.rho13, g.rho23)
 
 
 def parse_copula(token: str) -> CopulaSpec:
     """Parse a CLI token such as "max", "mixture:0.25" or
-    "gaussian:0.8,0.5,0.3".  A kind without parameters takes no ":"."""
-    token = token.strip().lower()
-    name, colon, arg = token.partition(":")
-    if name == "mixture":
-        if not arg:
-            raise DomainError("mixture token needs a lambda, e.g. 'mixture:0.25'")
-        return CopulaSpec("mixture", lam=token_float(arg, token))
+    "gaussian:0.8,0.5,0.3"."""
+    name, numbers = split_token(token, _NUMBERS, "copula")
     if name == "gaussian":
-        parts = re.split(r"[,;]", arg) if arg else []
-        if len(parts) != 3:
-            raise DomainError(
-                "gaussian token needs three correlations, e.g. 'gaussian:0.8,0.5,0.3'"
-            )
-        r12, r13, r23 = (token_float(s, token) for s in parts)
-        return CopulaSpec("gaussian", gaussian=GaussianParams(r12, r13, r23))
-    if name not in _SAMPLERS:
-        raise DomainError(f"unknown copula token {token!r}")
-    if colon:
-        raise DomainError(f"copula {name!r} takes no parameter, got {token!r}")
-    return CopulaSpec(name)
+        return CopulaSpec(name, gaussian=GaussianParams(*numbers))
+    return CopulaSpec(name, *numbers)
 
 
 def _check_n(n: int) -> int:
@@ -282,25 +254,26 @@ def sample_gaussian(
     return USample(norm_cdf(gaussian_correlate(gaussian_z(n, seed), params)), seed)
 
 
-# The copula kinds and their samplers.  "mixture" samples at its
-# CopulaSpec's lam and "gaussian" at its GaussianParams; the rest take n and
-# the seed alone.
-_SAMPLERS = {
-    "comonotonic": sample_comonotonic,
-    "independence": sample_independence,
-    "max": sample_max_coskew,
-    "min": sample_min_coskew,
-    "mixture": sample_mixture,
-    "mixingsum": sample_mixing_sum,
-    "gaussian": sample_gaussian,
+# The copula kinds: each kind's sampler and the names of its token's
+# numbers.  "mixture" samples at its CopulaSpec's lam and "gaussian" at its
+# GaussianParams; the rest take n and the seed alone.
+_KINDS = {
+    "comonotonic": (sample_comonotonic, ()),
+    "independence": (sample_independence, ()),
+    "max": (sample_max_coskew, ()),
+    "min": (sample_min_coskew, ()),
+    "mixture": (sample_mixture, ("lam",)),
+    "mixingsum": (sample_mixing_sum, ()),
+    "gaussian": (sample_gaussian, ("rho12", "rho13", "rho23")),
 }
+_NUMBERS = {kind: names for kind, (_, names) in _KINDS.items()}  # for split_token
 
 
 def sample(spec: CopulaSpec, n: int, seed: SeedSpec = SeedSpec()) -> USample:
     """Dispatch on a CopulaSpec: its kind's sampler, given its parameter if
     it has one."""
     params = [p for p in (spec.lam, spec.gaussian) if p is not None]
-    return _SAMPLERS[spec.kind](n, *params, seed)
+    return _KINDS[spec.kind][0](n, *params, seed)
 
 
 def to_data(us: USample, m1: Marginal, m2: Marginal, m3: Marginal) -> TriSample:

@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     InsufficientEventRowsError,
 )
-from .marginals import Marginal, token_float, token_number
+from .marginals import Marginal, check_kind, format_token, split_token
 from .samples import TriSample
 
 __all__ = [
@@ -362,37 +362,28 @@ class EventSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("downside", "exceed-upper", "exceed-lower"):
-            raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind == "downside":
-            if self.p is not None:
-                raise DomainError("the downside event takes no p")
-        elif self.p is None or not 0.0 < self.p < 1.0:
+        check_kind(_EVENTS, "event kind", self.kind, self._numbers)
+        if self._numbers and not 0.0 < self.p < 1.0:
             raise DomainError("exceedance events need p in (0, 1)")
 
     @property
     def token(self) -> str:
-        if self.kind == "downside":
-            return "downside"
-        return f"{self.kind}:{token_number(self.p)}"
+        return format_token(self.kind, self._numbers)
 
-    def __str__(self) -> str:
-        return self.token
+    @property
+    def _numbers(self) -> tuple:
+        return () if self.p is None else (self.p,)
+
+
+# Each event kind and the names of its token's numbers: the list of kinds
+# that EventSpec and parse_event read.
+_EVENTS = {"downside": (), "exceed-upper": ("p",), "exceed-lower": ("p",)}
 
 
 def parse_event(token: str) -> EventSpec:
     """Parse "downside", "exceed-upper:p" or "exceed-lower:p"."""
-    token = token.strip().lower()
-    name, colon, arg = token.partition(":")
-    if name == "downside":
-        if colon:
-            raise DomainError(f"the downside event takes no parameter, got {token!r}")
-        return EventSpec("downside")
-    if name in ("exceed-upper", "exceed-lower"):
-        if not arg:
-            raise DomainError(f"{name} needs a probability, e.g. '{name}:0.9'")
-        return EventSpec(name, p=token_float(arg, token))
-    raise DomainError(f"unknown event token {token!r}")
+    name, numbers = split_token(token, _EVENTS, "event")
+    return EventSpec(name, *numbers)
 
 
 def _below_mean(s, mean=None):

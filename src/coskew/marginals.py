@@ -23,6 +23,7 @@ import contextvars
 import functools
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass
 
@@ -122,13 +123,51 @@ def token_number(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def token_float(text: str, token: str) -> float:
-    """The number a token's parameter text spells; DomainError naming the
-    token when it spells none."""
-    try:
-        return float(text)
-    except ValueError:
-        raise DomainError(f"{text.strip()!r} in token {token!r} is not a number") from None
+def split_token(token: str, kinds, what: str, defaults=None) -> tuple[str, tuple[float, ...]]:
+    """The name and numbers of a CLI token ``name[:n1,n2,...]``.
+
+    The token is stripped and lower-cased, and its numbers follow the ":",
+    separated by "," or ";".  kinds maps each known name to the names of
+    the numbers it takes; a name with none takes no ":".  A name in
+    ``defaults`` may also stand alone, for the numbers ``defaults`` gives
+    it.  An unknown name, a wrong count of numbers and a number that does
+    not parse raise DomainError naming the token; what ("marginal",
+    "copula", "event") names the kind of token.
+    """
+    token = token.strip().lower()
+    name, colon, arg = token.partition(":")
+    if name not in kinds:
+        raise DomainError(f"unknown {what} token {token!r}")
+    if not colon and name in (defaults or {}):
+        return name, defaults[name]
+    parts = re.split("[,;]", arg) if arg else []
+    if len(parts) != len(kinds[name]) or colon and not arg:  # "normal:" too
+        takes = ", ".join(kinds[name]) or "no parameter"
+        raise DomainError(f"{what} {name!r} takes {takes}, got {token!r}")
+    numbers = []
+    for text in parts:
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            raise DomainError(f"{text.strip()!r} in token {token!r} is not a number") from None
+    return name, tuple(numbers)
+
+
+def format_token(name: str, numbers=()) -> str:
+    """The token ``name[:n1,n2,...]`` that :func:`split_token` reads back,
+    each number written by :func:`token_number`."""
+    return f"{name}:{','.join(map(token_number, numbers))}" if numbers else name
+
+
+def check_kind(kinds, what: str, kind: str, numbers) -> None:
+    """DomainError unless kind is a key of kinds, the table that
+    :func:`split_token` reads, and numbers, the parameters a spec of that
+    kind holds, are as many as kinds[kind] names."""
+    if kind not in kinds:
+        raise DomainError(f"unknown {what} {kind!r}")
+    if len(numbers) != len(kinds[kind]):
+        takes = ", ".join(kinds[kind]) or "no parameter"
+        raise DomainError(f"{what} {kind!r} takes {takes}, got {numbers}")
 
 
 def _check_prob_open(p, name="p"):
@@ -138,13 +177,19 @@ def _check_prob_open(p, name="p"):
         raise DomainError(f"{name} must lie strictly inside (0, 1)")
 
 
+# Each family and the parameter its token's one number sets, if it takes
+# one: the list of families that Marginal and parse_marginal read.
+_FAMILIES = {"normal": (), "uniform": (), "laplace": (), "t": ("df",), "exp": ("rate",)}
+
+
 @dataclass(frozen=True)
 class Marginal:
     """One univariate marginal distribution.
 
-    family is one of "normal", "uniform", "laplace", "t", "exp"; df applies
-    to "t" (requires df > 3) and rate to "exp" (requires rate > 0, and a
-    finite quantile at the top of the samplers' grid, 1 - 2^-53).
+    family is one of "normal", "uniform", "laplace", "t", "exp"; df is set
+    for "t" only (requires df > 3) and rate for "exp" only (requires
+    rate > 0, and a finite quantile at the top of the samplers' grid,
+    1 - 2^-53).
     """
 
     family: str
@@ -152,8 +197,7 @@ class Marginal:
     rate: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("normal", "uniform", "laplace", "t", "exp"):
-            raise DomainError(f"unknown marginal family {self.family!r}")
+        check_kind(_FAMILIES, "marginal family", self.family, self._numbers)
         if self.family == "t":
             if self.df is None or not (math.isfinite(self.df) and self.df > 3.0):
                 raise DomainError(
@@ -307,14 +351,11 @@ class Marginal:
 
     @property
     def token(self) -> str:
-        if self.family == "t":
-            return f"t:{token_number(self.df)}"
-        if self.family == "exp":
-            return f"exp:{token_number(self.rate)}"
-        return self.family
+        return format_token(self.family, self._numbers)
 
-    def __str__(self) -> str:
-        return self.token
+    @property
+    def _numbers(self) -> tuple:
+        return tuple(v for v in (self.df, self.rate) if v is not None)
 
 
 def standard_normal() -> Marginal:
@@ -339,19 +380,6 @@ def exponential(rate: float = 1.0) -> Marginal:
 
 def parse_marginal(token: str) -> Marginal:
     """Parse a CLI token: "normal", "uniform", "laplace", "t:5", "exp:1".
-    "exp" alone has rate 1; the other families without a parameter take no
-    ":"."""
-    token = token.strip().lower()
-    name, colon, arg = token.partition(":")
-    if name == "t":
-        if not arg:
-            raise DomainError("t marginal needs degrees of freedom, e.g. 't:5'")
-        return student_t(token_float(arg, token))
-    if name == "exp":
-        return exponential(token_float(arg, token) if arg else 1.0)
-    plain = {"normal": standard_normal, "uniform": uniform01, "laplace": laplace}
-    if name not in plain:
-        raise DomainError(f"unknown marginal token {token!r}")
-    if colon:
-        raise DomainError(f"marginal {name!r} takes no parameter, got {token!r}")
-    return plain[name]()
+    "exp" alone has rate 1."""
+    name, numbers = split_token(token, _FAMILIES, "marginal", {"exp": (1.0,)})
+    return Marginal(name, **dict(zip(_FAMILIES[name], numbers)))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from coskew import marginals
+from coskew import copulas, estimators, marginals
 from coskew.errors import DomainError, UnsupportedMarginalError
 from coskew.marginals import (
     Marginal,
@@ -287,7 +287,10 @@ class TestConstruction:
             parse_marginal(token)
 
     def test_exp_without_a_rate_has_rate_one(self):
-        assert parse_marginal("exp") == parse_marginal("exp:") == exponential(1.0)
+        assert parse_marginal("exp") == exponential(1.0)
+        # "exp:" holds a ":" and no number, like every other "name:"
+        with pytest.raises(DomainError):
+            parse_marginal("exp:")
 
     def test_student_t_sd(self):
         assert student_t(5).sd == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-15)
@@ -295,6 +298,59 @@ class TestConstruction:
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
             Marginal("weibull")
+
+    @pytest.mark.parametrize("kwargs", [{"family": "normal", "df": 5.0},
+                                        {"family": "uniform", "rate": 1.0},
+                                        {"family": "t", "df": 5.0, "rate": 2.0}])
+    def test_a_family_refuses_a_parameter_it_does_not_take(self, kwargs):
+        # each would print a token ("normal", "uniform", "t:5") that reparses
+        # to a different marginal
+        with pytest.raises(DomainError, match=f"marginal family '{kwargs['family']}' takes"):
+            Marginal(**kwargs)
+
+
+# -- one grammar for every token ---------------------------------------------------
+
+# each parser, what its errors call its tokens, and one valid token per kind
+PARSERS = [
+    (parse_marginal, "marginal", ["normal", "uniform", "laplace", "t:5", "exp:2"]),
+    (copulas.parse_copula, "copula", ["comonotonic", "independence", "max", "min",
+                                      "mixture:0.5", "mixingsum", "gaussian:0.8,0.5,0.3"]),
+    (estimators.parse_event, "event", ["downside", "exceed-upper:0.9", "exceed-lower:0.3"]),
+]
+KINDS = [(parse, what, token) for parse, what, tokens in PARSERS for token in tokens]
+# a token with one number too many or too few for its kind
+WRONG_COUNT = {"t:5": "t:5,6", "exp:2": "exp:2,3", "mixture:0.5": "mixture:0.1,0.2",
+               "gaussian:0.8,0.5,0.3": "gaussian:0.1,0.2",
+               "exceed-upper:0.9": "exceed-upper:0.5,0.6", "exceed-lower:0.3": "exceed-lower:0.5;0.6"}
+
+
+def test_the_grammar_covers_every_kind():
+    tables = {"marginal": marginals._FAMILIES, "copula": copulas._NUMBERS,
+              "event": estimators._EVENTS}
+    for _, what, tokens in PARSERS:
+        assert [t.partition(":")[0] for t in tokens] == list(tables[what])
+
+
+@pytest.mark.parametrize("parse, what, token", KINDS)
+def test_every_kind_follows_one_grammar(parse, what, token):
+    name, _, numbers = token.partition(":")
+    with pytest.raises(DomainError):
+        parse(f"{name}:")
+    assert parse(f"  {token.upper()}\t") == parse(token)
+    if not numbers:
+        with pytest.raises(DomainError, match=f"takes no parameter, got '{name}:0.5'"):
+            parse(f"{name}:0.5")
+    else:
+        bad = WRONG_COUNT[token]
+        with pytest.raises(DomainError, match=f"^{what} '{name}' takes .+, got {re.escape(repr(bad))}$"):
+            parse(bad)
+
+
+@pytest.mark.parametrize("parse, what", [(parse, what) for parse, what, _ in PARSERS])
+def test_an_unknown_name_is_named_by_its_parser(parse, what):
+    with pytest.raises(DomainError, match=f"^unknown {what} token 'bogus:1'$"):
+        parse(" Bogus:1 ")
 
 
 # -- one slice per usable CPU ----------------------------------------------------
