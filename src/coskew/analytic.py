@@ -49,12 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidCorrelationError,
-    QuadratureError,
-    UnsupportedMarginalError,
-)
+from .errors import DomainError, InvalidCorrelationError, QuadratureError
 from .marginals import Marginal
 
 __all__ = [
@@ -118,14 +113,11 @@ class BoundsResult:
 
 
 def coskew_bound(m1: Marginal, m2: Marginal, m3: Marginal) -> BoundsResult:
-    """Coskewness bounds for three symmetric marginals by adaptive quadrature."""
-    margins = (m1, m2, m3)
-    for m in margins:
-        if not m.symmetric:
-            raise UnsupportedMarginalError(
-                f"coskewness bounds need symmetric marginals; {m.token} is not"
-            )
+    """Coskewness bounds for three symmetric marginals by adaptive quadrature.
 
+    A non-symmetric marginal is refused by the first integrand call, through
+    ``Marginal.abs_std_tail_quantile``."""
+    margins = (m1, m2, m3)
     tail, tail_err = _pareto_tail(margins, float(_integrand(margins, TAIL_CUTOFF)))
     value, abserr, points = _panel_quadrature(margins, tail)
     value += tail

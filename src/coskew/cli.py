@@ -55,16 +55,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"--lambda-grid must be comma-separated reals: {text!r}")
 
 
-def _optional(parse):
-    """``parse`` for an option that may be left out: only an unset option
-    parses to None; empty text goes to ``parse``, which rejects it."""
-    return lambda text: None if text is None else parse(text)
-
-
 def _token(parse):
     """Option callback that parses the option's text with ``parse``; a token
-    the parser rejects is a usage error carrying the parser's message."""
+    the parser rejects is a usage error carrying the parser's message.  Only
+    an unset option gives None; empty text goes to ``parse``, which rejects
+    it."""
     def callback(ctx, param, text):
+        if text is None:
+            return None
         try:
             return parse(text)
         except (CoskewError, ValueError) as exc:
@@ -81,7 +79,7 @@ def _output_check(dir_ok: bool):
     """``--output`` callback: stdout, or a path whose parent directory
     exists.  Report commands (``dir_ok``) also take a directory, which need
     not exist yet if its parent does, but may not be an existing file; file
-    outputs refuse one."""
+    outputs refuse one, existing or named by a trailing separator."""
     def callback(ctx, param, output):
         if output == "-" or (dir_ok and Path(output).is_dir()):
             return output
@@ -137,7 +135,6 @@ def _seed_options(f):
 _format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                               default="csv", show_default=True)
 _file_output = click.option("--output", default="-", show_default=True,
-                            type=click.Path(dir_okay=False, allow_dash=True),
                             callback=_output_check(dir_ok=False),
                             help="Output file, or '-' for stdout.")
 
@@ -220,10 +217,10 @@ def sample_cmd(spec, marginals, n, seed, stream, output, fmt):
 @click.option("--input", "input_path", default="-",
               type=click.Path(exists=True, dir_okay=False, allow_dash=True),
               help="CSV file with a header row; '-' reads stdin.")
-@click.option("--marginals", callback=_token(_optional(_parse_marginals)),
+@click.option("--marginals", callback=_token(_parse_marginals),
               help="If given, rank statistics use these true CDFs instead of "
                    "empirical ranks.")
-@click.option("--event", callback=_token(_optional(estimators.parse_event)),
+@click.option("--event", callback=_token(estimators.parse_event),
               help="downside | exceed-upper:p | exceed-lower:p")
 @_file_output
 def stats_cmd(input_path, marginals, event, output):

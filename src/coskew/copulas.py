@@ -100,6 +100,8 @@ class CopulaSpec:
     gaussian: GaussianParams | None = None
 
     def __post_init__(self):
+        if not isinstance(self.gaussian, (GaussianParams, type(None))):
+            raise DomainError(f"gaussian must be a GaussianParams, got {self.gaussian!r}")
         check_kind(_NUMBERS, "copula kind", self.kind, self._numbers)
         if self.kind == "mixture":
             _check_lam(self.lam)

@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     InsufficientEventRowsError,
 )
-from .marginals import Marginal, check_kind, format_token, split_token
+from .marginals import Marginal, _check_prob_open, check_kind, format_token, split_token
 from .samples import TriSample
 
 __all__ = [
@@ -363,8 +363,8 @@ class EventSpec:
 
     def __post_init__(self):
         check_kind(_EVENTS, "event kind", self.kind, self._numbers)
-        if self._numbers and not 0.0 < self.p < 1.0:
-            raise DomainError("exceedance events need p in (0, 1)")
+        if self._numbers:
+            _check_prob_open(self.p, "exceedance p")
 
     @property
     def token(self) -> str:

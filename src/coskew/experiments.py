@@ -213,11 +213,21 @@ def run_figure2(cfg: ExperimentConfig,
     return _run_sweep("figure2", cfg, cfg.lambda_grid, event)
 
 
-# Rank correlations printed alongside the mixing copula in the worked example
-# of the source material; direct integration gives -1/2 for every pair
-# (matching Var(U1+U2+U3) = 0), so these stated values are flagged instead
-# of asserted.
-_MIXING_SUM_STATED = {"rho12_s": -1.0, "rho13_s": 1.0, "rho23_s": -1.0, "rs": 0.0}
+# example1's reference values, per copula: the exact rank statistics
+# (rho12_s, rho13_s, rho23_s, rs), and the pairwise rank correlations that
+# the worked example of the source material states, where they differ.
+# The mixing copula is U2 = 1 - 2U, U3 = U + 1/2 on [0, 1/2] and
+# U2 = 2 - 2U, U3 = U - 1/2 on [1/2, 1]; with a = U - 1/2 every centred
+# coordinate is linear in a on each half.  Each half gives -1/48 to every
+# pairwise E[(Ui - 1/2)(Uj - 1/2)], so each Spearman rho is 12 * (-1/24) =
+# -1/2, as Var(U + U2 + U3) = 0 forces, and 0 to
+# E[(U - 1/2)(U2 - 1/2)(U3 - 1/2)], so the rank coskewness is 0.  The
+# stated -1, 1, -1 are therefore flagged instead of asserted.
+_EXAMPLE1 = {
+    "comonotonic": ((1.0, 1.0, 1.0, 0.0), None),
+    "mixingsum": ((-0.5, -0.5, -0.5, 0.0), (-1.0, 1.0, -1.0)),
+    "independence": ((0.0, 0.0, 0.0, 0.0), None),
+}
 
 
 def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentReport:
@@ -231,35 +241,16 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
     correlations.
     """
     t0 = time.perf_counter()
-    exact = {
-        "comonotonic": {"rho12_s": 1.0, "rho13_s": 1.0, "rho23_s": 1.0, "rs": 0.0},
-        # U2 = 1 - 2U, U3 = U + 1/2 on [0, 1/2] and U2 = 2 - 2U, U3 = U - 1/2
-        # on [1/2, 1]; with a = U - 1/2 every centred coordinate is linear in
-        # a on each half.  Each half gives -1/48 to every pairwise
-        # E[(Ui - 1/2)(Uj - 1/2)], so each Spearman rho is 12 * (-1/24) =
-        # -1/2, as Var(U + U2 + U3) = 0 forces, and 0 to
-        # E[(U - 1/2)(U2 - 1/2)(U3 - 1/2)], so the rank coskewness is 0
-        "mixingsum": {"rho12_s": -0.5, "rho13_s": -0.5, "rho23_s": -0.5, "rs": 0.0},
-        "independence": {"rho12_s": 0.0, "rho13_s": 0.0, "rho23_s": 0.0, "rs": 0.0},
-    }
+    spearman = [f"rho{i + 1}{j + 1}_s" for i, j in _PAIRS]
     rows = []
-    for kind in ("comonotonic", "mixingsum", "independence"):
+    for kind, (exact, stated) in _EXAMPLE1.items():
         ranks = copulas.sample(copulas.CopulaSpec(kind), n, seed).u
-        row = {
-            "copula": kind,
-            "rs_hat": estimators.rank_coskewness(*ranks),
-            "rho12_s_hat": estimators.spearman_rho(ranks[0], ranks[1]),
-            "rho13_s_hat": estimators.spearman_rho(ranks[0], ranks[2]),
-            "rho23_s_hat": estimators.spearman_rho(ranks[1], ranks[2]),
-        }
-        for key, val in exact[kind].items():
-            row[f"{key}_exact"] = val
-        if kind == "mixingsum":
-            row["stated_rank_corr_discrepancy"] = True
-            for key in ("rho12_s", "rho13_s", "rho23_s"):
-                row[f"{key}_stated"] = _MIXING_SUM_STATED[key]
-        else:
-            row["stated_rank_corr_discrepancy"] = False
+        row = {"copula": kind, "rs_hat": estimators.rank_coskewness(*ranks)}
+        row.update({f"{key}_hat": estimators.spearman_rho(ranks[i], ranks[j])
+                    for key, (i, j) in zip(spearman, _PAIRS)})
+        row.update({f"{key}_exact": val for key, val in zip([*spearman, "rs"], exact)})
+        row["stated_rank_corr_discrepancy"] = stated is not None
+        row.update({f"{key}_stated": val for key, val in zip(spearman, stated or ())})
         rows.append(row)
     meta = _base_metadata("example1", n, seed, [exponential(1.0)] * 3)
     meta["runtime_s"] = time.perf_counter() - t0

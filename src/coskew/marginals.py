@@ -9,7 +9,9 @@ bound evaluates it as ``abs_std_tail_quantile(1 - u)``.
 Families: standard normal, Uniform(0,1), unit Laplace, Student t (df > 3 so
 the third absolute moment is finite), Exponential(rate).  The exponential is
 the only non-symmetric family; it exists for rank statistics, where symmetry
-is never assumed, and ``abs_std_quantile`` rejects it.
+is never assumed.  Both |standardized| quantiles refuse it through one
+check, ``Marginal._check_symmetric``, which is how the coskewness bound
+refuses it too.
 
 A quantile or CDF of at least ``2 * _SPLIT_FLOOR`` elements runs one
 contiguous slice per usable CPU (``_elementwise``).  Each element passes
@@ -244,17 +246,13 @@ class Marginal:
     def quantile(self, p):
         """F^{-1}(p) for p strictly inside (0, 1); strictly increasing in p."""
         _check_prob_open(p)
-        p_arr = np.asarray(p, dtype=float)
-        if self.family == "uniform":
-            # memory-bound: a split only slows it
-            out = p_arr.copy()
-        else:
-            out = _elementwise(self._quantile_fn(), p_arr)
-        return float(out) if np.ndim(p) == 0 else out
+        return self._transform(self._quantile_fn(), p)
 
     def _quantile_fn(self):
         if self.family == "normal":
             return special.ndtri
+        if self.family == "uniform":
+            return np.ndarray.copy  # a C-ordered copy, never p itself
         if self.family == "laplace":
             # one logarithm, of the nearer tail, signed by the side of the
             # median: the two-branch form's bits, with +0.0 at p = 1/2
@@ -265,17 +263,13 @@ class Marginal:
 
     def cdf(self, x):
         """F(x); vectorized."""
-        x_arr = np.asarray(x, dtype=float)
-        if self.family == "uniform":
-            # memory-bound: a split only slows it
-            out = np.clip(x_arr, 0.0, 1.0)
-        else:
-            out = _elementwise(self._cdf_fn(), x_arr)
-        return float(out) if np.ndim(x) == 0 else out
+        return self._transform(self._cdf_fn(), x)
 
     def _cdf_fn(self):
         if self.family == "normal":
             return special.ndtr
+        if self.family == "uniform":
+            return lambda x: np.clip(x, 0.0, 1.0)
         if self.family == "laplace":
             def laplace_cdf(x):
                 tail = 0.5 * np.exp(-np.abs(x))  # one exp that never overflows
@@ -285,18 +279,25 @@ class Marginal:
             return functools.partial(special.stdtr, self.df)
         return lambda x: -np.expm1(-self.rate * np.clip(x, 0.0, None))  # exp
 
+    def _transform(self, fn, x):
+        """fn over x as a float array, and a float for a 0-d x.  Uniform's
+        copy and clip are memory-bound, so a split only slows them: they
+        run whole, and every other family's transform runs through
+        _elementwise."""
+        arr = np.asarray(x, dtype=float)
+        out = fn(arr) if self.family == "uniform" else _elementwise(fn, arr)
+        return float(out) if np.ndim(x) == 0 else out
+
     # -- |standardized| quantile -------------------------------------------
 
     def abs_std_quantile(self, u):
         """Quantile of |(X - mu)/sigma| at u in [0, 1).
 
         For a continuous symmetric marginal this is the standardized quantile
-        evaluated at (1 + u)/2.  Non-symmetric marginals are rejected.
+        evaluated at (1 + u)/2.  A non-symmetric marginal is refused
+        (:meth:`_check_symmetric`).
         """
-        if not self.symmetric:
-            raise UnsupportedMarginalError(
-                f"abs_std_quantile needs a symmetric marginal, not {self.family!r}"
-            )
+        self._check_symmetric()
         u_arr = np.asarray(u, dtype=float)
         if u_arr.size and not (u_arr.min() >= 0.0 and u_arr.max() < 1.0):
             raise DomainError("u must lie in [0, 1)")
@@ -314,12 +315,10 @@ class Marginal:
         is inverted with the regularized incomplete beta, which stays
         accurate down to the smallest normal double (scipy's t inverse
         returns -inf below q ~ 1e-270).  As q -> 0 the t value
-        follows the Pareto asymptote ``pareto_scale * q**(-1/df)``.
+        follows the Pareto asymptote ``pareto_scale * q**(-1/df)``.  A
+        non-symmetric marginal is refused (:meth:`_check_symmetric`).
         """
-        if not self.symmetric:
-            raise UnsupportedMarginalError(
-                f"abs_std_tail_quantile needs a symmetric marginal, not {self.family!r}"
-            )
+        self._check_symmetric()
         if self.family == "normal":
             return -special.ndtri(q / 2.0)
         if self.family == "uniform":
@@ -332,6 +331,15 @@ class Marginal:
         z = special.betaincinv(0.5 * self.df, 0.5, q)
         w = special.betainccinv(0.5, 0.5 * self.df, q)
         return np.sqrt(self.df * w / z) / self.sd
+
+    def _check_symmetric(self):
+        """UnsupportedMarginalError, naming the token, unless the marginal is
+        symmetric: the one check behind both |standardized| quantiles, and
+        so behind the coskewness bound."""
+        if not self.symmetric:
+            raise UnsupportedMarginalError(
+                f"coskewness bounds need symmetric marginals; {self.token} is not"
+            )
 
     @property
     def pareto_scale(self) -> float | None:

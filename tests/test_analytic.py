@@ -103,8 +103,15 @@ class TestCoskewBound:
         assert res.s_min == -res.s_max
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(UnsupportedMarginalError):
-            coskew_bound(standard_normal(), exponential(1.0), standard_normal())
+        # one check refuses the bound and both |standardized| quantiles, with
+        # one message that names the marginal's token
+        m = exponential(1.0)
+        for refused in (lambda: coskew_bound(standard_normal(), m, standard_normal()),
+                        lambda: m.abs_std_quantile(0.5),
+                        lambda: m.abs_std_tail_quantile(0.5)):
+            with pytest.raises(UnsupportedMarginalError,
+                               match=r"^coskewness bounds need symmetric marginals; exp:1 is not$"):
+                refused()
 
     def test_normalizer_identity(self):
         # the rank-coskewness normalizer 4*sqrt(3)/9 is exactly 1/s_max for uniforms

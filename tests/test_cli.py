@@ -363,6 +363,7 @@ _ERROR_CASES = [
     (["bounds", "--output", "{tmp}"], 2),
     (["bounds", "--output", "{tmp}/missing/b.json"], 2),
     (["bounds", "--marginals", "exp:1,normal,normal"], 1),
+    (["bounds", "--marginals", "exp,normal,normal"], 1),
     (["figure1", "--lambda-grid", "a,b"], 2),
     (["figure1", "--stream", "-1"], 2),
     (["figure1", "--output", "{tmp}/missing/f.csv"], 2),
@@ -383,6 +384,18 @@ _ERROR_CASES = [
 ]
 
 
+# What a case's message must also say, where one rule owns it: a file output
+# refuses an existing directory and a trailing separator alike, and the
+# bound names the marginal that is not symmetric
+_ERROR_TEXT = {
+    "sample --copula max --output {tmp}": "names a directory",
+    "sample --copula max --output {tmp}/new/": "names a directory",
+    "stats --output {tmp}": "names a directory",
+    "bounds --output {tmp}": "names a directory",
+    "bounds --marginals exp,normal,normal": "symmetric marginals; exp:1 is not",
+}
+
+
 @pytest.mark.parametrize("args,code", _ERROR_CASES,
                          ids=[" ".join(args) for args, _ in _ERROR_CASES])
 def test_error_policy(runner, tmp_path, args, code):
@@ -392,6 +405,7 @@ def test_error_policy(runner, tmp_path, args, code):
     assert res.exit_code == code
     assert isinstance(res.exception, SystemExit)  # a message, never a traceback
     assert "Error:" in res.output
+    assert _ERROR_TEXT.get(" ".join(args), "") in res.output
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -986,6 +986,9 @@ class TestSpecParsing:
             CopulaSpec("max", lam=0.5)
         with pytest.raises(DomainError):
             CopulaSpec("mixture", lam=0.5, gaussian=GaussianParams(0.0, 0.0, 0.0))
+        # a bare triple is refused by name, before the kind check reads it
+        with pytest.raises(DomainError, match=re.escape("got (0.1, 0.2, 0.3)")):
+            CopulaSpec("gaussian", gaussian=(0.1, 0.2, 0.3))
 
     def test_invalid_n(self, seed):
         with pytest.raises(DomainError):

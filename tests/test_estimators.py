@@ -378,8 +378,12 @@ class TestEventMask:
             parse_event("sideways")
         with pytest.raises(DomainError):
             parse_event("exceed-upper")
-        with pytest.raises(DomainError):
-            EventSpec("exceed-upper", p=1.5)
+        # the p range is marginals' probability check, under its own name
+        for bad in (lambda: EventSpec("exceed-upper", p=1.5),
+                    lambda: parse_event("exceed-lower:nan")):
+            with pytest.raises(DomainError,
+                               match=re.escape("exceedance p must lie strictly inside (0, 1)")):
+                bad()
         for bad in ("downside:junk", "downside:0.5", "downside:"):
             with pytest.raises(DomainError, match="takes no parameter"):
                 parse_event(bad)
