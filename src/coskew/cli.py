@@ -56,15 +56,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _token(parse):
-    """Option callback that parses the option's text with ``parse``; a token
-    the parser rejects is a usage error carrying the parser's message.  Only
-    an unset option gives None; empty text goes to ``parse``, which rejects
-    it."""
-    def callback(ctx, param, text):
-        if text is None:
+    """Option callback that parses the option's value with ``parse``; a
+    value the parser rejects is a usage error carrying the parser's message.
+    Only an unset option gives None; empty text goes to ``parse``, which
+    rejects it."""
+    def callback(ctx, param, value):
+        if value is None:
             return None
         try:
-            return parse(text)
+            return parse(value)
         except (CoskewError, ValueError) as exc:
             raise click.UsageError(str(exc)) from exc
     return callback
@@ -153,6 +153,8 @@ _marginals_option = click.option("--marginals", default="normal,normal,normal",
                                  show_default=True, callback=_token(_parse_marginals))
 _grid_option = click.option("--lambda-grid", default=_DEFAULT_GRID_TEXT,
                             show_default=True, callback=_token(_parse_grid))
+_n_option = click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True,
+                         callback=_token(experiments.check_n))
 
 
 class _Main(click.Group):
@@ -306,7 +308,7 @@ def _experiment_config(n, seed, stream, lambda_grid, marginals):
 
 
 @main.command("figure1")
-@click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
+@_n_option
 @_grid_option
 @_marginals_option
 @_seed_options
@@ -319,7 +321,7 @@ def figure1_cmd(n, lambda_grid, marginals, seed, stream, fmt, output, determinis
 
 
 @main.command("figure2")
-@click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
+@_n_option
 @_grid_option
 @_marginals_option
 @click.option("--event", default="downside", show_default=True,
@@ -335,7 +337,7 @@ def figure2_cmd(n, lambda_grid, marginals, event, seed, stream, fmt, output,
 
 
 @main.command("example1")
-@click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
+@_n_option
 @_seed_options
 @_report_options
 def example1_cmd(n, seed, stream, fmt, output, deterministic):
@@ -345,15 +347,15 @@ def example1_cmd(n, seed, stream, fmt, output, deterministic):
 
 
 @main.command("verify")
-@click.option("--n", type=int, default=experiments.DEFAULT_N, show_default=True)
+@_n_option
 @_seed_options
 def verify_cmd(n, seed, stream):
     """Check the eight dependence/coskewness claims; exit 1 on any failure.
 
-    The pass tolerances are fixed numbers that do not scale with --n.  Even
-    at the default n = 100000, P4 fails on about 11% of streams of correct
-    code (22 of 200: seed 1, streams 0-199; no other check failed); at a
-    smaller n a FAIL is likelier still.  See ROADMAP item 5.
+    The pass tolerances are fixed numbers that do not scale with --n, which
+    must be at least 1000.  Even at the default n = 100000, P4 fails on
+    about 11% of streams of correct code (22 of 200: seed 1, streams 0-199;
+    no other check failed).  See ROADMAP item 5.
     """
     records = experiments.verify_propositions(n, SeedSpec(seed, stream))
     failed = 0

@@ -61,6 +61,15 @@ DEFAULT_SEED = 314_159  # fixed so casual runs reproduce; override with --seed
 _DEFAULT_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
+def check_n(n: int) -> int:
+    """n, or DomainError below 1000: the published tolerances of every
+    report (figure1, figure2, example1, verify) assume at least that many
+    rows."""
+    if n < 1000:
+        raise DomainError(f"experiments need n >= 1000 for published tolerances, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one experiment run."""
@@ -75,8 +84,7 @@ class ExperimentConfig:
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self):
-        if self.n < 1000:
-            raise DomainError("experiments need n >= 1000 for published tolerances")
+        check_n(self.n)
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid:
             raise DomainError("lambda grid must be non-empty")
@@ -150,29 +158,34 @@ def _base_metadata(name: str, n: int, seed: SeedSpec, marginals) -> dict:
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_RHO = tuple(f"rho{i + 1}{j + 1}" for i, j in _PAIRS)
 
 
-def _moment_stats(acc: estimators.MomentAccumulator) -> dict:
-    _, r, coskew = acc.standardized()
-    return {"coskewness_hat": coskew,
-            **{f"rho{i + 1}{j + 1}_hat": float(r[i, j]) for i, j in _PAIRS}}
+def _sweep_stats(accs) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, 3) correlations (rho12, rho13, rho23) and the (G,)
+    coskewness of G three-column accumulators, each read through
+    ``standardized()``."""
+    stats = [acc.standardized() for acc in accs]
+    return (np.array([[r[i, j] for i, j in _PAIRS] for _, r, _ in stats]),
+            np.array([coskew for _, _, coskew in stats]))
 
 
 def _sweep_rows(sweep, bounds=None, event=None) -> list[dict]:
     """One report row per lambda of a mixture sweep.  Rows carry the affine
     prediction when bounds are given, and the event fraction plus the three
     event-conditional correlations when an event is given."""
+    rho, coskew = _sweep_stats(sweep.moments())
     rows = []
-    for lam, acc in zip(sweep.draw.lams, sweep.moments()):
-        row = {"lambda": lam, **_moment_stats(acc)}
+    for lam, s, r in zip(sweep.draw.lams, coskew.tolist(), rho.tolist()):
+        row = {"lambda": lam, "coskewness_hat": s, **{f"{k}_hat": v for k, v in zip(_RHO, r)}}
         if bounds is not None:
             row["coskewness_predicted"] = analytic.mixture_prediction(lam, bounds)
         rows.append(row)
     if event is not None:
-        for row, (fraction, acc) in zip(rows, sweep.event_moments(event)):
+        fractions, accs = zip(*sweep.event_moments(event))
+        for row, fraction, r in zip(rows, fractions, _sweep_stats(accs)[0].tolist()):
             row["event_fraction"] = fraction
-            r = acc.standardized()[1]
-            row.update({f"cond_rho{i + 1}{j + 1}": float(r[i, j]) for i, j in _PAIRS})
+            row.update({f"cond_{k}": v for k, v in zip(_RHO, r)})
     return rows
 
 
@@ -240,8 +253,9 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
     because direct integration contradicts the stated pairwise rank
     correlations.
     """
+    check_n(n)
     t0 = time.perf_counter()
-    spearman = [f"rho{i + 1}{j + 1}_s" for i, j in _PAIRS]
+    spearman = [f"{k}_s" for k in _RHO]
     rows = []
     for kind, (exact, stated) in _EXAMPLE1.items():
         ranks = copulas.sample(copulas.CopulaSpec(kind), n, seed).u
@@ -258,7 +272,8 @@ def run_example1(n: int = DEFAULT_N, seed: SeedSpec = SeedSpec()) -> ExperimentR
 
 
 def _gauss_stats(z, u1, triple):
-    """Moment statistics and |rank coskewness| of one Gaussian copula on z.
+    """The correlations (rho12, rho13, rho23), the coskewness and the
+    |rank coskewness| of one Gaussian copula on z.
 
     The moments are the scores H's, which are the data under standard
     normal margins.  The ranks are the copula coordinates norm_cdf(H),
@@ -267,12 +282,8 @@ def _gauss_stats(z, u1, triple):
     is the caller's, computed once.
     """
     h = copulas.gaussian_correlate(z, copulas.GaussianParams(*triple))
-    stats = _moment_stats(estimators.MomentAccumulator(3).update(h))
-    return stats, abs(estimators.rank_coskewness(u1, *norm_cdf(h[1:])))
-
-
-def _max_abs_rho(st: dict) -> float:
-    return max(abs(st["rho12_hat"]), abs(st["rho13_hat"]), abs(st["rho23_hat"]))
+    (rho,), (coskew,) = _sweep_stats([estimators.MomentAccumulator(3).update(h)])
+    return rho, coskew, abs(estimators.rank_coskewness(u1, *norm_cdf(h[1:])))
 
 
 def _record(prop: str, claim: str, *checks) -> dict:
@@ -308,96 +319,60 @@ def verify_propositions(
     """Run the eight dependence/coskewness claims and report pass/fail each.
 
     Failures are reported, not raised; every record carries the worst
-    observed statistic and its tolerance.
+    observed statistic and its tolerance.  An n below 1000 is refused
+    (:func:`check_n`) before any draw.
     """
-    records = []
+    check_n(n)
     normal3 = (standard_normal(),) * 3
     bounds_n = analytic.coskew_bound(*normal3)
+    ends = [_VERIFY_GRID.index(lam) for lam in (0.0, 0.5, 1.0)]
 
     # One mixture draw serves P1, P3, P4 and P6/P7; it is freed before the
     # one draw of normals Z that P2, P5 and P8's triples combine
     draw = mixture_draw(n, _VERIFY_GRID, seed)
-    mix_n = {row["lambda"]: row
-             for row in _sweep_rows(draw.with_marginals(normal3), bounds_n)}
-    mix_ranks = draw.rank_stats()
-    worst_rho_p4 = max(
-        _max_abs_rho(st)
-        for m in ((laplace(),) * 3, (student_t(5),) * 3)
-        for st in _sweep_rows(draw.with_marginals(m))
-        if st["lambda"] in (0.0, 0.5, 1.0)
-    )
+    rho_n, s_n = _sweep_stats(draw.with_marginals(normal3).moments())
+    predicted = [analytic.mixture_prediction(lam, bounds_n) for lam in _VERIFY_GRID]
+    rank_stats = draw.rank_stats()
+    rho_p4 = [_sweep_stats(draw.with_marginals(m).moments())[0][ends]
+              for m in ((laplace(),) * 3, (student_t(5),) * 3)]
     del draw
     z = copulas.gaussian_z(n, seed)
     u1 = norm_cdf(z[0])
-    gauss_n, gauss_rs = zip(*[_gauss_stats(z, u1, t) for t in _GAUSS_TRIPLES])
+    rho_g, s_g, rs_g = map(np.array, zip(*[_gauss_stats(z, u1, t) for t in _GAUSS_TRIPLES]))
+    identity = analytic.rank_coskew_gaussian(*_valid_corr_triples(substream(seed, 8), 1000).T)
 
-    # P1: symmetric marginals, mixture structure: coskewness spans the whole
-    # range while every pairwise correlation stays at zero.
-    worst_rho = max(_max_abs_rho(mix_n[lam]) for lam in (0.0, 0.5, 1.0))
-    worst_end = max(abs(mix_n[1.0]["coskewness_hat"] - bounds_n.s_max),
-                    abs(mix_n[0.0]["coskewness_hat"] - bounds_n.s_min))
-    records.append(_record(
-        "P1", "zero pairwise correlation at every coskewness level",
-        ("max |rho|", worst_rho, 0.02, ".4f"),
-        ("endpoint gap", worst_end, 0.05, ".4f"),
-    ))
-
-    # P2: trivariate Gaussian reaches any admissible correlations.
-    worst_rho_gap = max(
-        abs(st[key] - target)
-        for st, triple in zip(gauss_n, _GAUSS_TRIPLES)
-        for key, target in zip(("rho12_hat", "rho13_hat", "rho23_hat"), triple)
-    )
-    records.append(_record(
-        "P2", "Gaussian model attains arbitrary correlation triples",
-        ("max |rho_hat - rho|", worst_rho_gap, 0.02, ".4f"),
-    ))
-
-    # P3: mixture coskewness is affine in lambda.
-    worst_gap = max(abs(st["coskewness_hat"] - st["coskewness_predicted"])
-                    for st in mix_n.values())
-    records.append(_record(
-        "P3", "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
-        ("max |S_hat - prediction|", worst_gap, 0.05, ".4f"),
-    ))
-
-    # P4: correlations stay zero for other symmetric marginals too.
-    records.append(_record(
-        "P4", "zero correlations persist for Laplace and Student-t margins",
-        ("max |rho|", worst_rho_p4, 0.02, ".4f"),
-    ))
-
-    # P5: Gaussian coskewness is zero whatever the correlations.
-    worst_s = max(abs(st["coskewness_hat"]) for st in gauss_n)
-    records.append(_record(
-        "P5", "trivariate Gaussian has zero coskewness",
-        ("max |S_hat|", worst_s, 0.05, ".4f"),
-    ))
-
-    # P6/P7: with arbitrary continuous marginals the mixture keeps all rank
-    # correlations at zero while rank coskewness sweeps [-1, 1] as 2l-1.
-    # True-CDF ranks are the copula coordinates whatever the marginals, so
-    # they come from the shared draw.
-    rho_s, rs = mix_ranks[:, :3], mix_ranks[:, 3]
-    worst_rho_s = float(np.max(np.abs(rho_s)))
-    worst_rs = float(np.max(np.abs(rs - (2.0 * np.array(_VERIFY_GRID) - 1.0))))
-    records.append(_record(
-        "P6", "rank coskewness spans [-1, 1] with zero rank correlations",
-        ("max |RS - (2l-1)|", worst_rs, 0.03, ".4f"),
-    ))
-    records.append(_record(
-        "P7", "pairwise rank correlations all zero under the mixture",
-        ("max |rho_S|", worst_rho_s, 0.02, ".4f"),
-    ))
-
-    # P8: Gaussian copula has zero rank coskewness: algebraic identity plus
-    # simulation with non-symmetric marginals.
-    r12, r13, r23 = _valid_corr_triples(substream(seed, 8), 1000).T
-    worst_identity = float(np.max(np.abs(analytic.rank_coskew_gaussian(r12, r13, r23))))
-    records.append(_record(
-        "P8", "Gaussian copula rank coskewness is identically zero",
-        ("identity residual", worst_identity, 1e-12, ".2e"),
-        ("max simulated |RS|", max(gauss_rs), 0.02, ".4f"),
-    ))
-
-    return records
+    return [
+        # P1: symmetric marginals, mixture structure: coskewness spans the
+        # whole range while every pairwise correlation stays at zero.
+        _record("P1", "zero pairwise correlation at every coskewness level",
+                ("max |rho|", np.max(np.abs(rho_n[ends])), 0.02, ".4f"),
+                ("endpoint gap", max(abs(s_n[-1] - bounds_n.s_max),
+                                     abs(s_n[0] - bounds_n.s_min)), 0.05, ".4f")),
+        # P2: trivariate Gaussian reaches any admissible correlations.
+        _record("P2", "Gaussian model attains arbitrary correlation triples",
+                ("max |rho_hat - rho|", np.max(np.abs(rho_g - _GAUSS_TRIPLES)), 0.02, ".4f")),
+        # P3: mixture coskewness is affine in lambda.
+        _record("P3", "mixture coskewness equals lambda*s_max + (1-lambda)*s_min",
+                ("max |S_hat - prediction|", np.max(np.abs(s_n - predicted)), 0.05, ".4f")),
+        # P4: correlations stay zero for other symmetric marginals too.
+        _record("P4", "zero correlations persist for Laplace and Student-t margins",
+                ("max |rho|", np.max(np.abs(rho_p4)), 0.02, ".4f")),
+        # P5: Gaussian coskewness is zero whatever the correlations.
+        _record("P5", "trivariate Gaussian has zero coskewness",
+                ("max |S_hat|", np.max(np.abs(s_g)), 0.05, ".4f")),
+        # P6/P7: with arbitrary continuous marginals the mixture keeps all
+        # rank correlations at zero while rank coskewness sweeps [-1, 1] as
+        # 2l-1.  True-CDF ranks are the copula coordinates whatever the
+        # marginals, so they come from the shared draw.
+        _record("P6", "rank coskewness spans [-1, 1] with zero rank correlations",
+                ("max |RS - (2l-1)|",
+                 np.max(np.abs(rank_stats[:, 3] - (2.0 * np.array(_VERIFY_GRID) - 1.0))),
+                 0.03, ".4f")),
+        _record("P7", "pairwise rank correlations all zero under the mixture",
+                ("max |rho_S|", np.max(np.abs(rank_stats[:, :3])), 0.02, ".4f")),
+        # P8: Gaussian copula has zero rank coskewness: algebraic identity
+        # plus simulation with non-symmetric marginals.
+        _record("P8", "Gaussian copula rank coskewness is identically zero",
+                ("identity residual", np.max(np.abs(identity)), 1e-12, ".2e"),
+                ("max simulated |RS|", np.max(rs_g), 0.02, ".4f")),
+    ]

@@ -28,6 +28,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy import special
@@ -164,12 +165,16 @@ def format_token(name: str, numbers=()) -> str:
 def check_kind(kinds, what: str, kind: str, numbers) -> None:
     """DomainError unless kind is a key of kinds, the table that
     :func:`split_token` reads, and numbers, the parameters a spec of that
-    kind holds, are as many as kinds[kind] names."""
+    kind holds, are as many as kinds[kind] names and each a real number:
+    a ``numbers.Real`` (numpy's included) that is not a bool."""
     if kind not in kinds:
         raise DomainError(f"unknown {what} {kind!r}")
     if len(numbers) != len(kinds[kind]):
         takes = ", ".join(kinds[kind]) or "no parameter"
         raise DomainError(f"{what} {kind!r} takes {takes}, got {numbers}")
+    for x in numbers:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise DomainError(f"{what} {kind!r} takes real numbers, got {x!r}")
 
 
 def _check_prob_open(p, name="p"):

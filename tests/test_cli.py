@@ -339,8 +339,9 @@ class TestStats:
 
 
 # One case per failure class and command: a bad token, an out-of-range seed or
-# stream, an unusable output path and a removed option are usage errors
-# (exit 2); a library error on valid tokens is a failure (exit 1).
+# stream, a report's n below 1000, an unusable output path and a removed
+# option are usage errors (exit 2); a library error on valid tokens is a
+# failure (exit 1).
 _ERROR_CASES = [
     (["sample", "--copula", "clayton"], 2),
     (["sample", "--copula", "max:0.7"], 2),
@@ -378,16 +379,21 @@ _ERROR_CASES = [
     (["example1", "--output", "{tmp}/file/"], 2),
     (["figure2", "--seed", "-1"], 2),
     (["example1", "--stream", str(2**64)], 2),
-    (["example1", "--n", "0"], 1),
+    (["example1", "--n", "0"], 2),
     (["verify", "--seed", "-1"], 2),
-    (["verify", "--n", "0"], 1),
+    (["verify", "--n", "0"], 2),
+    (["verify", "--n", "999"], 2),
 ]
 
 
 # What a case's message must also say, where one rule owns it: a file output
-# refuses an existing directory and a trailing separator alike, and the
-# bound names the marginal that is not symmetric
+# refuses an existing directory and a trailing separator alike, the bound
+# names the marginal that is not symmetric, and every report command refuses
+# n below 1000
 _ERROR_TEXT = {
+    "example1 --n 0": "n >= 1000 for published tolerances, got 0",
+    "verify --n 0": "n >= 1000 for published tolerances, got 0",
+    "verify --n 999": "n >= 1000 for published tolerances, got 999",
     "sample --copula max --output {tmp}": "names a directory",
     "sample --copula max --output {tmp}/new/": "names a directory",
     "stats --output {tmp}": "names a directory",

@@ -81,6 +81,15 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(n=500, seed=seed)
 
+    @pytest.mark.parametrize("run", [lambda n: ExperimentConfig(n=n), run_example1,
+                                     verify_propositions],
+                             ids=["config", "example1", "verify"])
+    def test_every_report_refuses_n_below_1000(self, run):
+        # one rule, experiments.check_n, before any draw
+        with pytest.raises(DomainError, match="n >= 1000 for published tolerances, got 999"):
+            run(999)
+        assert experiments.check_n(1000) == 1000
+
 
 class TestAlgorithm1:
     def test_endpoints_reach_the_bounds(self, seed):
@@ -415,14 +424,15 @@ class TestCopulaRanks:
     @pytest.mark.parametrize("triple", experiments._GAUSS_TRIPLES)
     def test_gauss_stats_match_the_data_path(self, spec, triple):
         z = copulas.gaussian_z(100_000, spec)
-        stats, abs_rs = experiments._gauss_stats(z, norm_cdf(z[0]), triple)
+        rho, coskew, abs_rs = experiments._gauss_stats(z, norm_cdf(z[0]), triple)
         us = copulas.sample_gaussian(100_000, copulas.GaussianParams(*triple), spec)
         normal3 = (standard_normal(),) * 3
         acc = MomentAccumulator(3).update(copulas.to_data(us, *normal3).x)
         # the statistics are standardized, so a value near zero (a Gaussian
         # coskewness) is held to 1e-15 absolute rather than relative
-        want = experiments._moment_stats(acc)
-        assert stats == pytest.approx(want, rel=1e-12, abs=1e-15)
+        _, r, want = acc.standardized()
+        assert [*rho, coskew] == pytest.approx([r[0, 1], r[0, 2], r[1, 2], want],
+                                               rel=1e-12, abs=1e-15)
         want = abs(rank_coskewness(*_true_cdf_ranks(us, exponential(1.0))))
         assert abs_rs == pytest.approx(want, rel=0, abs=1e-15)
 
@@ -460,16 +470,56 @@ class TestVerifyPropositions:
         draw = mixture_draw(n, experiments._VERIFY_GRID, seed)
         worst = 0.0
         for m in ((laplace(),) * 3, (student_t(5),) * 3):
-            shared = [experiments._max_abs_rho(st)
-                      for st in experiments._sweep_rows(draw.with_marginals(m))
-                      if st["lambda"] in ends]
-            separate = [experiments._max_abs_rho(st) for st in experiments._sweep_rows(
-                mixture_draw(n, ends, seed).with_marginals(m))]
+            rho, _ = experiments._sweep_stats(draw.with_marginals(m).moments())
+            shared = np.abs(rho[[experiments._VERIFY_GRID.index(l) for l in ends]]).max(axis=1)
+            rho, _ = experiments._sweep_stats(
+                mixture_draw(n, ends, seed).with_marginals(m).moments())
+            separate = np.abs(rho).max(axis=1)
             np.testing.assert_allclose(shared, separate, rtol=0, atol=1e-12)
             worst = max(worst, *separate)
         p4 = verify_propositions(n, seed)[3]
         assert p4["proposition"] == "P4"
         assert p4["observed"] == f"max |rho| = {worst:.4f}"
+
+    def test_reads_statistics_not_report_rows(self, monkeypatch):
+        # verify owns no report column: a figure row builder that fails
+        # leaves its eight records as they were
+        seed = SeedSpec(7, 0)
+        want = verify_propositions(20_000, seed)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("verify built report rows")
+
+        monkeypatch.setattr(experiments, "_sweep_rows", no_rows)
+        assert verify_propositions(20_000, seed) == want
+        assert len(want) == 8
+
+
+class TestSweepStats:
+    @pytest.mark.parametrize("marginals", [(standard_normal(),) * 3,
+                                           (student_t(5), laplace(), exponential(2.0))])
+    def test_each_point_is_its_accumulators_standardized_view(self, marginals):
+        # pairs in (rho12, rho13, rho23) order, exactly standardized()'s values
+        sweep = mixture_draw(5000, (0.0, 0.3, 1.0), SeedSpec(7, 1)).with_marginals(marginals)
+        accs = sweep.moments()
+        rho, coskew = experiments._sweep_stats(accs)
+        assert rho.shape == (3, 3) and coskew.shape == (3,)
+        for g, acc in enumerate(accs):
+            _, r, s = acc.standardized()
+            assert rho[g].tolist() == [r[0, 1], r[0, 2], r[1, 2]]
+            assert coskew[g] == s
+
+    def test_report_rows_carry_the_same_floats(self):
+        sweep = mixture_draw(5000, (0.0, 0.3, 1.0), SeedSpec(7, 1)).with_marginals(
+            (standard_normal(),) * 3)
+        rho, coskew = experiments._sweep_stats(sweep.moments())
+        rows = experiments._sweep_rows(sweep)
+        assert [list(row) for row in rows] == [
+            ["lambda", "coskewness_hat", "rho12_hat", "rho13_hat", "rho23_hat"]] * 3
+        for row, r, s in zip(rows, rho, coskew):
+            assert all(type(v) is float for v in row.values())
+            assert [row["rho12_hat"], row["rho13_hat"], row["rho23_hat"]] == r.tolist()
+            assert row["coskewness_hat"] == s
 
 
 def _bound_off_by_10pct(orig):

@@ -309,6 +309,30 @@ class TestConstruction:
             Marginal(**kwargs)
 
 
+# each constructor's numbers pass marginals.check_kind, which refuses text and
+# bools: text failed later, in .token, and a bool printed as the number 1
+_NOT_REAL = [
+    (lambda: estimators.EventSpec("exceed-upper", "0.5"), "'0.5'"),
+    (lambda: copulas.CopulaSpec("mixture", "0.5"), "'0.5'"),
+    (lambda: copulas.CopulaSpec("mixture", True), "True"),
+    (lambda: Marginal("exp", rate=True), "True"),
+    (lambda: Marginal("t", df="5"), "'5'"),
+]
+
+
+@pytest.mark.parametrize("build,value", _NOT_REAL,
+                         ids=["event-text", "copula-text", "copula-bool", "exp-bool", "t-text"])
+def test_a_spec_refuses_a_number_that_is_not_real(build, value):
+    with pytest.raises(DomainError, match=f"takes real numbers, got {re.escape(value)}"):
+        build()
+
+
+def test_numpy_numbers_are_real():
+    assert Marginal("t", df=np.float32(5.0)).token == "t:5"
+    assert Marginal("exp", rate=np.int64(2)).token == "exp:2"
+    assert copulas.CopulaSpec("mixture", np.float64(0.25)).token == "mixture:0.25"
+
+
 # -- one grammar for every token ---------------------------------------------------
 
 # each parser, what its errors call its tokens, and one valid token per kind
